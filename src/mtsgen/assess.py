@@ -80,15 +80,19 @@ def vs_per_step(forecasts, x_test, r: float = 0.25) -> np.ndarray:
     """Variogram score of order r at each test step.
 
     Sums over all ordered component pairs the squared gap between the
-    realized pairwise distance (to power r) and its predictive mean.
+    realized pairwise distance (to power r) and its predictive mean.  One
+    step at a time, so memory stays at one (n_pth, d, d) block.
     """
     paths = _as_path_array(forecasts)
     x = np.atleast_2d(np.asarray(x_test, dtype=float))
     if x.shape != (paths.shape[0], paths.shape[2]):
         raise InputError("x_test shape does not match forecasts")
-    obs = np.abs(x[:, :, None] - x[:, None, :]) ** r                       # (n_t, d, d)
-    sim = (np.abs(paths[:, :, :, None] - paths[:, :, None, :]) ** r).mean(axis=1)
-    return ((obs - sim) ** 2).sum(axis=(1, 2))
+    out = np.empty(paths.shape[0])
+    for t, (p, xt) in enumerate(zip(paths, x)):
+        obs = np.abs(xt[:, None] - xt[None, :]) ** r                         # (d, d)
+        sim = (np.abs(p[:, :, None] - p[:, None, :]) ** r).mean(axis=0)
+        out[t] = ((obs - sim) ** 2).sum()
+    return out
 
 
 def avs(forecasts, x_test, r: float = 0.25) -> float:

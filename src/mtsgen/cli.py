@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from .errors import InputError, MtsgenError, NumericalError
-from .forecast import var_forecast
+from .forecast import rolling_var
 from .pipeline import (METRICS_HEADER, PipelineConfig, load_dataset,
                        fit_mts, rolling_forecasts, run_pipeline, write_metrics)
 from .serialize import load_model, save_model
@@ -77,9 +77,7 @@ def cmd_forecast(args) -> int:
     model = load_model(args.model)
     ss = np.random.SeedSequence(cfg.seed).spawn(2)[0]
     paths = rolling_forecasts(model, dataset, cfg.n_pth, ss)
-    var_series = np.array([var_forecast(paths[i].sum(axis=1), cfg.var_alpha)
-                           for i in range(paths.shape[0])])
-    np.savez(args.out, paths=paths, var_series=var_series,
+    np.savez(args.out, paths=paths, var_series=rolling_var(paths, cfg.var_alpha),
              origins=np.arange(dataset.tau, dataset.n_obs),
              seed=cfg.seed)
     print(f"{paths.shape[0]} one-step forecasts "

@@ -26,6 +26,7 @@ __all__ = [
     "forecast_paths",
     "aggregate_returns",
     "var_forecast",
+    "rolling_var",
 ]
 
 
@@ -158,22 +159,13 @@ def _simulate_paths(params: ArmaGarchParams, state: LaggedState,
     return out
 
 
-def forecast_paths(model: MtsModel, history, n_pth: int, h: int,
-                   rng: np.random.Generator) -> PredictivePaths:
-    """Simulate n_pth paths of length h conditional on the observed history.
+def _paths_from_states(model: MtsModel, states: list, n_pth: int, h: int,
+                       rng: np.random.Generator) -> np.ndarray:
+    """Simulate (n_pth, h, d) values continuing each margin from its state.
 
     One joint dependence draw is consumed per (path, step); inverse margins
-    and the lifting map turn it into innovations, and the marginal
-    recursions are seeded from the filtered history.
+    and the lifting map turn it into innovations for the marginal recursions.
     """
-    history = np.atleast_2d(np.asarray(history, dtype=float))
-    if history.ndim != 2 or history.shape[1] != model.d:
-        raise InputError(f"history must have {model.d} columns")
-    t = history.shape[0]
-    max_order = max(max(m.params.orders) for m in model.margins)
-    if t < max_order:
-        raise InputError(f"history must cover at least {max_order} steps")
-
     n_draw = n_pth * h
     dep = model.dependence
     if hasattr(dep, "sample_components"):
@@ -187,9 +179,33 @@ def forecast_paths(model: MtsModel, history, n_pth: int, h: int,
 
     values = np.empty((n_pth, h, model.d))
     for j, fit in enumerate(model.margins):
-        filt = arma_garch_filter(fit.params, history[:, j])
-        state = LaggedState.from_filter(fit.params, history[:, j], filt)
-        values[:, :, j] = _simulate_paths(fit.params, state, z[:, :, j])
+        values[:, :, j] = _simulate_paths(fit.params, states[j], z[:, :, j])
+    return values
+
+
+def _max_lag(model: MtsModel) -> int:
+    """Longest lag any margin's recursions reach back."""
+    return max(max(m.params.orders) for m in model.margins)
+
+
+def forecast_paths(model: MtsModel, history, n_pth: int, h: int,
+                   rng: np.random.Generator) -> PredictivePaths:
+    """Simulate n_pth paths of length h conditional on the observed history.
+
+    Each margin is filtered over the history, and its recursions continue
+    from the lags at the end of it.
+    """
+    history = np.atleast_2d(np.asarray(history, dtype=float))
+    if history.ndim != 2 or history.shape[1] != model.d:
+        raise InputError(f"history must have {model.d} columns")
+    t = history.shape[0]
+    if t < _max_lag(model):
+        raise InputError(f"history must cover at least {_max_lag(model)} steps")
+
+    states = [LaggedState.from_filter(fit.params, history[:, j],
+                                      arma_garch_filter(fit.params, history[:, j]))
+              for j, fit in enumerate(model.margins)]
+    values = _paths_from_states(model, states, n_pth, h, rng)
     return PredictivePaths(values=values, origin=t, horizon=h)
 
 
@@ -204,3 +220,8 @@ def var_forecast(aggregates, alpha: float) -> float:
     if not 0.0 < alpha < 1.0:
         raise InputError("alpha must lie in (0, 1)")
     return float(empirical_quantile(agg, alpha))
+
+
+def rolling_var(paths, alpha: float) -> np.ndarray:
+    """VaR forecast at each origin of (n_t, n_pth, d) one-step paths."""
+    return np.array([var_forecast(p.sum(axis=1), alpha) for p in paths])

@@ -169,6 +169,18 @@ class LaggedState:
             sigma2=tail(filt.sigma2_t, pre.sigma2, q2),
         )
 
+    @classmethod
+    def at(cls, params: ArmaGarchParams, x: np.ndarray, filt: FilterOutput, t: int) -> "LaggedState":
+        """State after the first `t` steps of `x`, read from the filter pass `filt` over all of `x`.
+
+        The recursions are causal, so the filter of `x[:t]` is the first `t`
+        steps of `filt`; only the last max-order steps are sliced out.
+        """
+        lo = max(0, t - max(params.orders))
+        window = FilterOutput(mu_t=filt.mu_t[lo:t], sigma2_t=filt.sigma2_t[lo:t],
+                              z_t=filt.z_t[lo:t])
+        return cls.from_filter(params, x[lo:t], window)
+
 
 @dataclass
 class MarginalFitResult:

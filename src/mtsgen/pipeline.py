@@ -21,9 +21,10 @@ from .bootstrap import bootstrap_fit
 from .dependence import (EmpiricalBetaCopula, EmpiricalCopula,
                          IndependenceCopula, pseudo_observations)
 from .errors import ConfigError, InputError
-from .forecast import MtsModel, QuantileMaps, forecast_paths, var_forecast
+from .forecast import (MtsModel, QuantileMaps, _max_lag, _paths_from_states,
+                       rolling_var)
 from .gmmn import GmmnCopula, TrainConfig, train_gmmn
-from .margins import arma_garch_filter, fit_arma_garch
+from .margins import LaggedState, arma_garch_filter, fit_arma_garch
 from .pca import PcaTransform, fit_pca, project, select_k
 
 __all__ = [
@@ -261,35 +262,56 @@ def fit_mts(cfg: PipelineConfig, dataset: Dataset) -> MtsModel:
                     pca_enabled=cfg.pca_enabled)
 
 
+def _filter_margins(model: MtsModel, dataset: Dataset) -> list:
+    """One filter pass per margin over the full series.
+
+    The fitted filters run across the training boundary, so every test
+    origin's lags and every test-period residual come from this one pass.
+    """
+    return [arma_garch_filter(m.params, dataset.values[:, j])
+            for j, m in enumerate(model.margins)]
+
+
+def _test_dependence(model: MtsModel, dataset: Dataset, filters: list) -> np.ndarray:
+    z = np.column_stack([f.z_t for f in filters])
+    y_test = project(model.pca, z[dataset.tau:])
+    return pseudo_observations(y_test).u
+
+
+def _rolling_paths(model: MtsModel, dataset: Dataset, filters: list, n_pth: int,
+                   seed_seq: np.random.SeedSequence) -> np.ndarray:
+    if dataset.tau < _max_lag(model):
+        raise InputError(f"history must cover at least {_max_lag(model)} steps")
+    n_test = dataset.n_obs - dataset.tau
+    rngs = [np.random.default_rng(s) for s in seed_seq.spawn(n_test)]
+    paths = np.empty((n_test, n_pth, dataset.d))
+    for i in range(n_test):
+        t = dataset.tau + i
+        states = [LaggedState.at(m.params, dataset.values[:, j], filters[j], t)
+                  for j, m in enumerate(model.margins)]
+        paths[i] = _paths_from_states(model, states, n_pth, 1, rngs[i])[:, 0, :]
+    return paths
+
+
 def extract_test_dependence(model: MtsModel, dataset: Dataset) -> np.ndarray:
     """Pseudo-observations of the test-period components under the trained model.
 
     The fitted filters run over the full series (lags cross the training
     boundary naturally); the test slice is projected and rank-transformed.
     """
-    full = dataset.values
-    z = np.column_stack([
-        arma_garch_filter(m.params, full[:, j]).z_t
-        for j, m in enumerate(model.margins)])
-    y_test = project(model.pca, z[dataset.tau:])
-    return pseudo_observations(y_test).u
+    return _test_dependence(model, dataset, _filter_margins(model, dataset))
 
 
 def rolling_forecasts(model: MtsModel, dataset: Dataset, n_pth: int,
-                      seed_seq: np.random.SeedSequence):
-    """One-step paths for every test origin t = tau .. T-1.
+                      seed_seq: np.random.SeedSequence) -> np.ndarray:
+    """One-step paths for every test origin t = tau .. T-1, shape (n_test, n_pth, d).
 
-    Returns (paths, var_series, s_actual): paths has shape
-    (n_test, n_pth, d); the VaR series uses the configured level downstream.
+    Origin t draws from its own child of `seed_seq` and continues each
+    margin from the lags after x[:t]; the paths equal those of
+    forecast_paths(model, x[:t], n_pth, 1, rng_t).
     """
-    n_test = dataset.n_obs - dataset.tau
-    rngs = [np.random.default_rng(s) for s in seed_seq.spawn(n_test)]
-    paths = np.empty((n_test, n_pth, dataset.d))
-    for i in range(n_test):
-        t = dataset.tau + i
-        fp = forecast_paths(model, dataset.values[:t], n_pth, 1, rngs[i])
-        paths[i] = fp.values[:, 0, :]
-    return paths
+    return _rolling_paths(model, dataset, _filter_margins(model, dataset),
+                          n_pth, seed_seq)
 
 
 @dataclass
@@ -312,12 +334,12 @@ def run_pipeline(cfg: PipelineConfig, dataset: Dataset,
     ss = np.random.SeedSequence(cfg.seed)
     fc_ss, ammd_ss = ss.spawn(2)
 
-    paths = rolling_forecasts(model, dataset, cfg.n_pth, fc_ss)
-    u_test = extract_test_dependence(model, dataset)
+    filters = _filter_margins(model, dataset)
+    paths = _rolling_paths(model, dataset, filters, cfg.n_pth, fc_ss)
+    u_test = _test_dependence(model, dataset, filters)
     x_test = dataset.values[dataset.tau:]
 
-    var_series = np.array([var_forecast(paths[i].sum(axis=1), cfg.var_alpha)
-                           for i in range(paths.shape[0])])
+    var_series = rolling_var(paths, cfg.var_alpha)
     s_actual = x_test.sum(axis=1)
 
     acfg = cfg.assess_config()

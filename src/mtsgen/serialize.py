@@ -157,12 +157,22 @@ def load_model(path) -> MtsModel:
         raise InputError(f"cannot read model file {path}: {exc}") from exc
     if "__meta__" not in arrays:
         raise InputError(f"{path} is not a model container (missing metadata)")
-    meta = json.loads(bytes(arrays["__meta__"]).decode())
-    if meta.get("version") != FORMAT_VERSION:
-        raise InputError(
-            f"model format version mismatch: file has {meta.get('version')!r}, "
-            f"expected {FORMAT_VERSION!r}")
+    try:
+        meta = json.loads(bytes(arrays["__meta__"]).decode())
+        if not isinstance(meta, dict):
+            raise TypeError("metadata is not a JSON object")
+        if meta.get("version") != FORMAT_VERSION:
+            raise InputError(
+                f"model format version mismatch: file has {meta.get('version')!r}, "
+                f"expected {FORMAT_VERSION!r}")
+        return _unpack_model(arrays, meta)
+    except (KeyError, ValueError, TypeError) as exc:
+        # json.JSONDecodeError and UnicodeDecodeError are ValueErrors
+        raise InputError(f"corrupt model file {path}: "
+                         f"{type(exc).__name__}: {exc}") from exc
 
+
+def _unpack_model(arrays: dict, meta: dict) -> MtsModel:
     margins = []
     for j, mm in enumerate(meta["margins"]):
         params = ArmaGarchParams(

@@ -139,6 +139,32 @@ class TestAvs:
         assert avs(paths, x, 0.5) == pytest.approx(
             vs_per_step(paths, x, 0.5).mean())
 
+    @pytest.mark.parametrize("shape, r", [((6, 40, 5), 0.25), ((3, 17, 1), 0.5),
+                                          ((4, 25, 12), 1.0)])
+    def test_matches_broadcast_formula(self, shape, r):
+        rng = np.random.default_rng(16)
+        paths = rng.standard_normal(shape) * 2.0
+        x = rng.standard_normal((shape[0], shape[2]))
+        # the all-steps-at-once formula, (n_t, n_pth, d, d) in memory
+        obs = np.abs(x[:, :, None] - x[:, None, :]) ** r
+        sim = (np.abs(paths[:, :, :, None] - paths[:, :, None, :]) ** r).mean(axis=1)
+        expected = ((obs - sim) ** 2).sum(axis=(1, 2))
+        assert np.array_equal(vs_per_step(paths, x, r), expected)
+
+    def test_memory_bounded_by_one_step(self):
+        import tracemalloc
+        n_t, n_pth, d = 200, 500, 20
+        rng = np.random.default_rng(17)
+        paths = rng.standard_normal((n_t, n_pth, d))
+        x = rng.standard_normal((n_t, d))
+        tracemalloc.start()
+        try:
+            avs(paths, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * n_pth * d * d * 8
+
 
 class TestVear:
     def test_exact_frequency_zero(self):

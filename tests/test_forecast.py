@@ -8,7 +8,7 @@ from mtsgen import (ArmaGarchParams, IndependenceCopula, InputError,
                     MarginalFitResult, MtsModel, PcaTransform, QuantileMaps,
                     aggregate_returns, arma_garch_filter, forecast_paths,
                     scaled_t_quantile, var_forecast)
-from mtsgen.forecast import empirical_quantile
+from mtsgen.forecast import empirical_quantile, rolling_var
 from mtsgen.margins import scaled_t_cdf
 
 
@@ -159,3 +159,10 @@ class TestVarForecast:
     def test_alpha_bounds(self):
         with pytest.raises(InputError):
             var_forecast(np.ones(10), 0.0)
+
+
+class TestRollingVar:
+    def test_one_var_per_origin(self):
+        paths = np.random.default_rng(13).standard_normal((4, 50, 3))
+        expected = [var_forecast(paths[i].sum(axis=1), 0.1) for i in range(4)]
+        np.testing.assert_array_equal(rolling_var(paths, 0.1), expected)

@@ -148,6 +148,19 @@ class TestLaggedState:
         np.testing.assert_allclose(second.sigma2_t, full.sigma2_t[200:], rtol=1e-12)
         np.testing.assert_allclose(second.mu_t, full.mu_t[200:], rtol=1e-12)
 
+    def test_at_equals_prefix_filter(self):
+        # the state read from one full pass equals the state of a prefix filter,
+        # including prefixes shorter than the longest lag
+        p = ArmaGarchParams(mu=0.01, phi=[0.3, -0.1], gamma=[0.2], omega=0.05,
+                            alpha=[0.1], beta=[0.5, 0.2], nu=6.0)
+        x = np.random.default_rng(9).standard_normal(60)
+        full = arma_garch_filter(p, x)
+        for t in (1, 2, 3, 17, 60):
+            a = LaggedState.at(p, x, full, t)
+            b = LaggedState.from_filter(p, x[:t], arma_garch_filter(p, x[:t]))
+            for name in ("x", "resid", "resid2", "sigma2"):
+                np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+
 
 @pytest.fixture(scope="module")
 def fitted_margin():

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 from mtsgen import (ArmaGarchParams, ConfigError, InputError, PipelineConfig,
-                    load_dataset, load_model, run_pipeline, save_model)
+                    forecast_paths, load_dataset, load_model, run_pipeline,
+                    save_model)
 from mtsgen.datagen import GaussianCopulaSampler, equicorrelation, simulate_mts
-from mtsgen.pipeline import Dataset, fit_mts, write_metrics
+from mtsgen.pipeline import Dataset, fit_mts, rolling_forecasts, write_metrics
 
 
 def write_csv(path, values, times=None):
@@ -277,3 +278,80 @@ class TestCli:
         r = self.run_cli("fit", "--data", str(p), "--seed", "1",
                          "--tau", "100", "--out", str(tmp_path / "m.npz"))
         assert r.returncode == 3
+
+
+class TestRollingForecasts:
+    """One filter pass per margin gives the paths of a per-origin refit."""
+
+    @pytest.mark.parametrize("cfg", [
+        PipelineConfig(dependence="empirical", seed=11),
+        PipelineConfig(dependence="empirical_beta", pca_enabled=True,
+                       pca_k_min=1, bootstrap_n_bt=2, seed=12),
+        PipelineConfig(dependence="independence", orders=(2, 1, 1, 2), seed=13),
+    ], ids=["scaled_t", "pca_bootstrap", "orders_2112"])
+    def test_equals_forecast_paths_per_origin(self, cfg):
+        params = ArmaGarchParams(mu=0.0, phi=[0.2], gamma=[0.0], omega=0.05,
+                                 alpha=[0.1], beta=[0.8], nu=6.0)
+        x = simulate_mts([params] * 3, GaussianCopulaSampler(equicorrelation(3, 0.6)),
+                         140, np.random.default_rng(cfg.seed))
+        ds = Dataset(name="s", times=list(range(140)), values=x,
+                     columns=["a", "b", "c"], transform="none", tau=110)
+        model = fit_mts(cfg, ds)
+        n_pth = 40
+        paths = rolling_forecasts(model, ds, n_pth, np.random.SeedSequence(cfg.seed))
+        rngs = [np.random.default_rng(s)
+                for s in np.random.SeedSequence(cfg.seed).spawn(ds.n_obs - ds.tau)]
+        expected = np.stack([
+            forecast_paths(model, ds.values[:t], n_pth, 1, rng).values[:, 0, :]
+            for t, rng in zip(range(ds.tau, ds.n_obs), rngs)])
+        assert paths.shape == (30, n_pth, 3)
+        assert np.array_equal(paths, expected)
+
+
+class TestCorruptModelFile:
+    def corrupt(self, model, path, drop_meta=None, drop_array=None):
+        import json
+        save_model(model, path)
+        data = dict(np.load(path))
+        meta = json.loads(bytes(data["__meta__"]).decode())
+        if drop_meta:
+            del meta[drop_meta]
+        if drop_array:
+            del data[drop_array]
+        data["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        with open(path, "wb") as fh:
+            np.savez(fh, **data)
+
+    @pytest.mark.parametrize("drop", [{"drop_meta": "margins"},
+                                      {"drop_meta": "pca_k"},
+                                      {"drop_array": "margin0/phi"},
+                                      {"drop_array": "pca/gamma"}])
+    def test_missing_key_is_input_error(self, pipeline_run, tmp_path, drop):
+        _, result = pipeline_run
+        path = tmp_path / "model.npz"
+        self.corrupt(result.model, path, **drop)
+        with pytest.raises(InputError, match="corrupt model file"):
+            load_model(path)
+
+    def test_non_json_metadata_is_input_error(self, pipeline_run, tmp_path):
+        _, result = pipeline_run
+        path = tmp_path / "model.npz"
+        save_model(result.model, path)
+        data = dict(np.load(path))
+        data["__meta__"] = np.frombuffer(b"{not json", dtype=np.uint8)
+        with open(path, "wb") as fh:
+            np.savez(fh, **data)
+        with pytest.raises(InputError):
+            load_model(path)
+
+    @pytest.mark.parametrize("drop", [{"drop_meta": "margins"},
+                                      {"drop_array": "margin1/beta"}])
+    def test_cli_exit_code(self, pipeline_run, synthetic_csv, tmp_path, drop):
+        from mtsgen.cli import main
+        _, result = pipeline_run
+        path = tmp_path / "model.npz"
+        self.corrupt(result.model, path, **drop)
+        code = main(["assess", "--data", synthetic_csv, "--seed", "7",
+                     "--tau", "200", "--model", str(path),
+                     "--out", str(tmp_path / "metrics.csv")])
+        assert code == 2
