@@ -8,7 +8,7 @@ import numpy as np
 
 from .dependence import DependenceModel
 from .errors import InputError
-from .gmmn import KernelSpec, mmd
+from .gmmn import KernelSpec, _mix_mean, mmd
 
 __all__ = [
     "AssessConfig",
@@ -43,10 +43,13 @@ def ammd(u_test, sampler: DependenceModel, cfg: AssessConfig,
     """Average MMD between the test pseudo-observations and repeated sampler draws.
 
     Each repetition draws a fresh sample of the same size as the test set.
+    The test-vs-test kernel term is computed once and shared by all of them.
     """
     u_test = np.asarray(u_test, dtype=float)
     m = u_test.shape[0]
-    vals = [mmd(u_test, sampler.sample(m, rng), cfg.kernel_tst)
+    a = np.atleast_2d(u_test)
+    aa_term = _mix_mean(a, a, cfg.kernel_tst)
+    vals = [mmd(u_test, sampler.sample(m, rng), cfg.kernel_tst, aa_term=aa_term)
             for _ in range(cfg.n_rep)]
     return float(np.mean(vals))
 
@@ -81,16 +84,28 @@ def vs_per_step(forecasts, x_test, r: float = 0.25) -> np.ndarray:
 
     Sums over all ordered component pairs the squared gap between the
     realized pairwise distance (to power r) and its predictive mean.  One
-    step at a time, so memory stays at one (n_pth, d, d) block.
+    step at a time, and the power is taken once per unordered pair, so
+    memory stays at one (n_pth, d (d - 1) / 2) block.
     """
     paths = _as_path_array(forecasts)
     x = np.atleast_2d(np.asarray(x_test, dtype=float))
     if x.shape != (paths.shape[0], paths.shape[2]):
         raise InputError("x_test shape does not match forecasts")
-    out = np.empty(paths.shape[0])
+    n_t, n_pth, d = paths.shape
+    iu, ju = np.triu_indices(d, k=1)
+    # column block i of `gaps` holds the pairs (i, j > i), in triu order
+    starts = np.concatenate(([0], np.cumsum(np.arange(d - 1, 0, -1))))
+    # C order keeps the axis-0 mean a row-by-row sum, as over (n_pth, d, d)
+    gaps = np.empty((n_pth, iu.size))
+    sim = np.zeros((d, d))
+    out = np.empty(n_t)
     for t, (p, xt) in enumerate(zip(paths, x)):
         obs = np.abs(xt[:, None] - xt[None, :]) ** r                         # (d, d)
-        sim = (np.abs(p[:, :, None] - p[:, None, :]) ** r).mean(axis=0)
+        for i in range(d - 1):
+            np.subtract(p[:, i:i + 1], p[:, i + 1:], out=gaps[:, starts[i]:starts[i + 1]])
+        np.abs(gaps, out=gaps)
+        gaps **= r
+        sim[iu, ju] = sim[ju, iu] = gaps.mean(axis=0)
         out[t] = ((obs - sim) ** 2).sum()
     return out
 

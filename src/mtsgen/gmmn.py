@@ -16,7 +16,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .dependence import DependenceModel, pseudo_observations
-from .errors import ConfigError, InputError
+from .errors import ConfigError, InputError, NumericalError
 
 __all__ = [
     "KernelSpec",
@@ -60,11 +60,50 @@ class KernelSpec:
 # kernels and the MMD statistic
 # ---------------------------------------------------------------------------
 
+# exp(x) rounds to exactly 0.0 for every x below about -745.13.  np.exp takes
+# a slow path on such inputs, so kernel entries below this bound are written
+# as 0.0 directly.
+_EXP_ZERO_BELOW = -746.0
+
+
+class _GaussKernel:
+    """exp(-d2 / (2 s^2)) for one bandwidth at a time, in one reused buffer.
+
+    Called with the negated squared distances nd2; the returned matrix is a
+    view into the buffer, valid until the next call.  The result is bit for
+    bit that of np.exp(-d2 / (2.0 * s * s)).
+    """
+
+    def __init__(self, size: int):
+        self._buf = np.empty(size)
+        self._keep = np.empty(size, dtype=bool)
+
+    def __call__(self, nd2: np.ndarray, s: float) -> np.ndarray:
+        k = self._buf[:nd2.size].reshape(nd2.shape)
+        np.divide(nd2, 2.0 * s * s, out=k)
+        if k.min() < _EXP_ZERO_BELOW:
+            keep = self._keep[:nd2.size].reshape(nd2.shape)
+            np.greater_equal(k, _EXP_ZERO_BELOW, out=keep)
+            np.exp(k, out=k, where=keep)
+            np.logical_not(keep, out=keep)
+            k[keep] = 0.0
+        else:
+            np.exp(k, out=k)
+        return k
+
+
 def _mix_from_sqdist(d2: np.ndarray, spec: KernelSpec) -> np.ndarray:
+    nd2 = np.negative(d2)
+    kern = _GaussKernel(d2.size)
     out = np.zeros_like(d2)
     for s in spec.bandwidths:
-        out += np.exp(-d2 / (2.0 * s * s))
+        out += kern(nd2, s)
     return out
+
+
+def _mix_mean(a: np.ndarray, b: np.ndarray, spec: KernelSpec) -> float:
+    """Mean of the kernel-mixture matrix between the rows of a and b."""
+    return float(_mix_from_sqdist(cdist(a, b, "sqeuclidean"), spec).mean())
 
 
 def kernel_mix(u, v, spec: KernelSpec) -> float:
@@ -79,17 +118,17 @@ def _mmd_sq(a: np.ndarray, b: np.ndarray, spec: KernelSpec,
             aa_term: float | None = None) -> float:
     """Squared MMD, full double sums including diagonal terms (V-statistic)."""
     if aa_term is None:
-        aa_term = float(_mix_from_sqdist(cdist(a, a, "sqeuclidean"), spec).mean())
-    ab_term = float(_mix_from_sqdist(cdist(a, b, "sqeuclidean"), spec).mean())
-    bb_term = float(_mix_from_sqdist(cdist(b, b, "sqeuclidean"), spec).mean())
-    return aa_term - 2.0 * ab_term + bb_term
+        aa_term = _mix_mean(a, a, spec)
+    return aa_term - 2.0 * _mix_mean(a, b, spec) + _mix_mean(b, b, spec)
 
 
-def mmd(a, b, spec: KernelSpec) -> float:
+def mmd(a, b, spec: KernelSpec, *, aa_term: float | None = None) -> float:
     """Biased two-sample MMD statistic between the rows of a and b.
 
     The radicand is clamped at 0 against rounding, so the result is always
-    nonnegative and exactly 0 for identical samples.
+    nonnegative and exactly 0 for identical samples.  `aa_term`, when given,
+    is the mean kernel value over all pairs of rows of a, so a caller that
+    scores many samples against the same a computes it only once.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
@@ -97,7 +136,7 @@ def mmd(a, b, spec: KernelSpec) -> float:
         raise InputError("both samples must be nonempty")
     if a.shape[1] != b.shape[1]:
         raise InputError("samples must share the same dimension")
-    return float(np.sqrt(max(_mmd_sq(a, b, spec), 0.0)))
+    return float(np.sqrt(max(_mmd_sq(a, b, spec, aa_term), 0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -268,37 +307,48 @@ def nn_forward(model: GmmnModel, v, train: bool = False,
 
 def _mmd_grad_wrt_output(u: np.ndarray, g: np.ndarray, spec: KernelSpec,
                          uu_term: float | None = None):
-    """Squared-MMD value and its gradient with respect to the generated rows g."""
+    """Squared-MMD value and its gradient with respect to the generated rows g.
+
+    All kernel matrices share one buffer.  Kernel entries whose exponent lies
+    below -746 are set to exactly 0.0 without calling exp, which rounds them
+    to 0.0 too, so the result is bit for bit that of a plain np.exp.
+    """
     n, m = u.shape[0], g.shape[0]
-    d2_vv = cdist(g, g, "sqeuclidean")
-    d2_uv = cdist(u, g, "sqeuclidean")
+    nd2_vv = cdist(g, g, "sqeuclidean")
+    nd2_uv = cdist(u, g, "sqeuclidean")
+    np.negative(nd2_vv, out=nd2_vv)
+    np.negative(nd2_uv, out=nd2_uv)
     if uu_term is None:
-        uu_term = float(_mix_from_sqdist(cdist(u, u, "sqeuclidean"), spec).mean())
+        uu_term = _mix_mean(u, u, spec)
+    kern = _GaussKernel(max(n, m) * m)
     sq = uu_term
     grad = np.zeros_like(g)
     vv_mean = 0.0
     uv_mean = 0.0
     for s in spec.bandwidths:
-        k_vv = np.exp(-d2_vv / (2.0 * s * s))
-        k_uv = np.exp(-d2_uv / (2.0 * s * s))
-        vv_mean += k_vv.mean()
-        uv_mean += k_uv.mean()
         inv = 1.0 / (s * s)
         # d/dg of the generated-vs-generated double sum
+        k_vv = kern(nd2_vv, s)
+        vv_mean += k_vv.mean()
         grad -= (2.0 / (m * m)) * inv * (k_vv.sum(axis=1)[:, None] * g - k_vv @ g)
         # d/dg of the cross double sum (enters the loss with factor -2)
+        k_uv = kern(nd2_uv, s)
+        uv_mean += k_uv.mean()
         grad += (2.0 / (n * m)) * inv * (k_uv.sum(axis=0)[:, None] * g - k_uv.T @ u)
     sq += vv_mean - 2.0 * uv_mean
     return sq, grad
 
 
 def mmd_loss_and_grad(model: GmmnModel, u_batch, v_batch, spec: KernelSpec,
-                      mask_seed: int = 0, uu_term: float | None = None):
+                      mask_seed: int = 0, uu_term: float | None = None, *,
+                      update_running: bool = False):
     """MMD between targets and generated batch, with the exact parameter gradient.
 
     The gradient is taken through the square root with the denominator
     clamped at 1e-12; at an exact zero of the loss the gradient is defined
-    as 0, avoiding the sqrt singularity at the optimum.
+    as 0, avoiding the sqrt singularity at the optimum.  With
+    `update_running` the forward pass also folds this batch's statistics
+    into the running BN statistics, as in `nn_forward`.
     """
     u = np.asarray(u_batch, dtype=float)
     v = np.asarray(v_batch, dtype=float)
@@ -306,7 +356,7 @@ def mmd_loss_and_grad(model: GmmnModel, u_batch, v_batch, spec: KernelSpec,
         raise InputError("batches must contain at least 2 rows")
     mask_rng = np.random.default_rng(mask_seed)
     g, caches = _forward(model, v, train=True, mask_rng=mask_rng,
-                         update_running=False, want_cache=True)
+                         update_running=update_running, want_cache=True)
 
     sq, d_g = _mmd_grad_wrt_output(u, g, spec, uu_term=uu_term)
     loss = float(np.sqrt(max(sq, 0.0)))
@@ -409,7 +459,8 @@ def train_gmmn(u_train, cfg: TrainConfig) -> GmmnModel:
     drawn once up front, then each epoch randomly re-partitions targets and
     prior draws into batches and applies one Adam step per batch.  All
     randomness (init, prior, partitions, dropout masks) derives from
-    cfg.seed, so runs are bit-reproducible.
+    cfg.seed, so runs are bit-reproducible.  A non-finite loss or gradient
+    raises NumericalError at the step where it appears.
     """
     u = u_train.u if hasattr(u_train, "u") else np.asarray(u_train, dtype=float)
     tau, d_star = u.shape
@@ -436,12 +487,10 @@ def train_gmmn(u_train, cfg: TrainConfig) -> GmmnModel:
     adam = AdamState.zeros(theta.size)
     losses = np.empty(n_steps_total)
     full_batch = n_bat == tau
-    uu_term = None
-    if full_batch:
-        uu_term = float(_mix_from_sqdist(cdist(u, u, "sqeuclidean"), cfg.kernel).mean())
+    uu_term = _mix_mean(u, u, cfg.kernel) if full_batch else None
 
     step = 0
-    for _ in range(cfg.n_epo):
+    for epoch in range(cfg.n_epo):
         perm_u = shuffle_rng.permutation(tau)
         perm_v = shuffle_rng.permutation(tau)
         for b in range(tau // n_bat):
@@ -449,12 +498,12 @@ def train_gmmn(u_train, cfg: TrainConfig) -> GmmnModel:
             u_b = u[perm_u[sl]]
             v_b = prior[perm_v[sl]]
             loss, grad = mmd_loss_and_grad(
-                model, u_b, v_b, cfg.kernel,
-                mask_seed=int(mask_seeds[step]),
-                uu_term=uu_term if full_batch else None)
-            # refresh running BN statistics with this batch before stepping
-            nn_forward(model, v_b, train=True,
-                       mask_rng=int(mask_seeds[step]), update_running=True)
+                model, u_b, v_b, cfg.kernel, mask_seed=int(mask_seeds[step]),
+                uu_term=uu_term, update_running=True)
+            if not (np.isfinite(loss) and np.isfinite(grad).all()):
+                raise NumericalError(
+                    f"GMMN training diverged: non-finite loss or gradient "
+                    f"at epoch {epoch + 1}, step {b + 1}")
             adam, theta = adam_step(adam, grad, theta)
             set_theta(model, theta)
             losses[step] = loss

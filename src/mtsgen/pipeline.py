@@ -226,8 +226,23 @@ def _dependence_fitter(cfg: PipelineConfig, seed_seq: np.random.SeedSequence):
     return fit
 
 
+def _check_gmmn_config(cfg: PipelineConfig, tau: int) -> None:
+    """Rejects GMMN settings that training would only refuse after the margin fits."""
+    n_bat = cfg.gmmn_n_bat
+    if n_bat is not None and (n_bat < 2 or tau % n_bat != 0):
+        raise ConfigError(f"gmmn_n_bat={n_bat} must be at least 2 and divide tau={tau}")
+    if cfg.gmmn_n_epo < 1:
+        raise ConfigError(f"gmmn_n_epo={cfg.gmmn_n_epo} must be at least 1")
+    if not 0.0 <= cfg.gmmn_dropout < 1.0:
+        raise ConfigError(f"gmmn_dropout={cfg.gmmn_dropout} must lie in [0, 1)")
+    if len(cfg.gmmn_hidden_dims) == 0 or any(h < 1 for h in cfg.gmmn_hidden_dims):
+        raise ConfigError("gmmn_hidden_dims must be a nonempty list of positive sizes")
+
+
 def fit_mts(cfg: PipelineConfig, dataset: Dataset) -> MtsModel:
     """deGARCH each column, optionally reduce, and fit the dependence model."""
+    if cfg.dependence == "gmmn":
+        _check_gmmn_config(cfg, dataset.tau)
     x_train = dataset.values[:dataset.tau]
     d = dataset.d
     margins = [fit_arma_garch(x_train[:, j], orders=cfg.orders,

@@ -52,6 +52,16 @@ class TestAmmd:
         assert ammd(u, cop, cfg, rng1) == mmd(u, cop.sample(30, rng2),
                                               cfg.kernel_tst)
 
+    def test_equals_mean_of_plain_mmd(self):
+        from mtsgen.gmmn import mmd
+        u = np.random.default_rng(5).random((40, 3))
+        cop = IndependenceCopula(3)
+        cfg = AssessConfig(n_rep=6)
+        rng = np.random.default_rng(6)
+        expected = np.mean([mmd(u, cop.sample(40, rng), cfg.kernel_tst)
+                            for _ in range(cfg.n_rep)])
+        assert ammd(u, cop, cfg, np.random.default_rng(6)) == float(expected)
+
     def test_empirical_beats_independence(self):
         cop = GaussianCopulaSampler(equicorrelation(2, 0.8))
         rng = np.random.default_rng(4)

@@ -7,8 +7,13 @@ from mtsgen import (AdamState, InputError, KernelSpec, adam_step,
                     kernel_mix, mmd, mmd_loss_and_grad, nn_forward,
                     pseudo_observations, sample_gmmn, train_gmmn)
 from mtsgen.datagen import GaussianCopulaSampler, equicorrelation
-from mtsgen.errors import ConfigError
-from mtsgen.gmmn import (TrainConfig, flatten_theta, glorot_init, set_theta)
+from scipy.spatial.distance import cdist
+
+from mtsgen import gmmn
+from mtsgen.errors import ConfigError, NumericalError
+from mtsgen.gmmn import (TrainConfig, _mix_from_sqdist, _mix_mean,
+                         _mmd_grad_wrt_output, flatten_theta, glorot_init,
+                         set_theta)
 
 
 def tiny_model(dims=(2, 8, 2), seed=0, dropout=0.5):
@@ -295,3 +300,215 @@ class TestSampling:
         a = sample_gmmn(model, 50, np.random.default_rng(25))
         b = sample_gmmn(model, 50, np.random.default_rng(25))
         np.testing.assert_array_equal(a, b)
+
+
+# ---------------------------------------------------------------------------
+# bitwise oracles: the per-bandwidth kernel and the two-forward training loop
+# ---------------------------------------------------------------------------
+
+def oracle_mix_from_sqdist(d2, spec):
+    out = np.zeros_like(d2)
+    for s in spec.bandwidths:
+        out += np.exp(-d2 / (2.0 * s * s))
+    return out
+
+
+def oracle_mmd_grad_wrt_output(u, g, spec, uu_term=None):
+    """One fresh np.exp per bandwidth and pair type."""
+    n, m = u.shape[0], g.shape[0]
+    d2_vv = cdist(g, g, "sqeuclidean")
+    d2_uv = cdist(u, g, "sqeuclidean")
+    if uu_term is None:
+        uu_term = float(oracle_mix_from_sqdist(cdist(u, u, "sqeuclidean"), spec).mean())
+    sq = uu_term
+    grad = np.zeros_like(g)
+    vv_mean = 0.0
+    uv_mean = 0.0
+    for s in spec.bandwidths:
+        k_vv = np.exp(-d2_vv / (2.0 * s * s))
+        k_uv = np.exp(-d2_uv / (2.0 * s * s))
+        vv_mean += k_vv.mean()
+        uv_mean += k_uv.mean()
+        inv = 1.0 / (s * s)
+        grad -= (2.0 / (m * m)) * inv * (k_vv.sum(axis=1)[:, None] * g - k_vv @ g)
+        grad += (2.0 / (n * m)) * inv * (k_uv.sum(axis=0)[:, None] * g - k_uv.T @ u)
+    sq += vv_mean - 2.0 * uv_mean
+    return sq, grad
+
+
+def oracle_train_gmmn(u, cfg):
+    """Training with a second forward pass per step to refresh the BN statistics."""
+    tau, d_star = u.shape
+    n_bat = cfg.n_bat if cfg.n_bat is not None else tau
+    ss = np.random.SeedSequence(cfg.seed)
+    init_ss, prior_ss, shuffle_ss, mask_ss = ss.spawn(4)
+    shuffle_rng = np.random.default_rng(shuffle_ss)
+    n_steps_total = cfg.n_epo * (tau // n_bat)
+    mask_seeds = mask_ss.generate_state(n_steps_total, dtype=np.uint64)
+    model = glorot_init((d_star, *cfg.hidden_dims, d_star),
+                        np.random.default_rng(init_ss),
+                        dropout_rate=cfg.dropout_rate, kernel=cfg.kernel, seed=cfg.seed)
+    prior = np.random.default_rng(prior_ss).standard_normal((tau, d_star))
+    theta = flatten_theta(model)
+    adam = AdamState.zeros(theta.size)
+    losses = np.empty(n_steps_total)
+    full_batch = n_bat == tau
+    uu_term = None
+    if full_batch:
+        uu_term = float(oracle_mix_from_sqdist(cdist(u, u, "sqeuclidean"), cfg.kernel).mean())
+    step = 0
+    for _ in range(cfg.n_epo):
+        perm_u = shuffle_rng.permutation(tau)
+        perm_v = shuffle_rng.permutation(tau)
+        for b in range(tau // n_bat):
+            sl = slice(b * n_bat, (b + 1) * n_bat)
+            u_b = u[perm_u[sl]]
+            v_b = prior[perm_v[sl]]
+            loss, grad = mmd_loss_and_grad(model, u_b, v_b, cfg.kernel,
+                                           mask_seed=int(mask_seeds[step]),
+                                           uu_term=uu_term)
+            nn_forward(model, v_b, train=True, mask_rng=int(mask_seeds[step]),
+                       update_running=True)
+            adam, theta = adam_step(adam, grad, theta)
+            set_theta(model, theta)
+            losses[step] = loss
+            step += 1
+    model.train_loss = losses
+    return model
+
+
+def boundary_pairs(s, exponents):
+    """Targets at the origin, generated rows at distances giving -d2/(2 s^2) = e."""
+    g = np.sqrt(-np.asarray(exponents) * 2.0 * s * s)[:, None] * np.array([[0.6, 0.8]])
+    u = np.zeros((3, 2))
+    u[1] = [1e-9, 0.0]
+    u[2] = [0.0, 3e-9]
+    return u, g
+
+
+# -746 is where the kernel stops calling exp; -745.1332... is where exp
+# itself stops returning the smallest subnormal and rounds to 0.0.
+EXP_ZERO = -1075.0 * np.log(2.0)
+BOUNDARY_EXPONENTS = [e + sign * delta for e in (-746.0, EXP_ZERO)
+                      for sign in (-1.0, 1.0) for delta in (1e-9, 1e-6, 1e-3)]
+
+
+class TestKernelOracle:
+    """The shared-buffer kernel reproduces one np.exp per bandwidth bit for bit."""
+
+    def assert_grad_equal(self, u, g, spec, uu_term=None):
+        sq, grad = _mmd_grad_wrt_output(u, g, spec, uu_term=uu_term)
+        sq_ref, grad_ref = oracle_mmd_grad_wrt_output(u, g, spec, uu_term=uu_term)
+        assert np.array_equal(sq, sq_ref)
+        assert np.array_equal(grad, grad_ref)
+
+    @pytest.mark.parametrize("n, m", [(40, 40), (30, 50), (50, 30)])
+    def test_random_data(self, n, m):
+        rng = np.random.default_rng(n * 100 + m)
+        u, g = rng.random((n, 3)), rng.random((m, 3))
+        self.assert_grad_equal(u, g, KernelSpec.for_training())
+        uu = float(oracle_mix_from_sqdist(cdist(u, u, "sqeuclidean"),
+                                          KernelSpec.for_training()).mean())
+        self.assert_grad_equal(u, g, KernelSpec.for_training(), uu_term=uu)
+
+    def test_small_bandwidths_underflow(self):
+        rng = np.random.default_rng(30)
+        u, g = rng.random((200, 5)), rng.random((200, 5))
+        spec = KernelSpec.for_training()
+        d2 = cdist(u, g, "sqeuclidean")
+        for s in (0.001, 0.01):
+            # most pairs lie beyond the exact-underflow bound at these bandwidths
+            assert np.mean(-d2 / (2.0 * s * s) < -746.0) > 0.9
+        self.assert_grad_equal(u, g, spec)
+
+    @pytest.mark.parametrize("s", [0.001, 0.01, 0.15])
+    def test_pairs_at_the_underflow_bounds(self, s):
+        u, g = boundary_pairs(s, BOUNDARY_EXPONENTS)
+        expo = -cdist(u, g, "sqeuclidean") / (2.0 * s * s)
+        # the pairs straddle both bounds, and exp gives both 0.0 and subnormals
+        for bound in (-746.0, EXP_ZERO):
+            assert np.any(expo < bound) and np.any(expo >= bound)
+        k = np.exp(expo)
+        assert np.any(k == 0.0) and np.any((k > 0.0) & (k < 1e-307))
+        spec = KernelSpec((s,))
+        self.assert_grad_equal(u, g, spec)
+        d2 = cdist(g, g, "sqeuclidean")
+        assert np.array_equal(_mix_from_sqdist(d2, spec), oracle_mix_from_sqdist(d2, spec))
+        d2 = cdist(u, g, "sqeuclidean")
+        assert np.array_equal(_mix_from_sqdist(d2, spec), oracle_mix_from_sqdist(d2, spec))
+
+    def test_non_finite_rows_propagate(self):
+        rng = np.random.default_rng(31)
+        u, g = rng.random((10, 2)), rng.random((12, 2))
+        g[3, 1] = np.nan
+        spec = KernelSpec.for_training()
+        sq, grad = _mmd_grad_wrt_output(u, g, spec)
+        sq_ref, grad_ref = oracle_mmd_grad_wrt_output(u, g, spec)
+        assert np.isnan(sq) and np.isnan(sq_ref)
+        assert np.array_equal(grad, grad_ref, equal_nan=True)
+
+    def test_mix_mean_matches_mmd_self_term(self):
+        rng = np.random.default_rng(32)
+        a, b = rng.random((25, 3)), rng.random((20, 3))
+        spec = KernelSpec.for_assessment()
+        assert mmd(a, b, spec, aa_term=_mix_mean(a, a, spec)) == mmd(a, b, spec)
+
+
+class TestTrainingOracle:
+    """One cached forward per step gives the bits of the two-forward loop."""
+
+    @pytest.mark.parametrize("cfg", [
+        TrainConfig(n_epo=12, hidden_dims=(8,), seed=40),
+        TrainConfig(n_epo=4, n_bat=20, hidden_dims=(6, 5), seed=41),
+        TrainConfig(n_epo=6, hidden_dims=(8,), dropout_rate=0.0, seed=42),
+    ], ids=["full_batch", "minibatch_two_layers", "no_dropout"])
+    def test_equals_two_forward_loop(self, cfg, monkeypatch):
+        cop = GaussianCopulaSampler(equicorrelation(3, 0.6))
+        u = pseudo_observations(cop.sample(60, np.random.default_rng(43))).u
+        model = train_gmmn(u, cfg)
+        monkeypatch.setattr(gmmn, "_mmd_grad_wrt_output", oracle_mmd_grad_wrt_output)
+        ref = oracle_train_gmmn(u, cfg)
+        assert np.array_equal(model.train_loss, ref.train_loss)
+        for name in ("weights", "biases", "bn_scale", "bn_shift", "bn_mean", "bn_var"):
+            for a, b in zip(getattr(model, name), getattr(ref, name)):
+                assert np.array_equal(a, b), name
+
+    def test_loss_and_grad_alone_keeps_running_stats(self):
+        model = tiny_model((2, 6, 2), seed=44)
+        rng = np.random.default_rng(45)
+        u, v = rng.random((10, 2)), rng.standard_normal((10, 2))
+        before = [m.copy() for m in model.bn_mean + model.bn_var]
+        mmd_loss_and_grad(model, u, v, KernelSpec.for_training(), mask_seed=2)
+        for b, a in zip(before, model.bn_mean + model.bn_var):
+            assert np.array_equal(b, a)
+
+    def test_update_running_matches_nn_forward(self):
+        model = tiny_model((2, 6, 2), seed=46)
+        twin = tiny_model((2, 6, 2), seed=46)
+        rng = np.random.default_rng(47)
+        u, v = rng.random((10, 2)), rng.standard_normal((10, 2))
+        mmd_loss_and_grad(model, u, v, KernelSpec.for_training(), mask_seed=2,
+                          update_running=True)
+        nn_forward(twin, v, train=True, mask_rng=2, update_running=True)
+        for a, b in zip(model.bn_mean + model.bn_var, twin.bn_mean + twin.bn_var):
+            assert np.array_equal(a, b)
+
+
+class TestNonFiniteTraining:
+    def test_nan_target_raises_numerical_error(self):
+        u = np.random.default_rng(50).random((20, 2))
+        u[4, 0] = np.nan
+        with pytest.raises(NumericalError, match="epoch 1, step 1"):
+            train_gmmn(u, TrainConfig(n_epo=3, hidden_dims=(4,), seed=0))
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_inf_weight_raises_numerical_error(self, monkeypatch):
+        def glorot_with_inf(*args, **kw):
+            model = glorot_init(*args, **kw)
+            model.weights[0][0, 0] = np.inf
+            return model
+
+        monkeypatch.setattr(gmmn, "glorot_init", glorot_with_inf)
+        u = pseudo_observations(np.random.default_rng(51).standard_normal((20, 2))).u
+        with pytest.raises(NumericalError, match="epoch 1, step 1"):
+            train_gmmn(u, TrainConfig(n_epo=2, n_bat=10, hidden_dims=(4,), seed=0))

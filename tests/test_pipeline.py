@@ -355,3 +355,68 @@ class TestCorruptModelFile:
                      "--tau", "200", "--model", str(path),
                      "--out", str(tmp_path / "metrics.csv")])
         assert code == 2
+
+
+class TestGmmnFailFast:
+    """GMMN settings are checked before any margin is fitted."""
+
+    @pytest.fixture
+    def no_margin_fits(self, monkeypatch):
+        import mtsgen.pipeline as pipeline
+        calls = []
+
+        def fit_arma_garch(*args, **kw):
+            calls.append(args)
+            raise AssertionError("margin MLE ran before the config check")
+
+        monkeypatch.setattr(pipeline, "fit_arma_garch", fit_arma_garch)
+        return calls
+
+    @pytest.mark.parametrize("bad", [
+        {"gmmn_n_bat": 3}, {"gmmn_n_bat": 1}, {"gmmn_n_epo": 0},
+        {"gmmn_dropout": 1.0}, {"gmmn_dropout": -0.1},
+        {"gmmn_hidden_dims": (0,)}, {"gmmn_hidden_dims": ()},
+    ])
+    def test_bad_gmmn_config_raises_before_margins(self, bad, no_margin_fits):
+        x = np.random.default_rng(60).standard_normal((120, 2))
+        ds = Dataset(name="s", times=list(range(120)), values=x,
+                     columns=["a", "b"], transform="none", tau=100)
+        with pytest.raises(ConfigError):
+            fit_mts(PipelineConfig(dependence="gmmn", **bad), ds)
+        assert no_margin_fits == []
+
+    def test_other_dependence_ignores_gmmn_keys(self):
+        x = np.random.default_rng(61).standard_normal((120, 2))
+        ds = Dataset(name="s", times=list(range(120)), values=x,
+                     columns=["a", "b"], transform="none", tau=100)
+        fit_mts(PipelineConfig(dependence="independence", gmmn_n_bat=3), ds)
+
+    def test_cli_exit_code(self, synthetic_csv, tmp_path, no_margin_fits):
+        from mtsgen.cli import main
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"dependence": "gmmn", "gmmn_n_bat": 7}')
+        code = main(["fit", "--data", synthetic_csv, "--seed", "1", "--tau", "200",
+                     "--config", str(cfg), "--out", str(tmp_path / "m.npz")])
+        assert code == 2
+        assert no_margin_fits == []
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("command", [["fit"], ["bootstrap", "--n-bt", "2"]])
+    def test_non_finite_training_exit_code(self, synthetic_csv, tmp_path,
+                                           monkeypatch, command):
+        from mtsgen import gmmn
+        from mtsgen.cli import main
+
+        glorot_init = gmmn.glorot_init
+
+        def glorot_with_inf(*args, **kw):
+            model = glorot_init(*args, **kw)
+            model.weights[-1][0, 0] = np.inf
+            return model
+
+        monkeypatch.setattr(gmmn, "glorot_init", glorot_with_inf)
+        out = tmp_path / "m.npz"
+        code = main([*command, "--data", synthetic_csv, "--seed", "1", "--tau", "200",
+                     "--dependence", "gmmn", "--epochs", "2", "--out", str(out)])
+        assert code == 3
+        assert not out.exists()
