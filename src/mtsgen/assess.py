@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dependence import DependenceModel
-from .errors import InputError
+from .errors import ConfigError, InputError
 from .gmmn import KernelSpec, _mix_mean, mmd
 
 __all__ = [
@@ -31,11 +31,13 @@ class AssessConfig:
 
     def __post_init__(self):
         if self.n_rep < 1:
-            raise InputError("n_rep must be >= 1")
+            raise ConfigError("n_rep must be >= 1")
         if self.r <= 0:
-            raise InputError("variogram order r must be positive")
+            raise ConfigError("variogram order r must be positive")
         if not 0.0 < self.alpha < 1.0:
-            raise InputError("alpha must lie in (0, 1)")
+            raise ConfigError("alpha must lie in (0, 1)")
+        if self.n_pth < 1:
+            raise ConfigError("n_pth must be >= 1")
 
 
 def ammd(u_test, sampler: DependenceModel, cfg: AssessConfig,

@@ -52,6 +52,11 @@ class BootstrapMixture(DependenceModel):
                 u[sel] = self.components[b].sample(cnt, rng)
         return u, ids
 
+    def sample_quantiles(self, n: int, rng: np.random.Generator, quantile_maps) -> np.ndarray:
+        """Draws mapped through their own component's tables; `quantile_maps` is unused."""
+        u, ids = self.sample_components(n, rng)
+        return self.apply_quantiles(u, ids)
+
     def apply_quantiles(self, u: np.ndarray, ids: np.ndarray) -> np.ndarray:
         """Inverse margins of the component each row was drawn from."""
         y = np.empty_like(u)

@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .errors import InputError, MtsgenError, NumericalError
+from .errors import ConfigError, InputError, MtsgenError, NumericalError
 from .forecast import rolling_var
 from .pipeline import (METRICS_HEADER, PipelineConfig, load_dataset,
                        fit_mts, rolling_forecasts, run_pipeline, write_metrics)
@@ -29,6 +29,8 @@ def _build_config(args) -> PipelineConfig:
                 cfg_dict = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise InputError(f"cannot read config {args.config}: {exc}") from exc
+        if not isinstance(cfg_dict, dict):
+            raise ConfigError(f"config {args.config} must hold a JSON object")
     overrides = {
         "dependence": getattr(args, "dependence", None),
         "pca_enabled": getattr(args, "pca", None),

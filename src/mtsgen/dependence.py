@@ -1,7 +1,9 @@
 """Pseudo-observations and nonparametric/independence dependence samplers.
 
 Every dependence model exposes the same contract: ``sample(n, rng)``
-returns an ``n x d`` matrix of values strictly inside (0, 1).
+returns an ``n x d`` matrix of values strictly inside (0, 1), and
+``sample_quantiles(n, rng, quantile_maps)`` maps such a draw through the
+inverse margins.
 """
 
 from __future__ import annotations
@@ -66,6 +68,10 @@ class DependenceModel:
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         raise NotImplementedError
+
+    def sample_quantiles(self, n: int, rng: np.random.Generator, quantile_maps) -> np.ndarray:
+        """n draws mapped through the inverse margins: ``quantile_maps(sample(n, rng))``."""
+        return quantile_maps(self.sample(n, rng))
 
 
 class EmpiricalCopula(DependenceModel):

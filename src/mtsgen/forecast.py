@@ -14,9 +14,9 @@ import numpy as np
 
 from .dependence import DependenceModel
 from .errors import InputError
-from .margins import (ArmaGarchParams, LaggedState, arma_garch_filter,
+from .margins import (LaggedState, arma_garch_filter, arma_garch_simulate,
                       scaled_t_quantile)
-from .pca import PcaTransform
+from .pca import PcaTransform, lift
 
 __all__ = [
     "QuantileMaps",
@@ -92,7 +92,6 @@ class MtsModel:
     dependence: DependenceModel
     quantile_maps: QuantileMaps
     tau: int
-    pca_enabled: bool = False
 
     @property
     def d(self) -> int:
@@ -116,71 +115,9 @@ class PredictivePaths:
             raise InputError("values must have shape (n_pth, horizon, d)")
 
 
-def _simulate_paths(params: ArmaGarchParams, state: LaggedState,
-                    z: np.ndarray) -> np.ndarray:
-    """Continue one margin's recursions for all paths at once.
-
-    z has shape (n_pth, h); all paths share the same starting lags.
-    """
-    n_pth, h = z.shape
-    p1, q1, p2, q2 = params.orders
-
-    def lag_buf(arr):
-        return [np.full(n_pth, val) for val in arr]
-
-    xs = lag_buf(state.x)
-    es = lag_buf(state.resid)
-    e2s = lag_buf(state.resid2)
-    s2s = lag_buf(state.sigma2)
-
-    out = np.empty((n_pth, h))
-    for s in range(h):
-        m = np.full(n_pth, params.mu)
-        for k in range(p1):
-            m += params.phi[k] * (xs[-1 - k] - params.mu)
-        for l in range(q1):
-            m += params.gamma[l] * es[-1 - l]
-        s2 = np.full(n_pth, params.omega)
-        for k in range(p2):
-            s2 += params.alpha[k] * e2s[-1 - k]
-        for l in range(q2):
-            s2 += params.beta[l] * s2s[-1 - l]
-        e = np.sqrt(s2) * z[:, s]
-        x = m + e
-        out[:, s] = x
-        if p1:
-            xs.append(x)
-        if q1:
-            es.append(e)
-        if p2:
-            e2s.append(e * e)
-        if q2:
-            s2s.append(s2)
-    return out
-
-
-def _paths_from_states(model: MtsModel, states: list, n_pth: int, h: int,
-                       rng: np.random.Generator) -> np.ndarray:
-    """Simulate (n_pth, h, d) values continuing each margin from its state.
-
-    One joint dependence draw is consumed per (path, step); inverse margins
-    and the lifting map turn it into innovations for the marginal recursions.
-    """
-    n_draw = n_pth * h
-    dep = model.dependence
-    if hasattr(dep, "sample_components"):
-        u, ids = dep.sample_components(n_draw, rng)
-        y = dep.apply_quantiles(u, ids)
-    else:
-        u = dep.sample(n_draw, rng)
-        y = model.quantile_maps(u)
-    z = y @ model.pca.upsilon.T            # (n_draw, d)
-    z = z.reshape(n_pth, h, model.d)
-
-    values = np.empty((n_pth, h, model.d))
-    for j, fit in enumerate(model.margins):
-        values[:, :, j] = _simulate_paths(fit.params, states[j], z[:, :, j])
-    return values
+def _innovations(model: MtsModel, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n joint innovations, shape (n, d): dependence draw, inverse margins, lift."""
+    return lift(model.pca, model.dependence.sample_quantiles(n, rng, model.quantile_maps))
 
 
 def _max_lag(model: MtsModel) -> int:
@@ -202,10 +139,12 @@ def forecast_paths(model: MtsModel, history, n_pth: int, h: int,
     if t < _max_lag(model):
         raise InputError(f"history must cover at least {_max_lag(model)} steps")
 
-    states = [LaggedState.from_filter(fit.params, history[:, j],
-                                      arma_garch_filter(fit.params, history[:, j]))
-              for j, fit in enumerate(model.margins)]
-    values = _paths_from_states(model, states, n_pth, h, rng)
+    # each margin's innovations are overwritten by its paths
+    values = _innovations(model, n_pth * h, rng).reshape(n_pth, h, model.d)
+    for j, fit in enumerate(model.margins):
+        x = history[:, j]
+        state = LaggedState.at(fit.params, x, arma_garch_filter(fit.params, x), t)
+        values[:, :, j] = arma_garch_simulate(fit.params, values[:, :, j], state)
     return PredictivePaths(values=values, origin=t, horizon=h)
 
 

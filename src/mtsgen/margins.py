@@ -123,7 +123,8 @@ class FilterOutput:
 class LaggedState:
     """Lagged values needed to continue the recursions.
 
-    Arrays are ordered oldest first, most recent last.  `resid2` carries the
+    Lags run along the last axis, oldest first, most recent last; any
+    leading axes index origins (see :meth:`at`).  `resid2` carries the
     squared-residual lags of the variance recursion separately from `resid`
     (the moving-average lags) so that the stationary-start convention, which
     sets residual lags to 0 but squared-residual lags to the unconditional
@@ -150,36 +151,35 @@ class LaggedState:
     @classmethod
     def from_filter(cls, params: ArmaGarchParams, x: np.ndarray, filt: FilterOutput) -> "LaggedState":
         """State after observing `x` and its filter output (lags taken from the tail)."""
-        p1, q1, p2, q2 = params.orders
-        resid = filt.resid
-        pre = cls.presample(params)
-
-        def tail(arr, presample, m):
-            if m == 0:
-                return np.empty(0)
-            if len(arr) >= m:
-                return np.asarray(arr[-m:], dtype=float).copy()
-            k = m - len(arr)
-            return np.concatenate([presample[:k], np.asarray(arr, dtype=float)])
-
-        return cls(
-            x=tail(x, pre.x, p1),
-            resid=tail(resid, pre.resid, q1),
-            resid2=tail(resid**2, pre.resid2, p2),
-            sigma2=tail(filt.sigma2_t, pre.sigma2, q2),
-        )
+        return cls.at(params, x, filt, len(x))
 
     @classmethod
-    def at(cls, params: ArmaGarchParams, x: np.ndarray, filt: FilterOutput, t: int) -> "LaggedState":
+    def at(cls, params: ArmaGarchParams, x: np.ndarray, filt: FilterOutput, t) -> "LaggedState":
         """State after the first `t` steps of `x`, read from the filter pass `filt` over all of `x`.
 
-        The recursions are causal, so the filter of `x[:t]` is the first `t`
-        steps of `filt`; only the last max-order steps are sliced out.
+        `t` is an int or an integer array of any shape, each entry in
+        [0, len(x)]; every field then has shape ``t.shape + (order,)``, so
+        an int gives 1-d lags.  The recursions are causal, so the filter of
+        `x[:t]` is the first `t` steps of `filt`.  Lags before the start of
+        `x` take the stationary-start values of :meth:`presample`.
         """
-        lo = max(0, t - max(params.orders))
-        window = FilterOutput(mu_t=filt.mu_t[lo:t], sigma2_t=filt.sigma2_t[lo:t],
-                              z_t=filt.z_t[lo:t])
-        return cls.from_filter(params, x[lo:t], window)
+        t = np.asarray(t)
+        if np.any(t < 0) or np.any(t > len(x)):
+            raise InputError(f"origins must lie in [0, {len(x)}]")
+        p1, q1, p2, q2 = params.orders
+        v0 = params.uncond_variance
+
+        def read(m, fill, values):
+            idx = t[..., None] - m + np.arange(m)
+            return np.where(idx >= 0, values(np.maximum(idx, 0)), fill)
+
+        def resid(i):
+            return filt.z_t[i] * np.sqrt(filt.sigma2_t[i])
+
+        return cls(x=read(p1, params.mu, lambda i: np.asarray(x, dtype=float)[i]),
+                   resid=read(q1, 0.0, resid),
+                   resid2=read(p2, v0, lambda i: resid(i)**2),
+                   sigma2=read(q2, v0, lambda i: filt.sigma2_t[i]))
 
 
 @dataclass
@@ -194,57 +194,58 @@ class MarginalFitResult:
 # filtering and simulation
 # ---------------------------------------------------------------------------
 
-def _run_recursion(params: ArmaGarchParams, state: LaggedState, driver, n: int):
-    """Shared mean/variance recursion.
+def _check_state(params: ArmaGarchParams, state: LaggedState) -> None:
+    """Rejects a state with too few lags or with negative variance lags."""
+    p1, q1, p2, q2 = params.orders
+    for name, need in (("x", p1), ("resid", q1), ("resid2", p2), ("sigma2", q2)):
+        if np.shape(getattr(state, name))[-1] < need:
+            raise InputError(f"state.{name} must supply at least {need} lags")
+    if np.any(state.resid2 < 0.0) or np.any(state.sigma2 < 0.0):
+        raise InputError("squared-residual and variance lags must be nonnegative")
 
-    `driver(i, mu_i, sigma2_i)` must return the residual e_i = X_i - mu_i for
-    step i; filtering derives it from observed data, simulation from an
-    innovation.  Python-float lists keep the sequential loop fast.
+
+def _filter(params: ArmaGarchParams, x: np.ndarray, state: LaggedState):
+    """Residuals and conditional variances of `x`, continuing from `state`.
+
+    Both recursions are linear IIR filters: the residuals in the mean
+    equation, sigma2 in the variance equation.  The lags of x, of the
+    residuals and of their squares that reach before `x` are added to the
+    filter inputs; sigma2's own lags become the variance filter's initial
+    conditions through lfiltic.  Returns (resid, sigma2).
     """
     p1, q1, p2, q2 = params.orders
-    mu = params.mu
-    phi = params.phi.tolist()
-    gam = params.gamma.tolist()
-    alpha = params.alpha.tolist()
-    beta = params.beta.tolist()
-    omega = params.omega
+    n, mu = len(x), params.mu
+    # pre-sample lags reach only the first max-order steps; adding them one
+    # scalar at a time costs the likelihood less than slicing arrays would
 
-    xs = state.x.tolist()
-    es = state.resid.tolist()
-    e2s = state.resid2.tolist()
-    s2s = state.sigma2.tolist()
+    # e_i = a_i - sum_l gamma_l e_{i-1-l}, a from the AR part and the lags
+    xc = x - mu
+    a = xc.copy()
+    for k in range(p1):
+        a[k + 1:] -= params.phi[k] * xc[:-k - 1]
+        for i in range(min(k + 1, n)):
+            a[i] -= params.phi[k] * (state.x[i - 1 - k] - mu)
+    for l in range(q1):
+        for i in range(min(l + 1, n)):
+            a[i] -= params.gamma[l] * state.resid[i - 1 - l]
+    e = signal.lfilter([1.0], np.concatenate([[1.0], params.gamma]), a) if q1 else a
 
-    mu_out = [0.0] * n
-    s2_out = [0.0] * n
-    x_out = [0.0] * n
-
-    for i in range(n):
-        m = mu
-        for k in range(p1):
-            m += phi[k] * (xs[-1 - k] - mu)
-        for l in range(q1):
-            m += gam[l] * es[-1 - l]
-        s2 = omega
-        for k in range(p2):
-            s2 += alpha[k] * e2s[-1 - k]
-        for l in range(q2):
-            s2 += beta[l] * s2s[-1 - l]
-        if not (s2 > 0.0) or not math.isfinite(s2):
-            raise NumericalError(f"nonpositive or non-finite conditional variance at step {i}")
-        e = driver(i, m, s2)
-        mu_out[i] = m
-        s2_out[i] = s2
-        x_out[i] = m + e
-        if p1:
-            xs.append(m + e)
-        if q1:
-            es.append(e)
-        if p2:
-            e2s.append(e * e)
-        if q2:
-            s2s.append(s2)
-
-    return np.array(mu_out), np.array(s2_out), np.array(x_out)
+    # s2_i = b_i + sum_l beta_l s2_{i-1-l}
+    e2 = e * e
+    b = np.full(n, params.omega)
+    for k in range(p2):
+        b[k + 1:] += params.alpha[k] * e2[:-k - 1]
+        for i in range(min(k + 1, n)):
+            b[i] += params.alpha[k] * state.resid2[i - 1 - k]
+    if q2:
+        den = np.concatenate([[1.0], -params.beta])
+        zi = signal.lfiltic([1.0], den, state.sigma2[::-1][:q2])
+        s2, _ = signal.lfilter([1.0], den, b, zi=zi)
+    else:
+        s2 = b
+    if not np.all(np.isfinite(s2)) or np.any(s2 <= 0.0):
+        raise NumericalError("nonpositive or non-finite conditional variance")
+    return e, s2
 
 
 def arma_garch_filter(params: ArmaGarchParams, x, state: LaggedState | None = None) -> FilterOutput:
@@ -260,79 +261,84 @@ def arma_garch_filter(params: ArmaGarchParams, x, state: LaggedState | None = No
         raise InputError("x contains non-finite values")
     if state is None:
         state = LaggedState.presample(params)
-
-    xv = x.tolist()
-    mu_t, sigma2_t, _ = _run_recursion(params, state, lambda i, m, s2: xv[i] - m, len(x))
-    z_t = (x - mu_t) / np.sqrt(sigma2_t)
-    return FilterOutput(mu_t=mu_t, sigma2_t=sigma2_t, z_t=z_t)
+    _check_state(params, state)
+    e, s2 = _filter(params, x, state)
+    return FilterOutput(mu_t=x - e, sigma2_t=s2, z_t=e / np.sqrt(s2))
 
 
 def arma_garch_simulate(params: ArmaGarchParams, z, state: LaggedState | None = None) -> np.ndarray:
     """Simulate forward from innovations `z`, continuing the recursions from `state`.
 
     Exact inverse of :func:`arma_garch_filter` for matching state:
-    X_s = mu_s + sigma_s * z_s.
+    X_s = mu_s + sigma_s * z_s.  `z` has shape (..., h), one path per entry
+    of its leading axes, with steps on the last axis.  The lags of `state`
+    have shape (..., order) and their leading axes broadcast against
+    ``z[..., 0]``: 1-d lags start every path from one state, and lags from
+    :meth:`LaggedState.at` with origins of shape (n, 1) give each row of a
+    (n, n_pth, h) `z` its own origin.  Returns an array of the broadcast
+    shape (..., h).  A 1-d `z` with 1-d lags is one path; it runs on
+    Python floats, several times faster than on 0-d arrays.
     """
     z = np.asarray(z, dtype=float)
-    if z.ndim != 1 or len(z) < 1:
-        raise InputError("z must be a nonempty 1-d series")
+    if z.ndim < 1 or z.shape[-1] < 1:
+        raise InputError("z must hold at least one step on its last axis")
     if state is None:
         state = LaggedState.presample(params)
+    _check_state(params, state)
     p1, q1, p2, q2 = params.orders
-    for name, arr, need in (("x", state.x, p1), ("resid", state.resid, q1),
-                            ("resid2", state.resid2, p2), ("sigma2", state.sigma2, q2)):
-        if len(arr) < need:
-            raise InputError(f"state.{name} must supply at least {need} lags")
+    fields = (state.x, state.resid, state.resid2, state.sigma2)
+    try:
+        lead = np.broadcast_shapes(z.shape[:-1], *(np.shape(f)[:-1] for f in fields))
+    except ValueError as exc:
+        raise InputError(f"state lags do not broadcast against z: {exc}") from None
 
-    zv = z.tolist()
-    _, _, x_out = _run_recursion(params, state, lambda i, m, s2: math.sqrt(s2) * zv[i], len(z))
-    return x_out
+    if lead == ():
+        sqrt = math.sqrt
+        steps = z.tolist()
+        xs, es, e2s, s2s = (f.tolist() for f in fields)
+    else:
+        sqrt = np.sqrt
+        steps = [z[..., s] for s in range(z.shape[-1])]
+        xs, es, e2s, s2s = ([f[..., i] for i in range(np.shape(f)[-1])] for f in fields)
+    mu, omega = params.mu, params.omega
+    phi, gam, alpha, beta = (c.tolist() for c in (params.phi, params.gamma,
+                                                  params.alpha, params.beta))
+
+    out = np.empty((len(steps),) + lead)
+    for s, zs in enumerate(steps):
+        m = mu
+        for k in range(p1):
+            m = m + phi[k] * (xs[-1 - k] - mu)
+        for l in range(q1):
+            m = m + gam[l] * es[-1 - l]
+        s2 = omega
+        for k in range(p2):
+            s2 = s2 + alpha[k] * e2s[-1 - k]
+        for l in range(q2):
+            s2 = s2 + beta[l] * s2s[-1 - l]
+        e = sqrt(s2) * zs
+        x = m + e
+        out[s] = x
+        if p1:
+            xs.append(x)
+        if q1:
+            es.append(e)
+        if p2:
+            e2s.append(e * e)
+        if q2:
+            s2s.append(s2)
+    # a non-finite variance makes that step's value non-finite too
+    if not np.all(np.isfinite(out)):
+        raise NumericalError("non-finite conditional variance or simulated value")
+    return np.moveaxis(out, 0, -1)
 
 
 # ---------------------------------------------------------------------------
 # maximum likelihood fitting
 # ---------------------------------------------------------------------------
 
-def _fast_filter(params: ArmaGarchParams, x: np.ndarray):
-    """Vectorized filter for the stationary start, used inside the likelihood.
-
-    Both recursions are linear: the residuals satisfy an IIR filter in the
-    mean equation and sigma2 an IIR filter in the variance equation, so
-    lfilter reproduces the sequential loop of arma_garch_filter exactly.
-    Returns (resid, sigma2).
-    """
-    p1, q1, p2, q2 = params.orders
-    v0 = params.uncond_variance
-    xc = x - params.mu
-
-    # e_i = a_i - sum_l gamma_l e_{i-1-l}, a from the AR part (x lags at mu)
-    a = xc.copy()
-    for k in range(p1):
-        a[k + 1:] -= params.phi[k] * xc[:-k - 1]
-    if q1:
-        e = signal.lfilter([1.0], np.concatenate([[1.0], params.gamma]), a)
-    else:
-        e = a
-
-    # s2_i = b_i + sum_l beta_l s2_{i-1-l}, squared-residual lags start at v0
-    e2 = e * e
-    b = np.full(len(x), params.omega)
-    for k in range(p2):
-        b[:k + 1] += params.alpha[k] * v0
-        b[k + 1:] += params.alpha[k] * e2[:-k - 1]
-    if q2:
-        den = np.concatenate([[1.0], -params.beta])
-        zi = signal.lfiltic([1.0], den, np.full(q2, v0))
-        s2, _ = signal.lfilter([1.0], den, b, zi=zi)
-    else:
-        s2 = b
-    if not np.all(np.isfinite(s2)) or np.any(s2 <= 0.0):
-        raise NumericalError("nonpositive or non-finite conditional variance")
-    return e, s2
-
-
 def _loglik(params: ArmaGarchParams, x: np.ndarray) -> float:
-    e, s2 = _fast_filter(params, x)
+    e, s2 = _filter(params, x, LaggedState.presample(params))
     nu = params.nu
     c2 = nu / (nu - 2.0)
     # scaled-t log-density written out (matches scaled_t_logpdf), plus the

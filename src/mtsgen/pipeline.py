@@ -21,10 +21,11 @@ from .bootstrap import bootstrap_fit
 from .dependence import (EmpiricalBetaCopula, EmpiricalCopula,
                          IndependenceCopula, pseudo_observations)
 from .errors import ConfigError, InputError
-from .forecast import (MtsModel, QuantileMaps, _max_lag, _paths_from_states,
+from .forecast import (MtsModel, QuantileMaps, _innovations, _max_lag,
                        rolling_var)
 from .gmmn import GmmnCopula, TrainConfig, train_gmmn
-from .margins import LaggedState, arma_garch_filter, fit_arma_garch
+from .margins import (LaggedState, arma_garch_filter, arma_garch_simulate,
+                      fit_arma_garch)
 from .pca import PcaTransform, fit_pca, project, select_k
 
 __all__ = [
@@ -158,7 +159,6 @@ class PipelineConfig:
     gmmn_hidden_dims: tuple = (100,)
     gmmn_dropout: float = 0.5
     n_pth: int = 1000
-    horizon: int = 1
     n_rep: int = 100
     vs_order: float = 0.25
     var_alpha: float = 0.05
@@ -167,8 +167,19 @@ class PipelineConfig:
     def __post_init__(self):
         if self.dependence not in DEPENDENCE_KINDS:
             raise ConfigError(f"dependence must be one of {DEPENDENCE_KINDS}")
-        if len(self.orders) != 4 or any(o < 0 for o in self.orders):
+        integer = (int, np.integer)
+        if len(self.orders) != 4 or any(not isinstance(o, integer) or o < 0 for o in self.orders):
             raise ConfigError("orders must be four nonnegative integers")
+        for key in ("n_pth", "n_rep", "pca_k_min", "bootstrap_n_bt", "gmmn_n_epo"):
+            if not isinstance(getattr(self, key), integer):
+                raise ConfigError(f"{key} must be an integer")
+        if not 0.0 < self.pca_threshold <= 1.0:
+            raise ConfigError(f"pca_threshold={self.pca_threshold} must lie in (0, 1]")
+        if self.pca_k_min < 1:
+            raise ConfigError(f"pca_k_min={self.pca_k_min} must be at least 1")
+        if self.bootstrap_n_bt < 0:
+            raise ConfigError(f"bootstrap_n_bt={self.bootstrap_n_bt} must be nonnegative")
+        self.assess_config()    # n_pth, n_rep, vs_order and var_alpha
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -178,15 +189,18 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":
-        d = dict(d)
-        if "orders" in d:
-            d["orders"] = tuple(d["orders"])
-        if "gmmn_hidden_dims" in d:
-            d["gmmn_hidden_dims"] = tuple(d["gmmn_hidden_dims"])
         unknown = set(d) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**d)
+        d = dict(d)
+        try:
+            for key in ("orders", "gmmn_hidden_dims"):
+                if key in d:
+                    d[key] = tuple(d[key])
+            return cls(**d)
+        except TypeError as exc:
+            # a JSON value of the wrong type, such as "orders": 5
+            raise ConfigError(f"invalid config value: {exc}") from None
 
     def canonical_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
@@ -273,8 +287,7 @@ def fit_mts(cfg: PipelineConfig, dataset: Dataset) -> MtsModel:
         dep = fitter(ps)
 
     return MtsModel(margins=margins, pca=pca, dependence=dep,
-                    quantile_maps=qmaps, tau=dataset.tau,
-                    pca_enabled=cfg.pca_enabled)
+                    quantile_maps=qmaps, tau=dataset.tau)
 
 
 def _filter_margins(model: MtsModel, dataset: Dataset) -> list:
@@ -293,18 +306,27 @@ def _test_dependence(model: MtsModel, dataset: Dataset, filters: list) -> np.nda
     return pseudo_observations(y_test).u
 
 
+_ORIGIN_BLOCK = 50
+
+
 def _rolling_paths(model: MtsModel, dataset: Dataset, filters: list, n_pth: int,
                    seed_seq: np.random.SeedSequence) -> np.ndarray:
     if dataset.tau < _max_lag(model):
         raise InputError(f"history must cover at least {_max_lag(model)} steps")
-    n_test = dataset.n_obs - dataset.tau
-    rngs = [np.random.default_rng(s) for s in seed_seq.spawn(n_test)]
-    paths = np.empty((n_test, n_pth, dataset.d))
-    for i in range(n_test):
-        t = dataset.tau + i
-        states = [LaggedState.at(m.params, dataset.values[:, j], filters[j], t)
-                  for j, m in enumerate(model.margins)]
-        paths[i] = _paths_from_states(model, states, n_pth, 1, rngs[i])[:, 0, :]
+    origins = np.arange(dataset.tau, dataset.n_obs)
+    paths = np.empty((len(origins), n_pth, dataset.d))
+    for i, s in enumerate(seed_seq.spawn(len(origins))):
+        paths[i] = _innovations(model, n_pth, np.random.default_rng(s))
+    # each margin's innovations are overwritten by its paths, so memory
+    # holds one (n_test, n_pth, d) array; blocks of origins keep the
+    # simulator's temporaries small, which keeps them from fragmenting the heap
+    for j, m in enumerate(model.margins):
+        for lo in range(0, len(origins), _ORIGIN_BLOCK):
+            block = slice(lo, lo + _ORIGIN_BLOCK)
+            state = LaggedState.at(m.params, dataset.values[:, j], filters[j],
+                                   origins[block, None])
+            paths[block, :, j] = arma_garch_simulate(m.params, paths[block, :, j, None],
+                                                     state)[..., 0]
     return paths
 
 

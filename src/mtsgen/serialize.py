@@ -114,8 +114,7 @@ def _unpack_dependence(prefix: str, arrays, meta: dict):
 
 def save_model(model: MtsModel, path) -> None:
     arrays: dict = {}
-    meta: dict = {"version": FORMAT_VERSION, "tau": model.tau,
-                  "pca_enabled": model.pca_enabled, "d": model.d}
+    meta: dict = {"version": FORMAT_VERSION, "tau": model.tau, "d": model.d}
 
     margins_meta = []
     for j, fit in enumerate(model.margins):
@@ -155,6 +154,11 @@ def load_model(path) -> MtsModel:
             arrays = {k: data[k] for k in data.files}
     except Exception as exc:
         raise InputError(f"cannot read model file {path}: {exc}") from exc
+    for key, arr in arrays.items():
+        # strings or complex numbers would load, then fail untyped in a forecast
+        if arr.dtype.kind not in "biuf":
+            raise InputError(f"corrupt model file {path}: array {key!r} holds "
+                             f"{arr.dtype}, not real numbers")
     if "__meta__" not in arrays:
         raise InputError(f"{path} is not a model container (missing metadata)")
     try:
@@ -197,5 +201,4 @@ def _unpack_model(arrays: dict, meta: dict) -> MtsModel:
                                      for j in range(meta["qmap_n"])])
 
     return MtsModel(margins=margins, pca=pca, dependence=dep,
-                    quantile_maps=qmaps, tau=meta["tau"],
-                    pca_enabled=meta["pca_enabled"])
+                    quantile_maps=qmaps, tau=meta["tau"])

@@ -5,7 +5,7 @@ import pytest
 from scipy import stats
 
 from mtsgen import (BootstrapMixture, EmpiricalCopula, IndependenceCopula,
-                    InputError, bootstrap_fit, sample_mixture)
+                    InputError, QuantileMaps, bootstrap_fit, sample_mixture)
 
 
 def empirical_fitter(ps):
@@ -98,6 +98,17 @@ class TestApplyQuantiles:
         # ceil(0.4 * 2) = 1 -> first order statistic of each table
         assert y[0, 0] == 0.0
         assert y[1, 0] == 100.0
+
+    def test_sample_quantiles_uses_component_tables(self):
+        mix = BootstrapMixture(
+            components=[IndependenceCopula(1), IndependenceCopula(1)],
+            component_quantiles=[[np.array([0.0, 10.0])], [np.array([100.0, 110.0])]],
+            n_bt=2)
+        qmaps = QuantileMaps.scaled_t([6.0])    # not used by a mixture
+        y = mix.sample_quantiles(200, np.random.default_rng(3), qmaps)
+        u, ids = mix.sample_components(200, np.random.default_rng(3))
+        assert np.array_equal(y, mix.apply_quantiles(u, ids))
+        assert set(np.unique(y)) == {0.0, 10.0, 100.0, 110.0}
 
     def test_mismatched_components_rejected(self):
         with pytest.raises(InputError):

@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 from scipy import stats
 
 from mtsgen import (EmpiricalBetaCopula, EmpiricalCopula, IndependenceCopula,
-                    InputError, pseudo_observations)
+                    InputError, QuantileMaps, pseudo_observations)
 
 
 class TestPseudoObservations:
@@ -140,3 +140,6 @@ def test_common_contract(make):
     out = make(ps).sample(64, np.random.default_rng(14))
     assert out.shape == (64, 3)
     assert np.all((out > 0.0) & (out < 1.0))
+    qmaps = QuantileMaps.scaled_t([5.0, 6.0, 7.0])
+    assert np.array_equal(make(ps).sample_quantiles(64, np.random.default_rng(14), qmaps),
+                          qmaps(out))

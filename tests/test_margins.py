@@ -1,14 +1,16 @@
 """Margin model tests: scaled-t distribution, filtering, simulation, fitting."""
 
+import math
+
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, signal, special, stats
 
 from mtsgen import (ArmaGarchParams, InputError, LaggedState,
                     arma_garch_filter, arma_garch_simulate, fit_arma_garch,
                     scaled_t_quantile)
 from mtsgen.errors import NumericalError
-from mtsgen.margins import scaled_t_cdf, scaled_t_logpdf
+from mtsgen.margins import _loglik, scaled_t_cdf, scaled_t_logpdf
 
 
 def garch_params(**kw):
@@ -162,6 +164,211 @@ class TestLaggedState:
                 np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
 
+# ---------------------------------------------------------------------------
+# The three recursions the filter and the simulator replaced, kept as oracles
+# ---------------------------------------------------------------------------
+
+def loop_recursion(params, state, resid_of, n):
+    """Scalar mean/variance loop; resid_of(i, mu_i, sigma2_i) returns e_i."""
+    p1, q1, p2, q2 = params.orders
+    mu, omega = params.mu, params.omega
+    phi, gam = params.phi.tolist(), params.gamma.tolist()
+    alpha, beta = params.alpha.tolist(), params.beta.tolist()
+    xs, es = state.x.tolist(), state.resid.tolist()
+    e2s, s2s = state.resid2.tolist(), state.sigma2.tolist()
+    mu_out, s2_out, x_out = [0.0] * n, [0.0] * n, [0.0] * n
+    for i in range(n):
+        m = mu
+        for k in range(p1):
+            m += phi[k] * (xs[-1 - k] - mu)
+        for l in range(q1):
+            m += gam[l] * es[-1 - l]
+        s2 = omega
+        for k in range(p2):
+            s2 += alpha[k] * e2s[-1 - k]
+        for l in range(q2):
+            s2 += beta[l] * s2s[-1 - l]
+        e = resid_of(i, m, s2)
+        mu_out[i], s2_out[i], x_out[i] = m, s2, m + e
+        if p1:
+            xs.append(m + e)
+        if q1:
+            es.append(e)
+        if p2:
+            e2s.append(e * e)
+        if q2:
+            s2s.append(s2)
+    return np.array(mu_out), np.array(s2_out), np.array(x_out)
+
+
+def loop_filter(params, x, state):
+    xv = x.tolist()
+    mu_t, s2_t, _ = loop_recursion(params, state, lambda i, m, s2: xv[i] - m, len(x))
+    return mu_t, s2_t, (x - mu_t) / np.sqrt(s2_t)
+
+
+def loop_simulate(params, z, state):
+    zv = z.tolist()
+    return loop_recursion(params, state, lambda i, m, s2: math.sqrt(s2) * zv[i], len(z))[2]
+
+
+def lfilter_loglik(params, x):
+    """The likelihood on the stationary-start-only lfilter filter."""
+    p1, q1, p2, q2 = params.orders
+    v0 = params.uncond_variance
+    xc = x - params.mu
+    a = xc.copy()
+    for k in range(p1):
+        a[k + 1:] -= params.phi[k] * xc[:-k - 1]
+    e = signal.lfilter([1.0], np.concatenate([[1.0], params.gamma]), a) if q1 else a
+    e2 = e * e
+    b = np.full(len(x), params.omega)
+    for k in range(p2):
+        b[:k + 1] += params.alpha[k] * v0
+        b[k + 1:] += params.alpha[k] * e2[:-k - 1]
+    if q2:
+        den = np.concatenate([[1.0], -params.beta])
+        s2, _ = signal.lfilter([1.0], den, b, zi=signal.lfiltic([1.0], den, np.full(q2, v0)))
+    else:
+        s2 = b
+    nu = params.nu
+    c2 = nu / (nu - 2.0)
+    y2 = e * e / s2 * c2
+    const = (special.gammaln(0.5 * (nu + 1.0)) - special.gammaln(0.5 * nu)
+             - 0.5 * math.log(nu * math.pi) + 0.5 * math.log(c2))
+    return float(np.sum(const - 0.5 * (nu + 1.0) * np.log1p(y2 / nu) - 0.5 * np.log(s2)))
+
+
+def vector_simulate(params, state, z):
+    """All (n_pth, h) paths at once from one shared state."""
+    n_pth, h = z.shape
+    p1, q1, p2, q2 = params.orders
+    xs, es = [np.full(n_pth, v) for v in state.x], [np.full(n_pth, v) for v in state.resid]
+    e2s, s2s = [np.full(n_pth, v) for v in state.resid2], [np.full(n_pth, v) for v in state.sigma2]
+    out = np.empty((n_pth, h))
+    for s in range(h):
+        m = np.full(n_pth, params.mu)
+        for k in range(p1):
+            m += params.phi[k] * (xs[-1 - k] - params.mu)
+        for l in range(q1):
+            m += params.gamma[l] * es[-1 - l]
+        s2 = np.full(n_pth, params.omega)
+        for k in range(p2):
+            s2 += params.alpha[k] * e2s[-1 - k]
+        for l in range(q2):
+            s2 += params.beta[l] * s2s[-1 - l]
+        e = np.sqrt(s2) * z[:, s]
+        out[:, s] = m + e
+        for lags, val, order in ((xs, m + e, p1), (es, e, q1), (e2s, e * e, p2), (s2s, s2, q2)):
+            if order:
+                lags.append(val)
+    return out
+
+
+ORACLE_PARAMS = {
+    "1111": ArmaGarchParams(mu=0.05, phi=[0.3], gamma=[-0.2], omega=0.05,
+                            alpha=[0.1], beta=[0.8], nu=6.0),
+    "2112": ArmaGarchParams(mu=-0.02, phi=[0.3, -0.1], gamma=[0.25], omega=0.04,
+                            alpha=[0.12], beta=[0.5, 0.3], nu=5.0),
+}
+
+
+@pytest.fixture(params=sorted(ORACLE_PARAMS))
+def oracle_case(request):
+    p = ORACLE_PARAMS[request.param]
+    x = arma_garch_simulate(p, np.random.default_rng(21).standard_t(6, 5000) / np.sqrt(1.5))
+    return p, x
+
+
+class TestRecursionOracles:
+    @pytest.mark.parametrize("start", [0, 2500])
+    def test_filter_matches_loop(self, oracle_case, start):
+        p, x = oracle_case
+        state = LaggedState.at(p, x, arma_garch_filter(p, x), start)
+        out = arma_garch_filter(p, x[start:], state)
+        for got, want in zip((out.mu_t, out.sigma2_t, out.z_t),
+                             loop_filter(p, x[start:], state)):
+            # relative to the scale of each series: mu_t and z_t cross zero
+            np.testing.assert_allclose(got, want, rtol=1e-13,
+                                       atol=1e-13 * np.abs(want).max())
+
+    def test_loglik_bit_identical(self, oracle_case):
+        p, x = oracle_case
+        assert _loglik(p, x) == lfilter_loglik(p, x)
+        x = np.random.default_rng(4).standard_normal(300) * 3.0
+        assert _loglik(p, x) == lfilter_loglik(p, x)
+
+    def test_simulate_1d_matches_loop(self, oracle_case):
+        p, x = oracle_case
+        z = np.random.default_rng(5).standard_normal(400)
+        for state in (LaggedState.presample(p),
+                      LaggedState.at(p, x, arma_garch_filter(p, x), 1234)):
+            assert np.array_equal(arma_garch_simulate(p, z, state),
+                                  loop_simulate(p, z, state))
+
+    def test_simulate_paths_matches_vector_loop(self, oracle_case):
+        p, x = oracle_case
+        z = np.random.default_rng(6).standard_normal((200, 5))
+        state = LaggedState.at(p, x, arma_garch_filter(p, x), 4000)
+        assert np.array_equal(arma_garch_simulate(p, z, state),
+                              vector_simulate(p, state, z))
+
+    def test_per_origin_lags_match_per_origin_calls(self, oracle_case):
+        p, x = oracle_case
+        filt = arma_garch_filter(p, x)
+        origins = np.array([0, 1, 2, 700, 4999, 5000])
+        z = np.random.default_rng(7).standard_normal((len(origins), 50, 1))
+        got = arma_garch_simulate(p, z, LaggedState.at(p, x, filt, origins[:, None]))
+        assert got.shape == z.shape
+        for i, t in enumerate(origins):
+            assert np.array_equal(got[i], arma_garch_simulate(
+                p, z[i], LaggedState.at(p, x, filt, int(t))))
+
+    def test_at_accepts_origin_arrays(self, oracle_case):
+        p, x = oracle_case
+        filt = arma_garch_filter(p, x)
+        origins = np.array([[3, 10], [0, 5000]])
+        state = LaggedState.at(p, x, filt, origins)
+        for name, order in zip(("x", "resid", "resid2", "sigma2"), p.orders):
+            assert getattr(state, name).shape == (2, 2, order)
+            for idx in np.ndindex(origins.shape):
+                one = LaggedState.at(p, x, filt, int(origins[idx]))
+                assert np.array_equal(getattr(state, name)[idx], getattr(one, name))
+        with pytest.raises(InputError):
+            LaggedState.at(p, x, filt, np.array([5001]))
+
+
+class TestSimulateFailures:
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_variance_raises(self):
+        p = garch_params()
+        state = LaggedState.presample(p)
+        blown = LaggedState(x=state.x, resid=state.resid, resid2=state.resid2,
+                            sigma2=np.array([np.inf]))
+        with pytest.raises(NumericalError):
+            arma_garch_simulate(p, np.ones(3), blown)
+        with pytest.raises(NumericalError):
+            arma_garch_simulate(p, np.ones((4, 3)), blown)
+        # an overflowing residual makes the next step's variance infinite
+        with pytest.raises(NumericalError):
+            arma_garch_simulate(p, np.array([1e300, 0.5]))
+
+    def test_negative_variance_lag_rejected(self):
+        p = garch_params()
+        state = LaggedState.presample(p)
+        bad = LaggedState(x=state.x, resid=state.resid, resid2=np.array([-1.0]),
+                          sigma2=state.sigma2)
+        with pytest.raises(InputError):
+            arma_garch_simulate(p, np.ones(3), bad)
+
+    def test_lags_must_broadcast(self):
+        p = garch_params()
+        x = np.random.default_rng(1).standard_normal(50)
+        state = LaggedState.at(p, x, arma_garch_filter(p, x), np.arange(3)[:, None])
+        with pytest.raises(InputError):
+            arma_garch_simulate(p, np.ones((4, 10, 1)), state)
+
+
 @pytest.fixture(scope="module")
 def fitted_margin():
     true = ArmaGarchParams(mu=0.0, phi=[0.3], gamma=[-0.2], omega=0.05,
@@ -176,7 +383,6 @@ def fitted_margin():
 class TestFit:
     def test_loglik_beats_truth(self, fitted_margin):
         true, x, res = fitted_margin
-        from mtsgen.margins import _loglik
         assert res.loglik >= _loglik(true, x)
 
     def test_residual_moments(self, fitted_margin):

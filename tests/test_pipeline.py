@@ -1,15 +1,19 @@
 """Pipeline, serialization and CLI tests on small synthetic datasets."""
 
 import csv
+import io
+import json
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from mtsgen import (ArmaGarchParams, ConfigError, InputError, PipelineConfig,
-                    forecast_paths, load_dataset, load_model, run_pipeline,
-                    save_model)
+from mtsgen import (ArmaGarchParams, ConfigError, InputError, MtsgenError,
+                    PipelineConfig, forecast_paths, load_dataset, load_model,
+                    run_pipeline, save_model)
 from mtsgen.datagen import GaussianCopulaSampler, equicorrelation, simulate_mts
 from mtsgen.pipeline import Dataset, fit_mts, rolling_forecasts, write_metrics
 
@@ -153,7 +157,6 @@ class TestPcaPath:
                              n_pth=100, n_rep=5, seed=3)
         ds = load_dataset(synthetic_csv, tau=200)
         model = fit_mts(cfg, ds)
-        assert model.pca_enabled
         assert model.quantile_maps.mode == "empirical"
         assert 1 <= model.d_star <= 2
 
@@ -420,3 +423,163 @@ class TestGmmnFailFast:
                      "--dependence", "gmmn", "--epochs", "2", "--out", str(out)])
         assert code == 3
         assert not out.exists()
+
+
+class TestConfigFailFast:
+    """Every config value is checked when the config is built, before any fit."""
+
+    BAD = [{"n_pth": 0}, {"n_pth": -3}, {"n_rep": 0}, {"vs_order": 0.0},
+           {"var_alpha": 1.5}, {"var_alpha": 0.0}, {"pca_threshold": 0.0},
+           {"pca_threshold": 1.5}, {"pca_k_min": 0}, {"bootstrap_n_bt": -1},
+           {"horizon": 1}, {"n_pth": "many"}, {"n_pth": 10.5}, {"orders": 5},
+           {"orders": [1.5, 1, 1, 1]}, {"gmmn_hidden_dims": 5}]
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_bad_value_raises_config_error(self, bad):
+        with pytest.raises(ConfigError):
+            PipelineConfig.from_dict(bad)
+
+    def test_config_file_must_hold_an_object(self, synthetic_csv, tmp_path):
+        from mtsgen.cli import main
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[1, 2]")
+        assert main(["fit", "--data", synthetic_csv, "--seed", "1", "--config", str(cfg),
+                     "--out", str(tmp_path / "m.npz")]) == 2
+
+    def test_edge_values_accepted(self):
+        PipelineConfig(n_pth=1, n_rep=1, pca_threshold=1.0, pca_k_min=1,
+                       bootstrap_n_bt=0)
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_cli_exit_code(self, synthetic_csv, tmp_path, monkeypatch, bad):
+        import mtsgen.pipeline as pipeline
+        from mtsgen.cli import main
+
+        def fit_arma_garch(*args, **kw):
+            raise AssertionError("margin MLE ran before the config check")
+
+        monkeypatch.setattr(pipeline, "fit_arma_garch", fit_arma_garch)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(bad))
+        code = main(["assess", "--data", synthetic_csv, "--seed", "1", "--tau", "200",
+                     "--config", str(cfg), "--out", str(tmp_path / "metrics.csv")])
+        assert code == 2
+        assert not (tmp_path / "metrics.csv").exists()
+
+
+ROUND_TRIP_KINDS = {
+    "independence": {"dependence": "independence"},
+    "empirical": {"dependence": "empirical"},
+    "empirical_beta": {"dependence": "empirical_beta"},
+    "gmmn": {"dependence": "gmmn", "gmmn_n_epo": 3, "gmmn_hidden_dims": (8,)},
+    "empirical_beta_bt": {"dependence": "empirical_beta", "bootstrap_n_bt": 2},
+    "gmmn_bt": {"dependence": "gmmn", "gmmn_n_epo": 3, "gmmn_hidden_dims": (8,),
+                "bootstrap_n_bt": 2},
+}
+
+
+@pytest.fixture(scope="module")
+def small_dataset():
+    params = ArmaGarchParams(mu=0.0, phi=[0.2], gamma=[0.0], omega=0.05,
+                             alpha=[0.1], beta=[0.8], nu=6.0)
+    x = simulate_mts([params] * 3, GaussianCopulaSampler(equicorrelation(3, 0.6)),
+                     140, np.random.default_rng(70))
+    return Dataset(name="s", times=list(range(140)), values=x,
+                   columns=["a", "b", "c"], transform="none", tau=110)
+
+
+class TestRoundTrip:
+    @pytest.mark.parametrize("pca", [False, True], ids=["no_pca", "pca"])
+    @pytest.mark.parametrize("kind", sorted(ROUND_TRIP_KINDS))
+    def test_forecasts_identical_after_load(self, small_dataset, tmp_path, kind, pca):
+        cfg = PipelineConfig(pca_enabled=pca, pca_k_min=1, seed=71,
+                             **ROUND_TRIP_KINDS[kind])
+        model = fit_mts(cfg, small_dataset)
+        path = tmp_path / "model.npz"
+        save_model(model, path)
+        loaded = load_model(path)
+        a = forecast_paths(model, small_dataset.values, 60, 2, np.random.default_rng(72))
+        b = forecast_paths(loaded, small_dataset.values, 60, 2, np.random.default_rng(72))
+        assert np.array_equal(a.values, b.values)
+
+    def test_file_with_pca_enabled_key_loads(self, pipeline_run, tmp_path):
+        # mtsgen-model-v1 files written before the key was dropped carry it
+        ds, result = pipeline_run
+        path = tmp_path / "model.npz"
+        save_model(result.model, path)
+        data = dict(np.load(path))
+        meta = json.loads(bytes(data["__meta__"]).decode())
+        assert "pca_enabled" not in meta
+        meta["pca_enabled"] = False
+        data["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        with open(path, "wb") as fh:
+            np.savez(fh, **data)
+        a = forecast_paths(result.model, ds.values[:200], 50, 1, np.random.default_rng(5))
+        b = forecast_paths(load_model(path), ds.values[:200], 50, 1,
+                           np.random.default_rng(5))
+        assert np.array_equal(a.values, b.values)
+
+
+@pytest.fixture(scope="module")
+def model_files(small_dataset, tmp_path_factory):
+    """The arrays of saved models that between them use every kind of entry."""
+    files = []
+    for i, cfg in enumerate([
+            PipelineConfig(dependence="empirical", seed=73),
+            PipelineConfig(dependence="independence", seed=73),
+            PipelineConfig(pca_enabled=True, pca_k_min=1, seed=74,
+                           **ROUND_TRIP_KINDS["gmmn_bt"]),
+            PipelineConfig(pca_enabled=True, pca_k_min=1, seed=75,
+                           **ROUND_TRIP_KINDS["empirical_beta"])]):
+        path = tmp_path_factory.mktemp("fuzz") / f"m{i}.npz"
+        save_model(fit_mts(cfg, small_dataset), path)
+        with np.load(path) as data:
+            files.append({k: data[k] for k in data.files})
+    return files
+
+
+class TestLoaderFuzz:
+    @pytest.mark.filterwarnings("ignore::numpy.exceptions.ComplexWarning")
+    def test_non_real_arrays_rejected(self, model_files):
+        # such arrays would load, then fail untyped inside a forecast
+        for arrays in model_files:
+            for key in arrays:
+                for dtype in ("U3", "complex128"):
+                    buf = io.BytesIO()
+                    np.savez(buf, **{**arrays, key: arrays[key].astype(dtype)})
+                    with pytest.raises(InputError):
+                        load_model(io.BytesIO(buf.getvalue()))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning",
+                                "ignore::numpy.exceptions.ComplexWarning")
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_only_typed_errors(self, model_files, small_dataset, data):
+        arrays = dict(data.draw(st.sampled_from(model_files)))
+        how = data.draw(st.sampled_from(["drop_meta", "drop_array", "dtype", "truncate"]))
+        if how == "drop_meta":
+            meta = json.loads(bytes(arrays["__meta__"]).decode())
+            del meta[data.draw(st.sampled_from(sorted(meta)))]
+            arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        elif how == "drop_array":
+            del arrays[data.draw(st.sampled_from(sorted(arrays)))]
+        elif how == "dtype":
+            key = data.draw(st.sampled_from(sorted(arrays)))
+            dtype = data.draw(st.sampled_from(["int8", "int64", "bool", "float32",
+                                               "complex128", "U3"]))
+            arrays[key] = arrays[key].astype(dtype)
+        buf = io.BytesIO()
+        np.savez(buf, **arrays)
+        raw = buf.getvalue()
+        if how == "truncate":
+            raw = raw[:data.draw(st.integers(0, len(raw) - 1))]
+        try:
+            model = load_model(io.BytesIO(raw))
+        except InputError:
+            return
+        # what loads must forecast, or fail with a typed error
+        try:
+            forecast_paths(model, small_dataset.values, 5, 1, np.random.default_rng(0))
+        except MtsgenError:
+            pass
