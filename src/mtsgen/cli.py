@@ -52,24 +52,17 @@ def _load_data(args):
 
 
 def cmd_fit(args) -> int:
+    """`fit`, and `bootstrap`, which also requires --n-bt >= 1."""
     cfg = _build_config(args)
-    dataset = _load_data(args)
-    model = fit_mts(cfg, dataset)
-    save_model(model, args.out)
-    print(f"fitted model ({cfg.dependence}) written to {args.out} "
-          f"[config {cfg.config_hash}]")
-    return 0
-
-
-def cmd_bootstrap(args) -> int:
-    cfg = _build_config(args)
-    if cfg.bootstrap_n_bt < 1:
+    bootstrap = args.command == "bootstrap"
+    if bootstrap and cfg.bootstrap_n_bt < 1:
         raise InputError("bootstrap requires --n-bt >= 1")
     dataset = _load_data(args)
     model = fit_mts(cfg, dataset)
     save_model(model, args.out)
-    print(f"bootstrap mixture ({cfg.bootstrap_n_bt} x {cfg.dependence}) "
-          f"written to {args.out} [config {cfg.config_hash}]")
+    what = (f"bootstrap mixture ({cfg.bootstrap_n_bt} x {cfg.dependence})" if bootstrap
+            else f"fitted model ({cfg.dependence})")
+    print(f"{what} written to {args.out} [config {cfg.config_hash}]")
     return 0
 
 
@@ -164,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--n-bt", type=int, dest="n_bt", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_bootstrap)
+    p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("forecast", help="rolling one-step predictive paths")
     _add_common(p, need_model=True)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy import optimize, signal, special, stats
@@ -85,16 +86,9 @@ class ArmaGarchParams:
     def __post_init__(self):
         for name in ("phi", "gamma", "alpha", "beta"):
             object.__setattr__(self, name, np.atleast_1d(np.asarray(getattr(self, name), dtype=float)))
-        if self.omega <= 0.0:
-            raise InputError("omega must be positive")
-        if np.any(self.alpha < 0.0) or np.any(self.beta < 0.0):
-            raise InputError("alpha and beta coefficients must be nonnegative")
-        if self.alpha.sum() + self.beta.sum() >= 1.0:
-            raise InputError("sum(alpha) + sum(beta) must be < 1")
-        if self.nu <= 2.0:
-            raise InputError("nu must exceed 2")
-        if len(self.phi) == 1 and abs(self.phi[0]) >= 1.0:
-            raise InputError("|phi| must be < 1 for an AR(1) mean part")
+        for message, broken in _violations(self):
+            if broken:
+                raise InputError(message)
 
     @property
     def orders(self) -> tuple[int, int, int, int]:
@@ -104,6 +98,59 @@ class ArmaGarchParams:
     def uncond_variance(self) -> float:
         """Stationary variance of the GARCH recursion, omega / (1 - sum(alpha) - sum(beta))."""
         return self.omega / (1.0 - self.alpha.sum() - self.beta.sum())
+
+
+class _Rows(NamedTuple):
+    """Parameter rows: mu, omega and nu of shape (r,), the lag coefficients (r, order).
+
+    The batched counterpart of :class:`ArmaGarchParams`, which the
+    likelihood core works on; unlike it, a row may break the constraints
+    (see :func:`_violations`).
+    """
+
+    mu: np.ndarray
+    phi: np.ndarray
+    gamma: np.ndarray
+    omega: np.ndarray
+    alpha: np.ndarray
+    beta: np.ndarray
+    nu: np.ndarray
+
+    @classmethod
+    def of(cls, p: ArmaGarchParams) -> "_Rows":
+        return cls(np.array([p.mu], dtype=float), p.phi[None], p.gamma[None],
+                   np.array([p.omega], dtype=float), p.alpha[None], p.beta[None],
+                   np.array([p.nu], dtype=float))
+
+    @property
+    def orders(self) -> tuple[int, int, int, int]:
+        return (self.phi.shape[1], self.gamma.shape[1], self.alpha.shape[1], self.beta.shape[1])
+
+    def take(self, idx: np.ndarray) -> "_Rows":
+        return _Rows(*(f[idx] for f in self))
+
+    def presample(self) -> "LaggedState":
+        """Stationary start of every row, lags of shape (r, order); see :meth:`LaggedState.presample`."""
+        r, (p1, q1, p2, q2) = len(self.mu), self.orders
+        v0 = (self.omega / (1.0 - self.alpha.sum(axis=-1) - self.beta.sum(axis=-1)))[:, None]
+        return LaggedState(x=np.repeat(self.mu[:, None], p1, axis=1), resid=np.zeros((r, q1)),
+                           resid2=np.repeat(v0, p2, axis=1), sigma2=np.repeat(v0, q2, axis=1))
+
+
+def _violations(p):
+    """Each constraint on the parameters `p` as (message, broken).
+
+    `p` is an :class:`ArmaGarchParams`, for which `broken` is a bool, or
+    :class:`_Rows`, for which it is a mask over the rows.
+    """
+    return (("omega must be positive", p.omega <= 0.0),
+            ("alpha and beta coefficients must be nonnegative",
+             (p.alpha < 0.0).any(axis=-1) | (p.beta < 0.0).any(axis=-1)),
+            ("sum(alpha) + sum(beta) must be < 1",
+             p.alpha.sum(axis=-1) + p.beta.sum(axis=-1) >= 1.0),
+            ("nu must exceed 2", p.nu <= 2.0),
+            ("|phi| must be < 1 for an AR(1) mean part",
+             p.phi.shape[-1] == 1 and np.abs(p.phi[..., 0]) >= 1.0))
 
 
 @dataclass
@@ -139,14 +186,8 @@ class LaggedState:
     @classmethod
     def presample(cls, params: ArmaGarchParams) -> "LaggedState":
         """Stationary start: residual lags 0, variance lags at the unconditional variance."""
-        p1, q1, p2, q2 = params.orders
-        v0 = params.uncond_variance
-        return cls(
-            x=np.full(p1, params.mu),
-            resid=np.zeros(q1),
-            resid2=np.full(p2, v0),
-            sigma2=np.full(q2, v0),
-        )
+        rows = _Rows.of(params).presample()
+        return cls(x=rows.x[0], resid=rows.resid[0], resid2=rows.resid2[0], sigma2=rows.sigma2[0])
 
     @classmethod
     def from_filter(cls, params: ArmaGarchParams, x: np.ndarray, filt: FilterOutput) -> "LaggedState":
@@ -204,48 +245,79 @@ def _check_state(params: ArmaGarchParams, state: LaggedState) -> None:
         raise InputError("squared-residual and variance lags must be nonnegative")
 
 
-def _filter(params: ArmaGarchParams, x: np.ndarray, state: LaggedState):
-    """Residuals and conditional variances of `x`, continuing from `state`.
+def _lfilter_rows(tail: np.ndarray, u: np.ndarray, zi: np.ndarray | None = None) -> np.ndarray:
+    """``lfilter([1], [1, *tail[i]], u[i], zi=zi[i])`` for every row i.
+
+    One lfilter call per distinct row of `tail`: the perturbed points of a
+    finite-difference gradient share most of their coefficients.
+    """
+    groups: dict[bytes, list[int]] = {}
+    for i, row in enumerate(tail):
+        groups.setdefault(row.tobytes(), []).append(i)
+    out = np.empty_like(u)
+    # one group filters all rows without gathering them
+    for idx in map(np.array, groups.values()) if len(groups) != 1 else [slice(None)]:
+        den = np.concatenate([[1.0], tail[idx][0]])
+        if zi is None:
+            out[idx] = signal.lfilter([1.0], den, u[idx])
+        else:
+            out[idx] = signal.lfilter([1.0], den, u[idx], zi=zi[idx])[0]
+    return out
+
+
+def _filter(rows: _Rows, x: np.ndarray, state: LaggedState):
+    """Residuals and conditional variances of `x` under each parameter row, continuing from `state`.
 
     Both recursions are linear IIR filters: the residuals in the mean
     equation, sigma2 in the variance equation.  The lags of x, of the
     residuals and of their squares that reach before `x` are added to the
     filter inputs; sigma2's own lags become the variance filter's initial
-    conditions through lfiltic.  Returns (resid, sigma2).
+    conditions, computed as lfiltic computes them.  The lags of `state` are
+    (order,), shared by all rows, or (r, order).  Returns (resid, sigma2,
+    ok), the first two of shape (r, len(x)); `ok` marks the rows whose
+    variance stays positive and finite.
     """
-    p1, q1, p2, q2 = params.orders
-    n, mu = len(x), params.mu
+    p1, q1, p2, q2 = rows.orders
+    r, n, mu = len(rows.mu), len(x), rows.mu
     # pre-sample lags reach only the first max-order steps; adding them one
-    # scalar at a time costs the likelihood less than slicing arrays would
+    # column at a time costs the likelihood less than slicing arrays would
 
     # e_i = a_i - sum_l gamma_l e_{i-1-l}, a from the AR part and the lags
-    xc = x - mu
+    xc = x - mu[:, None]
     a = xc.copy()
     for k in range(p1):
-        a[k + 1:] -= params.phi[k] * xc[:-k - 1]
+        a[:, k + 1:] -= rows.phi[:, k, None] * xc[:, :-k - 1]
         for i in range(min(k + 1, n)):
-            a[i] -= params.phi[k] * (state.x[i - 1 - k] - mu)
+            a[:, i] -= rows.phi[:, k] * (state.x[..., i - 1 - k] - mu)
     for l in range(q1):
         for i in range(min(l + 1, n)):
-            a[i] -= params.gamma[l] * state.resid[i - 1 - l]
-    e = signal.lfilter([1.0], np.concatenate([[1.0], params.gamma]), a) if q1 else a
+            a[:, i] -= rows.gamma[:, l] * state.resid[..., i - 1 - l]
+    e = _lfilter_rows(rows.gamma, a) if q1 else a
 
     # s2_i = b_i + sum_l beta_l s2_{i-1-l}
     e2 = e * e
-    b = np.full(n, params.omega)
+    b = np.repeat(rows.omega[:, None], n, axis=1)
     for k in range(p2):
-        b[k + 1:] += params.alpha[k] * e2[:-k - 1]
+        b[:, k + 1:] += rows.alpha[:, k, None] * e2[:, :-k - 1]
         for i in range(min(k + 1, n)):
-            b[i] += params.alpha[k] * state.resid2[i - 1 - k]
+            b[:, i] += rows.alpha[:, k] * state.resid2[..., i - 1 - k]
     if q2:
-        den = np.concatenate([[1.0], -params.beta])
-        zi = signal.lfiltic([1.0], den, state.sigma2[::-1][:q2])
-        s2, _ = signal.lfilter([1.0], den, b, zi=zi)
+        tail = -rows.beta
+        y = state.sigma2[..., ::-1][..., :q2]
+        zi = np.zeros((r, q2))
+        for m in range(q2):
+            zi[:, m] -= (tail[:, m:] * y[..., :q2 - m]).sum(axis=-1)
+        s2 = _lfilter_rows(tail, b, zi)
     else:
         s2 = b
-    if not np.all(np.isfinite(s2)) or np.any(s2 <= 0.0):
+    # a row holding a NaN has a NaN minimum, which fails the first test
+    ok = (s2.min(axis=-1) > 0.0) & np.isfinite(s2.max(axis=-1))
+    return e, s2, ok
+
+
+def _require(ok: np.ndarray) -> None:
+    if not ok.all():
         raise NumericalError("nonpositive or non-finite conditional variance")
-    return e, s2
 
 
 def arma_garch_filter(params: ArmaGarchParams, x, state: LaggedState | None = None) -> FilterOutput:
@@ -262,7 +334,9 @@ def arma_garch_filter(params: ArmaGarchParams, x, state: LaggedState | None = No
     if state is None:
         state = LaggedState.presample(params)
     _check_state(params, state)
-    e, s2 = _filter(params, x, state)
+    e, s2, ok = _filter(_Rows.of(params), x, state)
+    _require(ok)
+    e, s2 = e[0], s2[0]
     return FilterOutput(mu_t=x - e, sigma2_t=s2, z_t=e / np.sqrt(s2))
 
 
@@ -337,17 +411,42 @@ def arma_garch_simulate(params: ArmaGarchParams, z, state: LaggedState | None = 
 # maximum likelihood fitting
 # ---------------------------------------------------------------------------
 
-def _loglik(params: ArmaGarchParams, x: np.ndarray) -> float:
-    e, s2 = _filter(params, x, LaggedState.presample(params))
-    nu = params.nu
+def _loglik_rows(rows: _Rows, x: np.ndarray):
+    """Log-likelihood of `x` under each parameter row, from the stationary start.
+
+    Returns (loglik, ok): `ok` marks the rows whose conditional variance
+    stays positive and finite, and `loglik` holds one value per such row.
+    """
+    e, s2, ok = _filter(rows, x, rows.presample())
+    nu = rows.nu[:, None]
+    if not ok.all():
+        e, s2, nu = e[ok], s2[ok], nu[ok]
     c2 = nu / (nu - 2.0)
     # scaled-t log-density written out (matches scaled_t_logpdf), plus the
     # -0.5 log sigma2 Jacobian of standardization
     y2 = e * e / s2 * c2
-    const = (special.gammaln(0.5 * (nu + 1.0)) - special.gammaln(0.5 * nu)
-             - 0.5 * math.log(nu * math.pi) + 0.5 * math.log(c2))
+    const = np.array([special.gammaln(0.5 * (v + 1.0)) - special.gammaln(0.5 * v)
+                      - 0.5 * math.log(v * math.pi) + 0.5 * math.log(w)
+                      for v, w in zip(nu[:, 0].tolist(), c2[:, 0].tolist())], dtype=float)[:, None]
     ll = const - 0.5 * (nu + 1.0) * np.log1p(y2 / nu) - 0.5 * np.log(s2)
-    return float(np.sum(ll))
+    return ll.sum(axis=-1), ok
+
+
+def _loglik(params: ArmaGarchParams, x: np.ndarray) -> float:
+    ll, ok = _loglik_rows(_Rows.of(params), x)
+    _require(ok)
+    return float(ll[0])
+
+
+def _exp(a: np.ndarray):
+    """math.exp of each entry of `a`, and a mask of the entries where it raises OverflowError."""
+    out, over = np.full(a.size, math.inf), np.zeros(a.size, dtype=bool)
+    for i, v in enumerate(a.ravel().tolist()):
+        try:
+            out[i] = math.exp(v)
+        except OverflowError:
+            over[i] = True
+    return out.reshape(a.shape), over.reshape(a.shape)
 
 
 class _Transform:
@@ -362,24 +461,53 @@ class _Transform:
         self.fix_mu_zero = fix_mu_zero
         self.n_free = (0 if fix_mu_zero else 1) + self.p1 + self.q1 + 1 + self.p2 + self.q2 + 1
 
-    def to_params(self, theta: np.ndarray) -> ArmaGarchParams:
+    def to_rows(self, theta: np.ndarray):
+        """Parameter rows of the rows of `theta` (r, n_free).
+
+        Returns (rows, overflow); `overflow` marks the rows for which
+        :meth:`to_params` raises OverflowError, and their entries are
+        meaningless.  Rows may break the constraints (see :func:`_violations`).
+        """
         i = 0
         if self.fix_mu_zero:
-            mu = 0.0
+            mu = np.zeros(len(theta))
         else:
-            mu = theta[0]
+            mu = theta[:, 0]
             i = 1
-        phi = np.tanh(theta[i:i + self.p1]); i += self.p1
-        gamma = np.tanh(theta[i:i + self.q1]); i += self.q1
-        omega = math.exp(theta[i]); i += 1
-        logits = theta[i:i + self.p2 + self.q2]; i += self.p2 + self.q2
-        expl = np.exp(logits - logits.max())
-        frac = expl / (math.exp(-logits.max()) + expl.sum())
-        alpha = frac[:self.p2]
-        beta = frac[self.p2:]
-        nu = 2.0 + math.exp(theta[i])
-        return ArmaGarchParams(mu=mu, phi=phi, gamma=gamma, omega=omega,
-                               alpha=alpha, beta=beta, nu=nu)
+        phi = np.tanh(theta[:, i:i + self.p1]); i += self.p1
+        gamma = np.tanh(theta[:, i:i + self.q1]); i += self.q1
+        i_nu = i + 1 + self.p2 + self.q2
+        logits = theta[:, i + 1:i_nu]
+        top = logits.max(axis=1, keepdims=True)
+        # omega, the logits' normalising term and nu - 2
+        (omega, scale, exp_nu), overflow = _exp(np.stack([theta[:, i], -top[:, 0], theta[:, i_nu]]))
+        expl = np.exp(logits - top)
+        frac = expl / (scale[:, None] + expl.sum(axis=1, keepdims=True))
+        rows = _Rows(mu=mu, phi=phi, gamma=gamma, omega=omega, alpha=frac[:, :self.p2],
+                     beta=frac[:, self.p2:], nu=2.0 + exp_nu)
+        return rows, overflow.any(axis=0)
+
+    def to_params(self, theta: np.ndarray) -> ArmaGarchParams:
+        rows, overflow = self.to_rows(theta[None])
+        if overflow[0]:
+            raise OverflowError("math range error")
+        return ArmaGarchParams(mu=rows.mu[0], phi=rows.phi[0], gamma=rows.gamma[0],
+                               omega=float(rows.omega[0]), alpha=rows.alpha[0],
+                               beta=rows.beta[0], nu=float(rows.nu[0]))
+
+    def starts(self, x: np.ndarray, v: float) -> list[np.ndarray]:
+        """The 3 deterministic initial points for series `x` with sample variance `v`."""
+        p1, q1, p2, q2 = self.p1, self.q1, self.p2, self.q2
+        m0 = 0.0 if self.fix_mu_zero else float(np.mean(x))
+
+        def start(total_ab, arch_share, phi0, nu0):
+            alpha = np.full(p2, total_ab * arch_share / max(p2, 1))
+            beta = np.full(q2, total_ab * (1 - arch_share) / max(q2, 1))
+            return self.from_params(ArmaGarchParams(
+                mu=m0, phi=np.full(p1, phi0), gamma=np.zeros(q1),
+                omega=v * (1.0 - total_ab), alpha=alpha, beta=beta, nu=nu0))
+
+        return [start(0.9, 0.10, 0.1, 6.0), start(0.5, 0.30, 0.0, 10.0), start(0.2, 0.50, 0.3, 4.0)]
 
     def from_params(self, p: ArmaGarchParams) -> np.ndarray:
         out = [] if self.fix_mu_zero else [p.mu]
@@ -394,11 +522,34 @@ class _Transform:
         return np.array(out)
 
 
+def _neg_loglik(trans: _Transform, thetas: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """-loglik of `x` at each row of `thetas` (r, n_free), in one pass.
+
+    A row gets 1e10 where ``_loglik(trans.to_params(theta), x)`` would
+    raise: OverflowError, InputError for broken constraints, NumericalError
+    for a variance that is not positive and finite.
+    """
+    rows, invalid = trans.to_rows(thetas)
+    for _, broken in _violations(rows):
+        invalid |= broken
+    valid = np.flatnonzero(~invalid)
+    ll, ok = _loglik_rows(rows.take(valid) if invalid.any() else rows, x)
+    out = np.full(len(thetas), 1e10)
+    out[valid[ok]] = -ll
+    return out
+
+
 def fit_arma_garch(x, orders=(1, 1, 1, 1), fix_mu_zero: bool = False) -> MarginalFitResult:
     """Fit by constrained maximum likelihood (scaled-t innovations).
 
-    Quasi-Newton optimization in a transformed unconstrained space, restarted
-    from 3 deterministic initial points; the best local optimum wins.
+    Quasi-Newton optimization (L-BFGS-B) in a transformed unconstrained
+    space, restarted from 3 deterministic initial points; the best local
+    optimum wins.  L-BFGS-B forms each gradient by forward differences, one
+    perturbed point per parameter; it hands all of them to its `workers`
+    map at once, and the likelihood evaluates them in one pass over a
+    leading axis of parameter rows.  Each row gets the value a call on that
+    point alone would give, bit for bit, so the fit is the same as with one
+    call per point.
     """
     x = np.asarray(x, dtype=float)
     if len(x) < 50:
@@ -410,33 +561,20 @@ def fit_arma_garch(x, orders=(1, 1, 1, 1), fix_mu_zero: bool = False) -> Margina
         raise NumericalError("series has zero sample variance")
 
     trans = _Transform(orders, fix_mu_zero)
-    p1, q1, p2, q2 = orders
-    m0 = 0.0 if fix_mu_zero else float(np.mean(x))
 
-    def start(total_ab, arch_share, phi0, nu0):
-        alpha = np.full(p2, total_ab * arch_share / max(p2, 1))
-        beta = np.full(q2, total_ab * (1 - arch_share) / max(q2, 1))
-        return trans.from_params(ArmaGarchParams(
-            mu=m0, phi=np.full(p1, phi0), gamma=np.zeros(q1),
-            omega=v * (1.0 - total_ab), alpha=alpha, beta=beta, nu=nu0))
+    def point(theta):
+        return _neg_loglik(trans, theta[None], x)[0]
 
-    starts = [
-        start(0.9, 0.10, 0.1, 6.0),
-        start(0.5, 0.30, 0.0, 10.0),
-        start(0.2, 0.50, 0.3, 4.0),
-    ]
-
-    def neg_loglik(theta):
-        try:
-            return -_loglik(trans.to_params(theta), x)
-        except (NumericalError, InputError, OverflowError, FloatingPointError):
-            return 1e10
+    def gradient_points(_, points):
+        # the map L-BFGS-B runs over the forward-difference points of a gradient
+        return _neg_loglik(trans, np.array(list(points)), x)
 
     best = None
     converged = False
-    for theta0 in starts:
-        res = optimize.minimize(neg_loglik, theta0, method="L-BFGS-B",
-                                options={"maxiter": 500, "ftol": 1e-8})
+    for theta0 in trans.starts(x, v):
+        res = optimize.minimize(point, theta0, method="L-BFGS-B",
+                                options={"maxiter": 500, "ftol": 1e-8,
+                                         "workers": gradient_points})
         if best is None or res.fun < best.fun:
             best = res
             converged = bool(res.success)

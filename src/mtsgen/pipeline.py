@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -173,6 +174,12 @@ class PipelineConfig:
         for key in ("n_pth", "n_rep", "pca_k_min", "bootstrap_n_bt", "gmmn_n_epo"):
             if not isinstance(getattr(self, key), integer):
                 raise ConfigError(f"{key} must be an integer")
+        if not (self.gmmn_n_bat is None or isinstance(self.gmmn_n_bat, integer)):
+            raise ConfigError("gmmn_n_bat must be an integer or null")
+        if not all(isinstance(h, integer) for h in self.gmmn_hidden_dims):
+            raise ConfigError("gmmn_hidden_dims must hold integers")
+        if not isinstance(self.gmmn_dropout, numbers.Real):
+            raise ConfigError("gmmn_dropout must be a real number")
         if not 0.0 < self.pca_threshold <= 1.0:
             raise ConfigError(f"pca_threshold={self.pca_threshold} must lie in (0, 1]")
         if self.pca_k_min < 1:

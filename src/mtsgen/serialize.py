@@ -114,7 +114,7 @@ def _unpack_dependence(prefix: str, arrays, meta: dict):
 
 def save_model(model: MtsModel, path) -> None:
     arrays: dict = {}
-    meta: dict = {"version": FORMAT_VERSION, "tau": model.tau, "d": model.d}
+    meta: dict = {"version": FORMAT_VERSION, "tau": model.tau}
 
     margins_meta = []
     for j, fit in enumerate(model.margins):

@@ -4,13 +4,16 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate, signal, special, stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import integrate, optimize, signal, special, stats
 
 from mtsgen import (ArmaGarchParams, InputError, LaggedState,
                     arma_garch_filter, arma_garch_simulate, fit_arma_garch,
                     scaled_t_quantile)
 from mtsgen.errors import NumericalError
-from mtsgen.margins import _loglik, scaled_t_cdf, scaled_t_logpdf
+from mtsgen.margins import (_loglik, _neg_loglik, _Transform, scaled_t_cdf,
+                            scaled_t_logpdf)
 
 
 def garch_params(**kw):
@@ -101,6 +104,18 @@ class TestFilter:
     def test_rejects_nonfinite(self):
         with pytest.raises(InputError):
             arma_garch_filter(garch_params(), np.array([1.0, np.nan]))
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("beta", [[0.7], []], ids=["garch", "arch"])
+    def test_non_finite_variance_raises(self, beta):
+        # the squared residual overflows, so the next variance is inf (ARCH)
+        # or NaN (lfilter multiplies the inf input by a zero coefficient)
+        p = garch_params(beta=beta)
+        x = np.array([1.0, 1e200, 1.0, 2.0])
+        with pytest.raises(NumericalError):
+            arma_garch_filter(p, x)
+        with pytest.raises(NumericalError):
+            _loglik(p, x)
 
 
 class TestSimulate:
@@ -407,3 +422,84 @@ class TestFit:
         x = np.random.default_rng(5).standard_normal(400) + 3.0
         res = fit_arma_garch(x, fix_mu_zero=True)
         assert res.params.mu == 0.0
+
+
+def scalar_to_params(trans, theta):
+    """The transform of one point in scalar operations: the reference for the row form."""
+    i = 0
+    if trans.fix_mu_zero:
+        mu = 0.0
+    else:
+        mu = theta[0]
+        i = 1
+    phi = np.tanh(theta[i:i + trans.p1]); i += trans.p1
+    gamma = np.tanh(theta[i:i + trans.q1]); i += trans.q1
+    omega = math.exp(theta[i]); i += 1
+    logits = theta[i:i + trans.p2 + trans.q2]; i += trans.p2 + trans.q2
+    expl = np.exp(logits - logits.max())
+    frac = expl / (math.exp(-logits.max()) + expl.sum())
+    nu = 2.0 + math.exp(theta[i])
+    return ArmaGarchParams(mu=mu, phi=phi, gamma=gamma, omega=omega,
+                           alpha=frac[:trans.p2], beta=frac[trans.p2:], nu=nu)
+
+
+def scalar_neg_loglik(trans, theta, x):
+    try:
+        return -_loglik(scalar_to_params(trans, theta), x)
+    except (NumericalError, InputError, OverflowError, FloatingPointError):
+        return 1e10
+
+
+def per_point_fit(x, orders, fix_mu_zero):
+    """fit_arma_garch with one likelihood call per point: no `workers` batch."""
+    trans = _Transform(orders, fix_mu_zero)
+    best = None
+    for theta0 in trans.starts(x, float(np.var(x, ddof=1))):
+        res = optimize.minimize(lambda theta: scalar_neg_loglik(trans, theta, x), theta0,
+                                method="L-BFGS-B", options={"maxiter": 500, "ftol": 1e-8})
+        if best is None or res.fun < best.fun:
+            best, converged = res, bool(res.success)
+    return scalar_to_params(trans, best.x), -float(best.fun), converged
+
+
+# saturate tanh, overflow math.exp, push alpha + beta to 1 and nu to 2,
+# underflow omega to 0
+EXTREME_THETAS = [-800.0, -746.0, -710.0, -40.0, -19.1, 19.1, 40.0, 710.0, 800.0]
+
+
+@st.composite
+def theta_batches(draw):
+    trans = _Transform(draw(st.sampled_from([(1, 1, 1, 1), (2, 1, 1, 2)])), draw(st.booleans()))
+    value = st.one_of(st.floats(-3.0, 3.0), st.sampled_from(EXTREME_THETAS))
+    base = np.array(draw(st.lists(value, min_size=trans.n_free, max_size=trans.n_free)))
+    rows = [base]
+    # rows that change one coordinate, like a finite-difference gradient
+    for _ in range(draw(st.integers(0, 8))):
+        row = base.copy()
+        row[draw(st.integers(0, trans.n_free - 1))] = draw(value)
+        rows.append(row)
+    return trans, np.array(rows)
+
+
+class TestBatchedLikelihood:
+    @pytest.mark.parametrize("fix_mu_zero", [False, True])
+    def test_fit_equals_per_point_fit(self, oracle_case, fix_mu_zero):
+        p, x = oracle_case
+        x = x[:600]
+        res = fit_arma_garch(x, p.orders, fix_mu_zero)
+        params, loglik, converged = per_point_fit(x, p.orders, fix_mu_zero)
+        for name in ("mu", "phi", "gamma", "omega", "alpha", "beta", "nu"):
+            assert np.array_equal(getattr(res.params, name), getattr(params, name)), name
+        assert res.loglik == loglik
+        assert res.converged == converged
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(max_examples=200, deadline=None)
+    @given(batch=theta_batches(), scale=st.sampled_from([1.0, 1e155]))
+    def test_rows_equal_scalar_calls(self, batch, scale):
+        # scale 1e155 squares residuals to inf: a non-finite variance
+        trans, thetas = batch
+        x = np.random.default_rng(8).standard_normal(60) * scale
+        got = _neg_loglik(trans, thetas, x)
+        want = [scalar_neg_loglik(trans, theta, x) for theta in thetas]
+        assert np.array_equal(got, want, equal_nan=True)

@@ -360,6 +360,10 @@ class TestCorruptModelFile:
         assert code == 2
 
 
+# GMMN values of the wrong type; their range checks would raise TypeError
+BAD_GMMN_TYPES = [{"gmmn_dropout": "x"}, {"gmmn_n_bat": "7"}, {"gmmn_hidden_dims": [8, 2.5]}]
+
+
 class TestGmmnFailFast:
     """GMMN settings are checked before any margin is fitted."""
 
@@ -379,6 +383,7 @@ class TestGmmnFailFast:
         {"gmmn_n_bat": 3}, {"gmmn_n_bat": 1}, {"gmmn_n_epo": 0},
         {"gmmn_dropout": 1.0}, {"gmmn_dropout": -0.1},
         {"gmmn_hidden_dims": (0,)}, {"gmmn_hidden_dims": ()},
+        *BAD_GMMN_TYPES,
     ])
     def test_bad_gmmn_config_raises_before_margins(self, bad, no_margin_fits):
         x = np.random.default_rng(60).standard_normal((120, 2))
@@ -403,6 +408,17 @@ class TestGmmnFailFast:
         assert code == 2
         assert no_margin_fits == []
 
+    @pytest.mark.parametrize("bad", BAD_GMMN_TYPES)
+    def test_bad_type_cli_exit_code(self, synthetic_csv, tmp_path, no_margin_fits, bad):
+        from mtsgen.cli import main
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dependence": "gmmn", **bad}))
+        code = main(["fit", "--data", synthetic_csv, "--seed", "1", "--tau", "200",
+                     "--config", str(cfg), "--out", str(tmp_path / "m.npz")])
+        assert code == 2
+        assert no_margin_fits == []
+        assert not (tmp_path / "m.npz").exists()
+
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("command", [["fit"], ["bootstrap", "--n-bt", "2"]])
     def test_non_finite_training_exit_code(self, synthetic_csv, tmp_path,
@@ -423,6 +439,37 @@ class TestGmmnFailFast:
                      "--dependence", "gmmn", "--epochs", "2", "--out", str(out)])
         assert code == 3
         assert not out.exists()
+
+
+class TestFitCommand:
+    """`fit` and `bootstrap` run one command; `bootstrap` also needs --n-bt >= 1."""
+
+    def test_bootstrap_needs_a_replicate(self, synthetic_csv, tmp_path, monkeypatch):
+        import mtsgen.pipeline as pipeline
+        from mtsgen.cli import main
+
+        def fit_arma_garch(*args, **kw):
+            raise AssertionError("margin MLE ran before the --n-bt check")
+
+        monkeypatch.setattr(pipeline, "fit_arma_garch", fit_arma_garch)
+        out = tmp_path / "m.npz"
+        code = main(["bootstrap", "--n-bt", "0", "--data", synthetic_csv, "--seed", "1",
+                     "--tau", "200", "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, message", [
+        (["fit"], "fitted model (empirical_beta)"),
+        (["bootstrap", "--n-bt", "2"], "bootstrap mixture (2 x empirical_beta)"),
+    ], ids=["fit", "bootstrap"])
+    def test_message(self, synthetic_csv, tmp_path, capsys, command, message):
+        from mtsgen.cli import main
+        out = tmp_path / "m.npz"
+        code = main([*command, "--data", synthetic_csv, "--seed", "1", "--tau", "200",
+                     "--dependence", "empirical_beta", "--out", str(out)])
+        assert code == 0
+        assert capsys.readouterr().out.startswith(f"{message} written to {out} [config ")
+        assert load_model(out).dependence is not None
 
 
 class TestConfigFailFast:
@@ -502,15 +549,15 @@ class TestRoundTrip:
         b = forecast_paths(loaded, small_dataset.values, 60, 2, np.random.default_rng(72))
         assert np.array_equal(a.values, b.values)
 
-    def test_file_with_pca_enabled_key_loads(self, pipeline_run, tmp_path):
+    @staticmethod
+    def assert_loads_with_dropped_key(pipeline_run, path, key, value):
         # mtsgen-model-v1 files written before the key was dropped carry it
         ds, result = pipeline_run
-        path = tmp_path / "model.npz"
         save_model(result.model, path)
         data = dict(np.load(path))
         meta = json.loads(bytes(data["__meta__"]).decode())
-        assert "pca_enabled" not in meta
-        meta["pca_enabled"] = False
+        assert key not in meta
+        meta[key] = value
         data["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
         with open(path, "wb") as fh:
             np.savez(fh, **data)
@@ -518,6 +565,14 @@ class TestRoundTrip:
         b = forecast_paths(load_model(path), ds.values[:200], 50, 1,
                            np.random.default_rng(5))
         assert np.array_equal(a.values, b.values)
+
+    def test_file_with_pca_enabled_key_loads(self, pipeline_run, tmp_path):
+        self.assert_loads_with_dropped_key(pipeline_run, tmp_path / "model.npz",
+                                           "pca_enabled", False)
+
+    def test_file_with_d_key_loads(self, pipeline_run, tmp_path):
+        d = pipeline_run[1].model.d
+        self.assert_loads_with_dropped_key(pipeline_run, tmp_path / "model.npz", "d", d)
 
 
 @pytest.fixture(scope="module")
