@@ -6,8 +6,10 @@ generative network; rolling one-step predictive distributions feed the
 assessment metrics.
 """
 
+import logging
+
 from .assess import AssessConfig, ammd, amse, avs, vear
-from .bootstrap import BootstrapMixture, bootstrap_fit, sample_mixture
+from .bootstrap import BootstrapMixture, bootstrap_fit
 from .dependence import (EmpiricalBetaCopula, EmpiricalCopula,
                          IndependenceCopula, PseudoSample,
                          pseudo_observations)
@@ -26,3 +28,6 @@ from .pipeline import (Dataset, PipelineConfig, PipelineResult, fit_mts,
 from .serialize import load_model, save_model
 
 __version__ = "0.1.0"
+
+# silent unless the application configures logging
+logging.getLogger(__name__).addHandler(logging.NullHandler())

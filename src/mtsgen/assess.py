@@ -57,13 +57,10 @@ def ammd(u_test, sampler: DependenceModel, cfg: AssessConfig,
 
 
 def _as_path_array(forecasts) -> np.ndarray:
-    """Accepts a (n_t, n_pth, d) array or a list of one-step PredictivePaths."""
-    if isinstance(forecasts, np.ndarray):
-        arr = forecasts
-    else:
-        arr = np.stack([f.values[:, 0, :] for f in forecasts])
+    """The one-step paths as a (n_t, n_pth, d) array."""
+    arr = np.asarray(forecasts)
     if arr.ndim != 3:
-        raise InputError("forecasts must stack to shape (n_t, n_pth, d)")
+        raise InputError("forecasts must have shape (n_t, n_pth, d)")
     return arr
 
 

@@ -16,7 +16,7 @@ from .dependence import DependenceModel, pseudo_observations
 from .errors import InputError
 from .forecast import empirical_quantile
 
-__all__ = ["BootstrapMixture", "bootstrap_fit", "sample_mixture"]
+__all__ = ["BootstrapMixture", "bootstrap_fit"]
 
 
 @dataclass
@@ -90,8 +90,3 @@ def bootstrap_fit(y_hat, n_bt: int, fitter, rng: np.random.Generator) -> Bootstr
         quantiles.append([np.sort(sample[:, j]) for j in range(y.shape[1])])
     return BootstrapMixture(components=components, component_quantiles=quantiles,
                             n_bt=n_bt)
-
-
-def sample_mixture(mix: BootstrapMixture, n_gen: int, rng: np.random.Generator):
-    """Mixture draw returning both the rows and the component each came from."""
-    return mix.sample_components(n_gen, rng)

@@ -4,6 +4,16 @@ Every dependence model exposes the same contract: ``sample(n, rng)``
 returns an ``n x d`` matrix of values strictly inside (0, 1), and
 ``sample_quantiles(n, rng, quantile_maps)`` maps such a draw through the
 inverse margins.
+
+Some draws lie on a rank grid: every value is k / (m + 1) for an integer
+rank k in 1..m.  The empirical copula resamples rows of its
+pseudo-observations (m = the sample size), and the GMMN copula re-ranks
+its n outputs (m = n).  These models hand their integer ranks to
+``quantile_maps.on_grid(ranks, m)``, which maps each grid point once
+instead of once per draw.  The ranks and the draws use the same RNG
+calls, and ``on_grid`` returns the bytes ``quantile_maps(ranks / (m + 1.0))``
+would, so the result equals ``quantile_maps(sample(n, rng))`` bit for bit.
+The other models keep the default.
 """
 
 from __future__ import annotations
@@ -80,12 +90,23 @@ class EmpiricalCopula(DependenceModel):
     kind = "empirical"
 
     def __init__(self, ps: PseudoSample):
+        # the lookup on the rank grid reads ranks, `sample` reads u
+        ranks = np.asarray(ps.ranks)
+        if (not np.issubdtype(ranks.dtype, np.integer) or ranks.ndim != 2 or ranks.size == 0
+                or ranks.min() < 1 or ranks.max() > len(ranks)
+                or not np.array_equal(ps.u, ranks / (len(ranks) + 1.0))):
+            raise InputError("pseudo-observations must be integer ranks in {1, ..., n} "
+                             "and u = ranks / (n + 1)")
         self.ps = ps
         self.d = ps.d
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         idx = rng.integers(0, self.ps.n, size=n)
         return self.ps.u[idx]
+
+    def sample_quantiles(self, n: int, rng: np.random.Generator, quantile_maps) -> np.ndarray:
+        idx = rng.integers(0, self.ps.n, size=n)
+        return quantile_maps.on_grid(self.ps.ranks[idx], self.ps.n)
 
 
 class EmpiricalBetaCopula(DependenceModel):

@@ -48,6 +48,14 @@ class QuantileMaps:
     Parametric mode applies the scaled-t quantile of each fitted margin
     (used when no dimension reduction is in play); empirical mode uses
     per-component quantile tables of the training components.
+
+    A draw on the rank grid k / (n + 1), k = 1..n (GMMN and empirical
+    copula draws) comes in as integer ranks through :meth:`on_grid`.  In
+    parametric mode it is then mapped by lookup in a table of the scaled-t
+    quantile at each grid point, computed for the last grid size only and
+    never saved.  The table holds the quantiles of the same doubles
+    ``ranks / (n + 1.0)`` that ``self`` would get, and the quantile is
+    elementwise, so the lookup returns the same bytes as the call.
     """
 
     def __init__(self, mode: str, nus: np.ndarray | None = None,
@@ -57,6 +65,7 @@ class QuantileMaps:
         self.mode = mode
         self.nus = None if nus is None else np.asarray(nus, dtype=float)
         self.tables = None if tables is None else [np.sort(np.asarray(t, dtype=float)) for t in tables]
+        self._grid = None   # (n, table of shape (n, d)) of the last scaled-t grid
 
     @classmethod
     def scaled_t(cls, nus) -> "QuantileMaps":
@@ -81,6 +90,15 @@ class QuantileMaps:
             else:
                 out[:, j] = empirical_quantile(self.tables[j], u[:, j])
         return out
+
+    def on_grid(self, ranks: np.ndarray, n: int) -> np.ndarray:
+        """``self(ranks / (n + 1.0))`` for integer ranks in 1..n, bit for bit."""
+        if self.mode == "empirical":
+            return self(ranks / (n + 1.0))
+        if self._grid is None or self._grid[0] != n:
+            grid = np.arange(1, n + 1) / (n + 1.0)
+            self._grid = (n, np.column_stack([scaled_t_quantile(grid, nu) for nu in self.nus]))
+        return np.take_along_axis(self._grid[1], ranks - 1, axis=0)
 
 
 @dataclass

@@ -519,9 +519,7 @@ def sample_gmmn(model: GmmnModel, n_gen: int, rng: np.random.Generator) -> np.nd
     The pseudo-observation step forces every output column to be exactly the
     multiset {1/(n_gen+1), ..., n_gen/(n_gen+1)}.
     """
-    v = rng.standard_normal((n_gen, model.d_in))
-    out = nn_forward(model, v, train=False)
-    return pseudo_observations(out).u
+    return GmmnCopula(model).sample(n_gen, rng)
 
 
 class GmmnCopula(DependenceModel):
@@ -533,5 +531,13 @@ class GmmnCopula(DependenceModel):
         self.model = model
         self.d = model.d_out
 
+    def _ranks(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        """Ranks of n outputs of the net on prior noise; each column permutes 1..n."""
+        v = rng.standard_normal((n, self.model.d_in))
+        return pseudo_observations(nn_forward(self.model, v, train=False)).ranks
+
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return sample_gmmn(self.model, n, rng)
+        return self._ranks(n, rng) / (n + 1.0)
+
+    def sample_quantiles(self, n: int, rng: np.random.Generator, quantile_maps) -> np.ndarray:
+        return quantile_maps.on_grid(self._ranks(n, rng), n)

@@ -143,7 +143,11 @@ def _violations(p):
     `p` is an :class:`ArmaGarchParams`, for which `broken` is a bool, or
     :class:`_Rows`, for which it is a mask over the rows.
     """
-    return (("omega must be positive", p.omega <= 0.0),
+    finite = (np.isfinite(p.mu) & np.isfinite(p.omega) & np.isfinite(p.nu)
+              & np.isfinite(p.phi).all(axis=-1) & np.isfinite(p.gamma).all(axis=-1)
+              & np.isfinite(p.alpha).all(axis=-1) & np.isfinite(p.beta).all(axis=-1))
+    return (("parameters must be finite", ~finite),
+            ("omega must be positive", p.omega <= 0.0),
             ("alpha and beta coefficients must be nonnegative",
              (p.alpha < 0.0).any(axis=-1) | (p.beta < 0.0).any(axis=-1)),
             ("sum(alpha) + sum(beta) must be < 1",
@@ -539,6 +543,9 @@ def _neg_loglik(trans: _Transform, thetas: np.ndarray, x: np.ndarray) -> np.ndar
     return out
 
 
+_MAXITER = 500   # L-BFGS-B iterations per start
+
+
 def fit_arma_garch(x, orders=(1, 1, 1, 1), fix_mu_zero: bool = False) -> MarginalFitResult:
     """Fit by constrained maximum likelihood (scaled-t innovations).
 
@@ -573,7 +580,7 @@ def fit_arma_garch(x, orders=(1, 1, 1, 1), fix_mu_zero: bool = False) -> Margina
     converged = False
     for theta0 in trans.starts(x, v):
         res = optimize.minimize(point, theta0, method="L-BFGS-B",
-                                options={"maxiter": 500, "ftol": 1e-8,
+                                options={"maxiter": _MAXITER, "ftol": 1e-8,
                                          "workers": gradient_points})
         if best is None or res.fun < best.fun:
             best = res

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import logging
 import numbers
 from dataclasses import asdict, dataclass
 
@@ -42,6 +43,8 @@ __all__ = [
 
 TRANSFORMS = ("none", "difference", "log_returns")
 DEPENDENCE_KINDS = ("independence", "empirical", "empirical_beta", "gmmn")
+
+_log = logging.getLogger(__name__)
 
 METRICS_HEADER = ["dataset", "model", "metric", "value", "n_pth", "n_rep",
                   "seed", "config_hash"]
@@ -261,13 +264,21 @@ def _check_gmmn_config(cfg: PipelineConfig, tau: int) -> None:
 
 
 def fit_mts(cfg: PipelineConfig, dataset: Dataset) -> MtsModel:
-    """deGARCH each column, optionally reduce, and fit the dependence model."""
+    """deGARCH each column, optionally reduce, and fit the dependence model.
+
+    A margin whose best MLE start did not converge is kept, and a warning
+    naming it goes to the ``mtsgen`` logger.
+    """
     if cfg.dependence == "gmmn":
         _check_gmmn_config(cfg, dataset.tau)
     x_train = dataset.values[:dataset.tau]
     d = dataset.d
     margins = [fit_arma_garch(x_train[:, j], orders=cfg.orders,
                               fix_mu_zero=cfg.fix_mu_zero) for j in range(d)]
+    for j, m in enumerate(margins):
+        if not m.converged:
+            _log.warning("margin %d (%s): the best start of the MLE did not converge",
+                         j, dataset.columns[j])
     z = np.column_stack([m.filter.z_t for m in margins])
 
     if cfg.pca_enabled:
@@ -308,6 +319,7 @@ def _filter_margins(model: MtsModel, dataset: Dataset) -> list:
 
 
 def _test_dependence(model: MtsModel, dataset: Dataset, filters: list) -> np.ndarray:
+    """Pseudo-observations of the projected test-period residuals."""
     z = np.column_stack([f.z_t for f in filters])
     y_test = project(model.pca, z[dataset.tau:])
     return pseudo_observations(y_test).u
@@ -335,15 +347,6 @@ def _rolling_paths(model: MtsModel, dataset: Dataset, filters: list, n_pth: int,
             paths[block, :, j] = arma_garch_simulate(m.params, paths[block, :, j, None],
                                                      state)[..., 0]
     return paths
-
-
-def extract_test_dependence(model: MtsModel, dataset: Dataset) -> np.ndarray:
-    """Pseudo-observations of the test-period components under the trained model.
-
-    The fitted filters run over the full series (lags cross the training
-    boundary naturally); the test slice is projected and rank-transformed.
-    """
-    return _test_dependence(model, dataset, _filter_margins(model, dataset))
 
 
 def rolling_forecasts(model: MtsModel, dataset: Dataset, n_pth: int,

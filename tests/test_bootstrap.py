@@ -5,7 +5,7 @@ import pytest
 from scipy import stats
 
 from mtsgen import (BootstrapMixture, EmpiricalCopula, IndependenceCopula,
-                    InputError, QuantileMaps, bootstrap_fit, sample_mixture)
+                    InputError, QuantileMaps, bootstrap_fit)
 
 
 def empirical_fitter(ps):
@@ -21,7 +21,7 @@ class TestBootstrapFit:
     def test_single_component_matches_direct_sampling(self, y_train):
         mix = bootstrap_fit(y_train, 1, empirical_fitter, np.random.default_rng(1))
         assert mix.n_bt == 1
-        u, ids = sample_mixture(mix, 100, np.random.default_rng(2))
+        u, ids = mix.sample_components(100, np.random.default_rng(2))
         assert np.all(ids == 0)
         rows = {tuple(r) for r in mix.components[0].ps.u}
         assert all(tuple(r) in rows for r in u)
@@ -53,7 +53,7 @@ class TestBootstrapFit:
 class TestSampleMixture:
     def test_ids_in_range(self, y_train):
         mix = bootstrap_fit(y_train, 4, empirical_fitter, np.random.default_rng(6))
-        _, ids = sample_mixture(mix, 500, np.random.default_rng(7))
+        _, ids = mix.sample_components(500, np.random.default_rng(7))
         assert ids.min() >= 0 and ids.max() <= 3
 
     def test_selection_frequencies_uniform(self, y_train):
@@ -63,7 +63,7 @@ class TestSampleMixture:
             return IndependenceCopula(ps.d)
 
         mix = bootstrap_fit(y_train, n_bt, counting_fitter, np.random.default_rng(8))
-        _, ids = sample_mixture(mix, 10**5, np.random.default_rng(9))
+        _, ids = mix.sample_components(10**5, np.random.default_rng(9))
         counts = np.bincount(ids, minlength=n_bt)
         expect = 10**5 / n_bt
         sigma = np.sqrt(10**5 * (1 / n_bt) * (1 - 1 / n_bt))
@@ -73,14 +73,14 @@ class TestSampleMixture:
         mix = BootstrapMixture(
             components=[IndependenceCopula(2), IndependenceCopula(2)],
             component_quantiles=[[np.zeros(1)] * 2] * 2, n_bt=2)
-        u, _ = sample_mixture(mix, 10**4, np.random.default_rng(10))
+        u, _ = mix.sample_components(10**4, np.random.default_rng(10))
         for j in range(2):
             assert stats.kstest(u[:, j], "uniform").pvalue > 0.01
 
     def test_deterministic(self, y_train):
         mix = bootstrap_fit(y_train, 3, empirical_fitter, np.random.default_rng(11))
-        a = sample_mixture(mix, 50, np.random.default_rng(12))
-        b = sample_mixture(mix, 50, np.random.default_rng(12))
+        a = mix.sample_components(50, np.random.default_rng(12))
+        b = mix.sample_components(50, np.random.default_rng(12))
         np.testing.assert_array_equal(a[0], b[0])
         np.testing.assert_array_equal(a[1], b[1])
 

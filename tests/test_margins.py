@@ -69,6 +69,15 @@ class TestParams:
         with pytest.raises(InputError):
             garch_params(phi=[1.0])
 
+    @pytest.mark.parametrize("bad", [{"mu": math.nan}, {"omega": math.nan},
+                                     {"omega": math.inf}, {"nu": math.nan},
+                                     {"phi": [math.nan]}, {"gamma": [math.inf]},
+                                     {"alpha": [math.nan]}, {"beta": [math.nan]}])
+    def test_non_finite_rejected(self, bad):
+        # comparisons with NaN are false, so each range check alone lets NaN pass
+        with pytest.raises(InputError, match="finite"):
+            garch_params(**bad)
+
     def test_unconditional_variance(self):
         p = garch_params(omega=0.1, alpha=[0.2], beta=[0.7])
         assert p.uncond_variance == pytest.approx(1.0)

@@ -311,8 +311,17 @@ class TestRollingForecasts:
         assert np.array_equal(paths, expected)
 
 
+def nan_omega(meta, data):
+    meta["margins"][0]["omega"] = float("nan")
+
+
+def u_off_ranks(meta, data):
+    data["dep/u"] = data["dep/u"].copy()
+    data["dep/u"][0, 0] += 1e-3
+
+
 class TestCorruptModelFile:
-    def corrupt(self, model, path, drop_meta=None, drop_array=None):
+    def corrupt(self, model, path, drop_meta=None, drop_array=None, edit=None):
         import json
         save_model(model, path)
         data = dict(np.load(path))
@@ -321,6 +330,8 @@ class TestCorruptModelFile:
             del meta[drop_meta]
         if drop_array:
             del data[drop_array]
+        if edit:
+            edit(meta, data)
         data["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
         with open(path, "wb") as fh:
             np.savez(fh, **data)
@@ -347,8 +358,22 @@ class TestCorruptModelFile:
         with pytest.raises(InputError):
             load_model(path)
 
+    @pytest.mark.parametrize("edit, message", [(nan_omega, "finite"),
+                                               (u_off_ranks, "ranks")],
+                             ids=["nan_omega", "u_off_ranks"])
+    def test_inconsistent_values_are_input_errors(self, pipeline_run, tmp_path,
+                                                  edit, message):
+        # JSON writes the NaN as a bare NaN token, which json.loads reads back
+        _, result = pipeline_run
+        path = tmp_path / "model.npz"
+        self.corrupt(result.model, path, edit=edit)
+        with pytest.raises(InputError, match=message):
+            load_model(path)
+
     @pytest.mark.parametrize("drop", [{"drop_meta": "margins"},
-                                      {"drop_array": "margin1/beta"}])
+                                      {"drop_array": "margin1/beta"},
+                                      {"edit": nan_omega},
+                                      {"edit": u_off_ranks}])
     def test_cli_exit_code(self, pipeline_run, synthetic_csv, tmp_path, drop):
         from mtsgen.cli import main
         _, result = pipeline_run
@@ -638,3 +663,53 @@ class TestLoaderFuzz:
             forecast_paths(model, small_dataset.values, 5, 1, np.random.default_rng(0))
         except MtsgenError:
             pass
+
+
+class TestNonConvergedFit:
+    """A margin whose best start did not converge is kept, with one logged warning."""
+
+    @pytest.fixture
+    def cut_short(self, monkeypatch):
+        from mtsgen import margins
+        monkeypatch.setattr(margins, "_MAXITER", 1)
+
+    def run(self, small_dataset):
+        cfg = PipelineConfig(dependence="empirical", n_pth=40, n_rep=3, seed=90)
+        return run_pipeline(cfg, small_dataset)
+
+    def test_warning_names_each_margin(self, small_dataset, cut_short, caplog):
+        with caplog.at_level("WARNING", logger="mtsgen"):
+            result = self.run(small_dataset)
+        assert not any(m.converged for m in result.model.margins)
+        assert [(r.name, r.levelname) for r in caplog.records] == [("mtsgen.pipeline", "WARNING")] * 3
+        for j, (record, column) in enumerate(zip(caplog.records, small_dataset.columns)):
+            assert record.getMessage().startswith(f"margin {j} ({column}):")
+
+    def test_no_warning_when_converged(self, small_dataset, caplog):
+        with caplog.at_level("WARNING", logger="mtsgen"):
+            result = self.run(small_dataset)
+        assert all(m.converged for m in result.model.margins)
+        assert caplog.records == []
+
+    def test_metrics_do_not_depend_on_logging(self, small_dataset, cut_short, caplog):
+        with caplog.at_level("WARNING", logger="mtsgen"):
+            logged = self.run(small_dataset)
+        with caplog.at_level("CRITICAL", logger="mtsgen"):
+            silent = self.run(small_dataset)
+        assert logged.metrics == silent.metrics
+
+    def test_silent_by_default(self, tmp_path):
+        script = (
+            "import numpy as np\n"
+            "from mtsgen import PipelineConfig, fit_mts, margins\n"
+            "from mtsgen.pipeline import Dataset\n"
+            "margins._MAXITER = 1\n"
+            "x = np.random.default_rng(0).standard_normal((80, 2))\n"
+            "ds = Dataset(name='s', times=list(range(80)), values=x,\n"
+            "             columns=['a', 'b'], transform='none', tau=60)\n"
+            "model = fit_mts(PipelineConfig(), ds)\n"
+            "print(sum(not m.converged for m in model.margins))\n")
+        r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout == "2\n"
+        assert r.stderr == ""

@@ -1,0 +1,130 @@
+"""Inverse margins by lookup on the rank grid equal the per-draw quantiles, bit for bit."""
+
+import numpy as np
+import pytest
+
+from mtsgen import (ArmaGarchParams, EmpiricalCopula, GmmnCopula, InputError,
+                    PipelineConfig, PseudoSample, forecast_paths, load_model,
+                    save_model)
+from mtsgen import forecast as forecast_module
+from mtsgen.datagen import GaussianCopulaSampler, equicorrelation, simulate_mts
+from mtsgen.dependence import DependenceModel
+from mtsgen.pipeline import Dataset, fit_mts, rolling_forecasts
+
+KINDS = {
+    "gmmn": {"dependence": "gmmn", "gmmn_n_epo": 3, "gmmn_hidden_dims": (8,)},
+    "empirical": {"dependence": "empirical"},
+}
+ON_GRID = (GmmnCopula, EmpiricalCopula)
+
+
+def dataset(n_test=20):
+    params = ArmaGarchParams(mu=0.0, phi=[0.2], gamma=[0.0], omega=0.05,
+                             alpha=[0.1], beta=[0.8], nu=6.0)
+    x = simulate_mts([params] * 3, GaussianCopulaSampler(equicorrelation(3, 0.6)),
+                     110 + n_test, np.random.default_rng(80))
+    return Dataset(name="g", times=list(range(len(x))), values=x,
+                   columns=["a", "b", "c"], transform="none", tau=110)
+
+
+@pytest.fixture(scope="module")
+def data():
+    return dataset()
+
+
+@pytest.fixture(scope="module", params=[(k, pca) for k in sorted(KINDS) for pca in (False, True)],
+                ids=lambda p: f"{p[0]}-{'pca' if p[1] else 'no_pca'}")
+def model(request, data):
+    kind, pca = request.param
+    m = fit_mts(PipelineConfig(pca_enabled=pca, pca_k_min=1, seed=81, **KINDS[kind]), data)
+    assert m.quantile_maps.mode == ("empirical" if pca else "scaled_t")
+    return m
+
+
+@pytest.fixture
+def per_draw(monkeypatch):
+    """Switches the rank-grid models back to the default `quantile_maps(sample(n, rng))`."""
+    def switch():
+        for cls in ON_GRID:
+            monkeypatch.setattr(cls, "sample_quantiles", DependenceModel.sample_quantiles)
+    return switch
+
+
+class TestSampleQuantiles:
+    @pytest.mark.parametrize("n", [1, 57, 57, 200])
+    def test_equals_quantiles_of_sample(self, model, n):
+        dep, qm = model.dependence, model.quantile_maps
+        got = dep.sample_quantiles(n, np.random.default_rng(n), qm)
+        want = qm(dep.sample(n, np.random.default_rng(n)))
+        assert np.array_equal(got, want)
+
+    def test_forecast_paths_equal_per_draw_paths(self, model, data, per_draw):
+        got = forecast_paths(model, data.values, 40, 3, np.random.default_rng(82))
+        per_draw()
+        want = forecast_paths(model, data.values, 40, 3, np.random.default_rng(82))
+        assert np.array_equal(got.values, want.values)
+
+    def test_rolling_paths_equal_per_draw_paths(self, model, data, per_draw):
+        # spawning children advances a SeedSequence, so each run gets a fresh one
+        got = rolling_forecasts(model, data, 30, np.random.SeedSequence(83))
+        per_draw()
+        assert np.array_equal(got, rolling_forecasts(model, data, 30, np.random.SeedSequence(83)))
+
+    def test_rolling_paths_survive_round_trip(self, model, data, tmp_path):
+        path = tmp_path / "model.npz"
+        save_model(model, path)
+        assert np.array_equal(rolling_forecasts(model, data, 30, np.random.SeedSequence(84)),
+                              rolling_forecasts(load_model(path), data, 30,
+                                                np.random.SeedSequence(84)))
+
+
+class TestGridTable:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counted = []
+
+        def counting(p, nu):
+            counted.append(np.shape(p))
+            return quantile(p, nu)
+
+        quantile = forecast_module.scaled_t_quantile
+        monkeypatch.setattr(forecast_module, "scaled_t_quantile", counting)
+        return counted
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_one_table_per_margin_per_grid(self, data, calls, kind):
+        model = fit_mts(PipelineConfig(seed=85, **KINDS[kind]), data)
+        paths = rolling_forecasts(model, data, 25, np.random.SeedSequence(86))
+        assert paths.shape[0] == 20
+        # the grid is the draw size for the GMMN, the training sample for resampling
+        grid = 25 if kind == "gmmn" else data.tau
+        assert calls == [(grid,)] * data.d
+
+    def test_one_slot_cache(self, data):
+        model = fit_mts(PipelineConfig(seed=87, **KINDS["gmmn"]), data)
+        dep, qm = model.dependence, model.quantile_maps
+        for n in (50, 80):
+            dep.sample_quantiles(n, np.random.default_rng(n), qm)
+        n, table = qm._grid
+        assert n == 80 and table.shape == (80, data.d)
+        assert np.array_equal(table, qm(np.arange(1, 81)[:, None] / 81.0 + np.zeros(data.d)))
+
+
+class TestEmpiricalPseudoSample:
+    def ps(self):
+        ranks = np.array([[1, 3], [3, 1], [2, 2]])
+        return PseudoSample(u=ranks / 4.0, ranks=ranks)
+
+    def test_consistent_sample_accepted(self):
+        assert EmpiricalCopula(self.ps()).d == 2
+
+    @pytest.mark.parametrize("edit", [
+        lambda ps: PseudoSample(u=ps.u * 0.5, ranks=ps.ranks),
+        lambda ps: PseudoSample(u=ps.u, ranks=ps.ranks.astype(float)),
+        lambda ps: PseudoSample(u=ps.u[:2], ranks=ps.ranks),
+        lambda ps: PseudoSample(u=ps.u - 0.25, ranks=ps.ranks - 1),
+        lambda ps: PseudoSample(u=ps.u[:, 0], ranks=ps.ranks[:, 0]),
+    ], ids=["u_off_grid", "float_ranks", "shape", "rank_zero", "one_dim"])
+    def test_inconsistent_sample_rejected(self, edit):
+        with pytest.raises(InputError):
+            EmpiricalCopula(edit(self.ps()))
