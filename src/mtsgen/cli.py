@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import logging
 import sys
 
 import numpy as np
@@ -140,6 +141,12 @@ def _add_common(p, need_model=False):
     p.add_argument("--epochs", type=int)
     if need_model:
         p.add_argument("--model", help="fitted model container (.npz)")
+    _add_verbose(p)
+
+
+def _add_verbose(p):
+    p.add_argument("-v", "--verbose", action="count", default=0,
+                   help="log to stderr: -v for INFO, -vv for DEBUG")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -172,6 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="merge metrics tables into one report")
     p.add_argument("metrics", nargs="+", help="metrics CSV files")
     p.add_argument("--out")
+    _add_verbose(p)
     p.set_defaults(func=cmd_report)
 
     return parser
@@ -180,6 +188,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    logger = logging.getLogger("mtsgen")
+    level = logger.level
+    handler = None
+    if args.verbose:
+        handler = logging.StreamHandler(sys.stderr)
+        handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+        logger.addHandler(handler)
+        logger.setLevel(logging.INFO if args.verbose == 1 else logging.DEBUG)
     try:
         return args.func(args)
     except NumericalError as exc:
@@ -188,6 +204,10 @@ def main(argv=None) -> int:
     except (InputError, MtsgenError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if handler is not None:
+            logger.removeHandler(handler)
+            logger.setLevel(level)
 
 
 if __name__ == "__main__":

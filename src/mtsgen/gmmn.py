@@ -10,6 +10,11 @@ backpropagation and parameters updated with Adam.
 
 from __future__ import annotations
 
+import logging
+import os
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +37,8 @@ __all__ = [
     "sample_gmmn",
     "GmmnCopula",
 ]
+
+_log = logging.getLogger(__name__)
 
 TRAIN_BANDWIDTHS = (0.001, 0.01, 0.15, 0.25, 0.50, 0.75)
 TEST_BANDWIDTHS = (0.1, 0.3, 0.5, 0.7, 0.9)
@@ -305,38 +312,106 @@ def nn_forward(model: GmmnModel, v, train: bool = False,
 # loss and gradient
 # ---------------------------------------------------------------------------
 
+# Kernel entries per tile of the MMD step.  A tile of b generated rows holds
+# b x max(n, m) kernel entries, so one worker's buffers stay in cache and the
+# step's memory does not grow with the square of the sample size.
+_TILE = 2**16
+# one worker per CPU this process may run on
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def _executor() -> ThreadPoolExecutor:
+    """The tile workers' thread pool, started on first use."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(max_workers=_WORKERS, thread_name_prefix="mtsgen-mmd")
+        return _pool
+
+
+def _forget_pool() -> None:
+    # a forked child inherits the pool object but none of its threads
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _mmd_tile(u: np.ndarray, g: np.ndarray, i0: int, i1: int, spec: KernelSpec,
+              bufs: tuple, grad: np.ndarray, sums: np.ndarray) -> None:
+    """Gradient rows i0:i1 into grad, and this tile's kernel sums into sums.
+
+    sums[0, j] and sums[1, j] receive the sums of the generated-vs-generated
+    and of the target-vs-generated kernel block at bandwidth j.
+    """
+    n, m = u.shape[0], g.shape[0]
+    kern, d_vv, d_uv = bufs
+    g_b = g[i0:i1]
+    b = i1 - i0
+    nd2_vv = cdist(g_b, g, "sqeuclidean", out=d_vv[:b * m].reshape(b, m))
+    nd2_uv = cdist(u, g_b, "sqeuclidean", out=d_uv[:n * b].reshape(n, b))
+    np.negative(nd2_vv, out=nd2_vv)
+    np.negative(nd2_uv, out=nd2_uv)
+    grad_b = grad[i0:i1]
+    for j, s in enumerate(spec.bandwidths):
+        inv = 1.0 / (s * s)
+        # d/dg of the generated-vs-generated double sum
+        k_vv = kern(nd2_vv, s)
+        sums[0, j] = k_vv.sum()
+        grad_b -= (2.0 / (m * m)) * inv * (k_vv.sum(axis=1)[:, None] * g_b - k_vv @ g)
+        # d/dg of the cross double sum (enters the loss with factor -2)
+        k_uv = kern(nd2_uv, s)
+        sums[1, j] = k_uv.sum()
+        grad_b += (2.0 / (n * m)) * inv * (k_uv.sum(axis=0)[:, None] * g_b - k_uv.T @ u)
+
+
 def _mmd_grad_wrt_output(u: np.ndarray, g: np.ndarray, spec: KernelSpec,
                          uu_term: float | None = None):
     """Squared-MMD value and its gradient with respect to the generated rows g.
 
-    All kernel matrices share one buffer.  Kernel entries whose exponent lies
-    below -746 are set to exactly 0.0 without calling exp, which rounds them
-    to 0.0 too, so the result is bit for bit that of a plain np.exp.
+    The work runs over tiles of b = _TILE // max(n, m) generated rows, at
+    most m, spread over _WORKERS threads.  A tile holds one block of each
+    kernel matrix, so the step needs O(_WORKERS * _TILE) memory besides
+    its inputs and output.  Each worker owns its kernel and distance
+    buffers, which are allocated here, on the calling thread.  The kernel
+    sums are reduced here too, in tile order, so the result depends on n,
+    m and _TILE but not on the number of workers.  With a single tile the
+    result is bit for bit that of the full kernel matrices, one bandwidth
+    at a time.  Kernel entries whose exponent lies below -746 are set to
+    exactly 0.0 without calling exp, which rounds them to 0.0 too.
     """
     n, m = u.shape[0], g.shape[0]
-    nd2_vv = cdist(g, g, "sqeuclidean")
-    nd2_uv = cdist(u, g, "sqeuclidean")
-    np.negative(nd2_vv, out=nd2_vv)
-    np.negative(nd2_uv, out=nd2_uv)
     if uu_term is None:
         uu_term = _mix_mean(u, u, spec)
-    kern = _GaussKernel(max(n, m) * m)
-    sq = uu_term
+    b = max(1, min(m, _TILE // max(n, m)))
+    tiles = [(i0, min(i0 + b, m)) for i0 in range(0, m, b)]
+    sums = np.empty((len(tiles), 2, len(spec.bandwidths)))
     grad = np.zeros_like(g)
+    n_tasks = min(_WORKERS, len(tiles))
+    bufs = [(_GaussKernel(max(n, m) * b), np.empty(b * m), np.empty(n * b))
+            for _ in range(n_tasks)]
+
+    def run(w):
+        for t in range(w, len(tiles), n_tasks):
+            _mmd_tile(u, g, *tiles[t], spec, bufs[w], grad, sums[t])
+
+    if n_tasks == 1:
+        run(0)
+    else:
+        for f in [_executor().submit(run, w) for w in range(n_tasks)]:
+            f.result()
     vv_mean = 0.0
     uv_mean = 0.0
-    for s in spec.bandwidths:
-        inv = 1.0 / (s * s)
-        # d/dg of the generated-vs-generated double sum
-        k_vv = kern(nd2_vv, s)
-        vv_mean += k_vv.mean()
-        grad -= (2.0 / (m * m)) * inv * (k_vv.sum(axis=1)[:, None] * g - k_vv @ g)
-        # d/dg of the cross double sum (enters the loss with factor -2)
-        k_uv = kern(nd2_uv, s)
-        uv_mean += k_uv.mean()
-        grad += (2.0 / (n * m)) * inv * (k_uv.sum(axis=0)[:, None] * g - k_uv.T @ u)
-    sq += vv_mean - 2.0 * uv_mean
-    return sq, grad
+    for vv, uv in sums:
+        for j in range(len(spec.bandwidths)):
+            vv_mean += vv[j] / (m * m)
+            uv_mean += uv[j] / (n * m)
+    return uu_term + (vv_mean - 2.0 * uv_mean), grad
 
 
 def mmd_loss_and_grad(model: GmmnModel, u_batch, v_batch, spec: KernelSpec,
@@ -460,9 +535,11 @@ def train_gmmn(u_train, cfg: TrainConfig) -> GmmnModel:
     prior draws into batches and applies one Adam step per batch.  All
     randomness (init, prior, partitions, dropout masks) derives from
     cfg.seed, so runs are bit-reproducible.  A non-finite loss or gradient
-    raises NumericalError at the step where it appears.
+    raises NumericalError at the step where it appears.  When training ends,
+    one DEBUG record on the `mtsgen.gmmn` logger summarizes the loss path
+    and the median step time.
     """
-    u = u_train.u if hasattr(u_train, "u") else np.asarray(u_train, dtype=float)
+    u = np.asarray(u_train, dtype=float)
     tau, d_star = u.shape
     n_bat = cfg.n_bat if cfg.n_bat is not None else tau
     if n_bat < 2:
@@ -486,6 +563,7 @@ def train_gmmn(u_train, cfg: TrainConfig) -> GmmnModel:
     theta = flatten_theta(model)
     adam = AdamState.zeros(theta.size)
     losses = np.empty(n_steps_total)
+    step_s = np.empty(n_steps_total)
     full_batch = n_bat == tau
     uu_term = _mix_mean(u, u, cfg.kernel) if full_batch else None
 
@@ -494,6 +572,7 @@ def train_gmmn(u_train, cfg: TrainConfig) -> GmmnModel:
         perm_u = shuffle_rng.permutation(tau)
         perm_v = shuffle_rng.permutation(tau)
         for b in range(tau // n_bat):
+            t0 = time.perf_counter()
             sl = slice(b * n_bat, (b + 1) * n_bat)
             u_b = u[perm_u[sl]]
             v_b = prior[perm_v[sl]]
@@ -507,9 +586,16 @@ def train_gmmn(u_train, cfg: TrainConfig) -> GmmnModel:
             adam, theta = adam_step(adam, grad, theta)
             set_theta(model, theta)
             losses[step] = loss
+            step_s[step] = time.perf_counter() - t0
             step += 1
 
     model.train_loss = losses
+    if n_steps_total > 0:
+        best = int(np.argmin(losses))
+        _log.debug("GMMN training: %d steps, loss first %.6g, min %.6g at epoch %d, "
+                   "last %.6g; median step %.2f ms",
+                   n_steps_total, losses[0], losses[best], best // (tau // n_bat) + 1,
+                   losses[-1], 1000.0 * np.median(step_s))
     return model
 
 

@@ -245,7 +245,7 @@ def _dependence_fitter(cfg: PipelineConfig, seed_seq: np.random.SeedSequence):
         tc = TrainConfig(n_epo=cfg.gmmn_n_epo, n_bat=cfg.gmmn_n_bat,
                          hidden_dims=cfg.gmmn_hidden_dims,
                          dropout_rate=cfg.gmmn_dropout, seed=seed)
-        return GmmnCopula(train_gmmn(ps, tc))
+        return GmmnCopula(train_gmmn(ps.u, tc))
 
     return fit
 

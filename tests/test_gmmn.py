@@ -1,5 +1,7 @@
 """Generative network tests: kernels, MMD, forward pass, gradients, Adam, training."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -512,3 +514,83 @@ class TestNonFiniteTraining:
         u = pseudo_observations(np.random.default_rng(51).standard_normal((20, 2))).u
         with pytest.raises(NumericalError, match="epoch 1, step 1"):
             train_gmmn(u, TrainConfig(n_epo=2, n_bat=10, hidden_dims=(4,), seed=0))
+
+
+FORK_INPUTS = (*np.random.default_rng(65).random((2, 400, 3)), KernelSpec.for_training())
+
+
+def _tiled_sq():
+    return _mmd_grad_wrt_output(*FORK_INPUTS)[0]
+
+
+class TestTiledStep:
+    """The step over row tiles: oracle agreement, worker independence, bounded memory."""
+
+    @pytest.mark.parametrize("n, m", [(700, 700), (700, 1400), (1400, 700), (333, 517)])
+    def test_multi_tile_matches_oracle(self, n, m):
+        assert m * max(n, m) > gmmn._TILE
+        rng = np.random.default_rng(n + m)
+        u, g = rng.random((n, 5)), rng.random((m, 5))
+        spec = KernelSpec.for_training()
+        sq, grad = _mmd_grad_wrt_output(u, g, spec)
+        sq_ref, grad_ref = oracle_mmd_grad_wrt_output(u, g, spec)
+        assert abs(sq - sq_ref) <= 1e-13 * abs(sq_ref)
+        assert np.abs(grad - grad_ref).max() <= 1e-12 * np.abs(grad_ref).max()
+
+    @pytest.mark.parametrize("n, m", [(700, 700), (333, 517)])
+    def test_step_independent_of_workers(self, n, m, monkeypatch):
+        rng = np.random.default_rng(n * m)
+        u, g = rng.random((n, 5)), rng.random((m, 5))
+        spec = KernelSpec.for_training()
+        results = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(gmmn, "_WORKERS", workers)
+            results.append(_mmd_grad_wrt_output(u, g, spec))
+        for sq, grad in results[1:]:
+            assert np.array_equal(sq, results[0][0])
+            assert np.array_equal(grad, results[0][1])
+
+    def test_training_independent_of_workers(self, monkeypatch):
+        cop = GaussianCopulaSampler(equicorrelation(3, 0.6))
+        u = pseudo_observations(cop.sample(300, np.random.default_rng(60))).u
+        cfg = TrainConfig(n_epo=3, hidden_dims=(8,), seed=61)
+        models = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(gmmn, "_WORKERS", workers)
+            models.append(train_gmmn(u, cfg))
+        for model in models[1:]:
+            assert np.array_equal(model.train_loss, models[0].train_loss)
+            assert np.array_equal(flatten_theta(model), flatten_theta(models[0]))
+
+    def test_full_batch_training_tracks_oracle(self, monkeypatch):
+        cop = GaussianCopulaSampler(equicorrelation(5, 0.5))
+        u = pseudo_observations(cop.sample(700, np.random.default_rng(62))).u
+        cfg = TrainConfig(n_epo=100, hidden_dims=(100,), seed=63)
+        model = train_gmmn(u, cfg)
+        monkeypatch.setattr(gmmn, "_mmd_grad_wrt_output", oracle_mmd_grad_wrt_output)
+        ref = oracle_train_gmmn(u, cfg)
+        rel = np.abs(model.train_loss - ref.train_loss) / ref.train_loss
+        assert rel.max() <= 1e-12
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_forked_child_runs_the_step(self, monkeypatch):
+        import multiprocessing
+        monkeypatch.setattr(gmmn, "_WORKERS", 2)
+        u, g, spec = FORK_INPUTS
+        sq, _ = _mmd_grad_wrt_output(u, g, spec)
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            assert pool.apply_async(_tiled_sq).get(timeout=60) == sq
+
+    def test_memory_bounded_by_tiles(self, monkeypatch):
+        import tracemalloc
+        monkeypatch.setattr(gmmn, "_WORKERS", 2)
+        tau = 2000
+        rng = np.random.default_rng(64)
+        u, g = rng.random((tau, 5)), rng.random((tau, 5))
+        tracemalloc.start()
+        try:
+            _mmd_grad_wrt_output(u, g, KernelSpec.for_training(), uu_term=1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2 * gmmn._TILE * 8

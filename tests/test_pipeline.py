@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import logging
 import subprocess
 import sys
 
@@ -713,3 +714,52 @@ class TestNonConvergedFit:
         assert r.returncode == 0, r.stderr
         assert r.stdout == "2\n"
         assert r.stderr == ""
+
+
+class TestVerbose:
+    """-v/-vv send the `mtsgen` log to stderr for one CLI call; silent otherwise."""
+
+    def run_main(self, capsys, *args):
+        from mtsgen import cli
+        logger = logging.getLogger("mtsgen")
+        handlers, level = list(logger.handlers), logger.level
+        code = cli.main(list(args))
+        assert (logger.handlers, logger.level) == (handlers, level)
+        return code, capsys.readouterr().err
+
+    def gmmn_args(self, command, synthetic_csv, out, *extra):
+        return (command, "--data", synthetic_csv, "--seed", "3", "--tau", "200",
+                "--dependence", "gmmn", "--epochs", "4", "--out", str(out), *extra)
+
+    def test_debug_prints_training_summary(self, synthetic_csv, tmp_path, capsys):
+        code, err = self.run_main(capsys, *self.gmmn_args("fit", synthetic_csv,
+                                                          tmp_path / "m.npz"), "-vv")
+        assert code == 0
+        assert "DEBUG mtsgen.gmmn: GMMN training: 4 steps, loss first" in err
+        code, err = self.run_main(capsys, *self.gmmn_args("fit", synthetic_csv,
+                                                          tmp_path / "m.npz"), "-v")
+        assert code == 0 and "GMMN training" not in err
+        code, err = self.run_main(capsys, *self.gmmn_args("fit", synthetic_csv,
+                                                          tmp_path / "m.npz"))
+        assert code == 0 and err == ""
+
+    def test_metrics_identical_with_logging(self, synthetic_csv, tmp_path, capsys):
+        quiet, loud = tmp_path / "quiet.csv", tmp_path / "loud.csv"
+        extra = ("--n-pth", "50", "--n-rep", "3")
+        assert self.run_main(capsys, *self.gmmn_args("assess", synthetic_csv, quiet,
+                                                     *extra))[0] == 0
+        code, err = self.run_main(capsys, *self.gmmn_args("assess", synthetic_csv, loud,
+                                                          *extra, "-vv"))
+        assert code == 0 and "GMMN training" in err
+        assert quiet.read_bytes() == loud.read_bytes()
+
+    def test_every_subcommand_takes_the_flag(self):
+        from mtsgen import cli
+        parser = cli.build_parser()
+        for args in (["fit", "--data", "x", "--seed", "1", "--out", "o"],
+                     ["bootstrap", "--data", "x", "--seed", "1", "--n-bt", "2", "--out", "o"],
+                     ["forecast", "--data", "x", "--seed", "1", "--out", "o"],
+                     ["assess", "--data", "x", "--seed", "1", "--out", "o"],
+                     ["report", "m.csv"]):
+            assert parser.parse_args(args + ["-vv"]).verbose == 2
+            assert parser.parse_args(args).verbose == 0
