@@ -27,8 +27,6 @@ class BootstrapMixture(DependenceModel):
     component_quantiles: list   # one list of sorted per-column tables per replicate
     n_bt: int
 
-    kind = "bootstrap_mixture"
-
     def __post_init__(self):
         if self.n_bt < 1 or len(self.components) != self.n_bt:
             raise InputError("mixture needs n_bt >= 1 fitted components")

@@ -27,8 +27,6 @@ def equicorrelation(d: int, rho: float) -> np.ndarray:
 class GaussianCopulaSampler(DependenceModel):
     """Samples from the copula of a multivariate normal with given correlation."""
 
-    kind = "gaussian"
-
     def __init__(self, corr: np.ndarray):
         corr = np.asarray(corr, dtype=float)
         if corr.ndim != 2 or corr.shape[0] != corr.shape[1]:

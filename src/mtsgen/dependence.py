@@ -87,8 +87,6 @@ class DependenceModel:
 class EmpiricalCopula(DependenceModel):
     """Resampling with replacement from a fixed pseudo-observation sample."""
 
-    kind = "empirical"
-
     def __init__(self, ps: PseudoSample):
         # the lookup on the rank grid reads ranks, `sample` reads u
         ranks = np.asarray(ps.ranks)
@@ -117,8 +115,6 @@ class EmpiricalBetaCopula(DependenceModel):
     uniforms, i.e. Beta(R_{t,j}, n + 1 - R_{t,j}).
     """
 
-    kind = "empirical_beta"
-
     def __init__(self, ranks: np.ndarray, n: int):
         ranks = np.asarray(ranks)
         if ranks.min() < 1 or ranks.max() > n:
@@ -138,8 +134,6 @@ class EmpiricalBetaCopula(DependenceModel):
 
 class IndependenceCopula(DependenceModel):
     """iid uniform coordinates; the simplest benchmark dependence model."""
-
-    kind = "independence"
 
     def __init__(self, d: int):
         self.d = int(d)

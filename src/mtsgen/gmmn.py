@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import logging
 import os
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -150,6 +149,27 @@ def mmd(a, b, spec: KernelSpec, *, aa_term: float | None = None) -> float:
 # network model
 # ---------------------------------------------------------------------------
 
+def _views(flat: np.ndarray, layer_dims) -> tuple:
+    """Weights, biases, BN scales and BN shifts as lists of views into flat.
+
+    This is the one definition of the parameter layout: layer by layer, the
+    weight matrix (row-major), the bias and, for a hidden layer, its BN
+    scale and shift.
+    """
+    weights, biases, bn_scale, bn_shift = [], [], [], []
+    i = 0
+    for l, (d_prev, d_cur) in enumerate(zip(layer_dims[:-1], layer_dims[1:])):
+        weights.append(flat[i:i + d_cur * d_prev].reshape(d_cur, d_prev))
+        i += d_cur * d_prev
+        biases.append(flat[i:i + d_cur]); i += d_cur
+        if l < len(layer_dims) - 2:
+            bn_scale.append(flat[i:i + d_cur]); i += d_cur
+            bn_shift.append(flat[i:i + d_cur]); i += d_cur
+    if i != flat.size:
+        raise InputError("theta length does not match model shape")
+    return weights, biases, bn_scale, bn_shift
+
+
 @dataclass
 class GmmnModel:
     """Feedforward generator with per-hidden-layer batch normalization.
@@ -157,7 +177,10 @@ class GmmnModel:
     `layer_dims` runs input -> hidden ... -> output; `bn_mean`/`bn_var` are
     running statistics used at inference time, updated with `bn_momentum`
     during training.  The prior is independent standard normal of dimension
-    `layer_dims[0]`.
+    `layer_dims[0]`.  The trainable parameters live in one vector, `theta`:
+    the arrays passed as `weights`, `biases`, `bn_scale` and `bn_shift` are
+    copied into it, and those lists then hold views into `theta`, so a
+    write through either is seen by both.
     """
 
     layer_dims: tuple
@@ -173,6 +196,18 @@ class GmmnModel:
     seed: int | None = None
     kernel: KernelSpec = field(default_factory=KernelSpec.for_training)
     train_loss: np.ndarray | None = None
+    theta: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        given = (self.weights, self.biases, self.bn_scale, self.bn_shift)
+        self.theta = np.empty(sum(np.size(a) for part in given for a in part))
+        views = _views(self.theta, self.layer_dims)
+        for part, dst in zip(given, views):
+            if [np.shape(a) for a in part] != [v.shape for v in dst]:
+                raise InputError(f"parameter shapes do not match layer_dims {self.layer_dims}")
+            for a, v in zip(part, dst):
+                v[...] = a
+        self.weights, self.biases, self.bn_scale, self.bn_shift = views
 
     @property
     def n_hidden(self) -> int:
@@ -215,33 +250,16 @@ def glorot_init(layer_dims, rng: np.random.Generator, dropout_rate: float = 0.5,
 
 
 def flatten_theta(model: GmmnModel) -> np.ndarray:
-    """Trainable parameters (weights, biases, BN scale/shift) as one vector."""
-    parts = []
-    for l in range(len(model.weights)):
-        parts.append(model.weights[l].ravel())
-        parts.append(model.biases[l])
-        if l < model.n_hidden:
-            parts.append(model.bn_scale[l])
-            parts.append(model.bn_shift[l])
-    return np.concatenate(parts)
+    """A copy of the trainable parameters (weights, biases, BN scale/shift)."""
+    return model.theta.copy()
 
 
 def set_theta(model: GmmnModel, theta: np.ndarray) -> None:
-    """Write a flattened parameter vector back into the model, in place."""
-    i = 0
-    for l in range(len(model.weights)):
-        w = model.weights[l]
-        model.weights[l] = theta[i:i + w.size].reshape(w.shape).copy()
-        i += w.size
-        b = model.biases[l]
-        model.biases[l] = theta[i:i + b.size].copy()
-        i += b.size
-        if l < model.n_hidden:
-            h = model.bn_scale[l].size
-            model.bn_scale[l] = theta[i:i + h].copy(); i += h
-            model.bn_shift[l] = theta[i:i + h].copy(); i += h
-    if i != theta.size:
+    """Write a flattened parameter vector into the model's `theta`, in place."""
+    theta = np.asarray(theta, dtype=float)
+    if theta.shape != model.theta.shape:
         raise InputError("theta length does not match model shape")
+    model.theta[...] = theta
 
 
 def _sigmoid(x):
@@ -319,27 +337,6 @@ _TILE = 2**16
 # one worker per CPU this process may run on
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-_pool: ThreadPoolExecutor | None = None
-_pool_lock = threading.Lock()
-
-
-def _executor() -> ThreadPoolExecutor:
-    """The tile workers' thread pool, started on first use."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(max_workers=_WORKERS, thread_name_prefix="mtsgen-mmd")
-        return _pool
-
-
-def _forget_pool() -> None:
-    # a forked child inherits the pool object but none of its threads
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def _mmd_tile(u: np.ndarray, g: np.ndarray, i0: int, i1: int, spec: KernelSpec,
@@ -375,10 +372,13 @@ def _mmd_grad_wrt_output(u: np.ndarray, g: np.ndarray, spec: KernelSpec,
     """Squared-MMD value and its gradient with respect to the generated rows g.
 
     The work runs over tiles of b = _TILE // max(n, m) generated rows, at
-    most m, spread over _WORKERS threads.  A tile holds one block of each
-    kernel matrix, so the step needs O(_WORKERS * _TILE) memory besides
-    its inputs and output.  Each worker owns its kernel and distance
-    buffers, which are allocated here, on the calling thread.  The kernel
+    most m, dealt round-robin to at most _WORKERS tasks.  The calling
+    thread runs the first task; with more than one tile, threads started
+    for this call run the others and are joined before it returns, so no
+    thread outlives the call.  A tile holds one block of each kernel
+    matrix, so the step needs O(_WORKERS * _TILE) memory besides its
+    inputs and output.  Each task owns its kernel and distance buffers,
+    which are allocated here, on the calling thread.  The kernel
     sums are reduced here too, in tile order, so the result depends on n,
     m and _TILE but not on the number of workers.  With a single tile the
     result is bit for bit that of the full kernel matrices, one bandwidth
@@ -403,8 +403,11 @@ def _mmd_grad_wrt_output(u: np.ndarray, g: np.ndarray, spec: KernelSpec,
     if n_tasks == 1:
         run(0)
     else:
-        for f in [_executor().submit(run, w) for w in range(n_tasks)]:
-            f.result()
+        with ThreadPoolExecutor(n_tasks - 1, thread_name_prefix="mtsgen-mmd") as pool:
+            futures = [pool.submit(run, w) for w in range(1, n_tasks)]
+            run(0)
+            for f in futures:
+                f.result()
     vv_mean = 0.0
     uv_mean = 0.0
     for vv, uv in sums:
@@ -435,20 +438,18 @@ def mmd_loss_and_grad(model: GmmnModel, u_batch, v_batch, spec: KernelSpec,
 
     sq, d_g = _mmd_grad_wrt_output(u, g, spec, uu_term=uu_term)
     loss = float(np.sqrt(max(sq, 0.0)))
+    grad = np.zeros_like(model.theta)
     if sq <= 0.0:
-        return loss, np.zeros(flatten_theta(model).size)
+        return loss, grad
     d_g = d_g / (2.0 * max(loss, 1e-12))
+    grads_w, grads_b, grads_scale, grads_shift = _views(grad, model.layer_dims)
 
     # backprop: output layer
     out_cache = caches[-1]
     out = out_cache["out"]
     ds = d_g * out * (1.0 - out)
-    grads_w = [None] * len(model.weights)
-    grads_b = [None] * len(model.weights)
-    grads_scale = [None] * model.n_hidden
-    grads_shift = [None] * model.n_hidden
-    grads_w[-1] = ds.T @ out_cache["a_prev"]
-    grads_b[-1] = ds.sum(axis=0)
+    grads_w[-1][...] = ds.T @ out_cache["a_prev"]
+    grads_b[-1][...] = ds.sum(axis=0)
     da = ds @ model.weights[-1]
 
     n_rows = v.shape[0]
@@ -457,26 +458,18 @@ def mmd_loss_and_grad(model: GmmnModel, u_batch, v_batch, spec: KernelSpec,
         if c["mask"] is not None:
             da = da * c["mask"]
         dy = da * (c["y"] > 0.0)
-        grads_scale[l] = (dy * c["xhat"]).sum(axis=0)
-        grads_shift[l] = dy.sum(axis=0)
+        grads_scale[l][...] = (dy * c["xhat"]).sum(axis=0)
+        grads_shift[l][...] = dy.sum(axis=0)
         dxhat = dy * model.bn_scale[l]
         s_cent = c["s"] - c["mu_b"]
         istd = c["istd"]
         dvar = (dxhat * s_cent).sum(axis=0) * (-0.5) * istd**3
         dmu = -(dxhat.sum(axis=0)) * istd + dvar * (-2.0 / n_rows) * s_cent.sum(axis=0)
         ds = dxhat * istd + dvar * (2.0 / n_rows) * s_cent + dmu / n_rows
-        grads_w[l] = ds.T @ c["a_prev"]
-        grads_b[l] = ds.sum(axis=0)
+        grads_w[l][...] = ds.T @ c["a_prev"]
+        grads_b[l][...] = ds.sum(axis=0)
         da = ds @ model.weights[l]
-
-    parts = []
-    for l in range(len(model.weights)):
-        parts.append(grads_w[l].ravel())
-        parts.append(grads_b[l])
-        if l < model.n_hidden:
-            parts.append(grads_scale[l])
-            parts.append(grads_shift[l])
-    return loss, np.concatenate(parts)
+    return loss, grad
 
 
 # ---------------------------------------------------------------------------
@@ -526,6 +519,16 @@ class TrainConfig:
     kernel: KernelSpec = field(default_factory=KernelSpec.for_training)
     seed: int = 0
 
+    def __post_init__(self):
+        if self.n_epo < 1:
+            raise ConfigError(f"n_epo={self.n_epo} must be at least 1")
+        if self.n_bat is not None and self.n_bat < 2:
+            raise ConfigError(f"n_bat={self.n_bat} must be at least 2")
+        if len(self.hidden_dims) == 0 or any(h < 1 for h in self.hidden_dims):
+            raise ConfigError("hidden_dims must be a nonempty list of positive sizes")
+        if not 0.0 <= self.dropout_rate < 1.0:
+            raise ConfigError(f"dropout_rate={self.dropout_rate} must lie in [0, 1)")
+
 
 def train_gmmn(u_train, cfg: TrainConfig) -> GmmnModel:
     """Fit the generator to a pseudo-observation sample.
@@ -541,9 +544,9 @@ def train_gmmn(u_train, cfg: TrainConfig) -> GmmnModel:
     """
     u = np.asarray(u_train, dtype=float)
     tau, d_star = u.shape
+    if tau < 2:
+        raise InputError(f"training needs at least 2 rows, got {tau}")
     n_bat = cfg.n_bat if cfg.n_bat is not None else tau
-    if n_bat < 2:
-        raise ConfigError("batch size must be at least 2")
     if tau % n_bat != 0:
         raise ConfigError(f"batch size {n_bat} does not divide sample size {tau}")
 
@@ -560,8 +563,7 @@ def train_gmmn(u_train, cfg: TrainConfig) -> GmmnModel:
                         kernel=cfg.kernel, seed=cfg.seed)
     prior = prior_rng.standard_normal((tau, d_star))
 
-    theta = flatten_theta(model)
-    adam = AdamState.zeros(theta.size)
+    adam = AdamState.zeros(model.theta.size)
     losses = np.empty(n_steps_total)
     step_s = np.empty(n_steps_total)
     full_batch = n_bat == tau
@@ -583,19 +585,18 @@ def train_gmmn(u_train, cfg: TrainConfig) -> GmmnModel:
                 raise NumericalError(
                     f"GMMN training diverged: non-finite loss or gradient "
                     f"at epoch {epoch + 1}, step {b + 1}")
-            adam, theta = adam_step(adam, grad, theta)
-            set_theta(model, theta)
+            adam, theta = adam_step(adam, grad, model.theta)
+            model.theta[...] = theta
             losses[step] = loss
             step_s[step] = time.perf_counter() - t0
             step += 1
 
     model.train_loss = losses
-    if n_steps_total > 0:
-        best = int(np.argmin(losses))
-        _log.debug("GMMN training: %d steps, loss first %.6g, min %.6g at epoch %d, "
-                   "last %.6g; median step %.2f ms",
-                   n_steps_total, losses[0], losses[best], best // (tau // n_bat) + 1,
-                   losses[-1], 1000.0 * np.median(step_s))
+    best = int(np.argmin(losses))
+    _log.debug("GMMN training: %d steps, loss first %.6g, min %.6g at epoch %d, "
+               "last %.6g; median step %.2f ms",
+               n_steps_total, losses[0], losses[best], best // (tau // n_bat) + 1,
+               losses[-1], 1000.0 * np.median(step_s))
     return model
 
 
@@ -610,8 +611,6 @@ def sample_gmmn(model: GmmnModel, n_gen: int, rng: np.random.Generator) -> np.nd
 
 class GmmnCopula(DependenceModel):
     """Dependence-model wrapper exposing the common sampling contract."""
-
-    kind = "gmmn"
 
     def __init__(self, model: GmmnModel):
         self.model = model

@@ -194,11 +194,6 @@ class LaggedState:
         return cls(x=rows.x[0], resid=rows.resid[0], resid2=rows.resid2[0], sigma2=rows.sigma2[0])
 
     @classmethod
-    def from_filter(cls, params: ArmaGarchParams, x: np.ndarray, filt: FilterOutput) -> "LaggedState":
-        """State after observing `x` and its filter output (lags taken from the tail)."""
-        return cls.at(params, x, filt, len(x))
-
-    @classmethod
     def at(cls, params: ArmaGarchParams, x: np.ndarray, filt: FilterOutput, t) -> "LaggedState":
         """State after the first `t` steps of `x`, read from the filter pass `filt` over all of `x`.
 

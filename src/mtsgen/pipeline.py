@@ -190,6 +190,8 @@ class PipelineConfig:
         if self.bootstrap_n_bt < 0:
             raise ConfigError(f"bootstrap_n_bt={self.bootstrap_n_bt} must be nonnegative")
         self.assess_config()    # n_pth, n_rep, vs_order and var_alpha
+        if self.dependence == "gmmn":
+            self.train_config(self.seed)    # gmmn_* ranges
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -223,6 +225,11 @@ class PipelineConfig:
         return assess.AssessConfig(n_rep=self.n_rep, r=self.vs_order,
                                    alpha=self.var_alpha, n_pth=self.n_pth)
 
+    def train_config(self, seed: int) -> TrainConfig:
+        return TrainConfig(n_epo=self.gmmn_n_epo, n_bat=self.gmmn_n_bat,
+                           hidden_dims=self.gmmn_hidden_dims,
+                           dropout_rate=self.gmmn_dropout, seed=seed)
+
 
 # ---------------------------------------------------------------------------
 # fitting and orchestration
@@ -242,25 +249,9 @@ def _dependence_fitter(cfg: PipelineConfig, seed_seq: np.random.SeedSequence):
         # gmmn: a distinct derived seed per invocation (bootstrap replicates)
         seed = int(seed_seq.generate_state(counter[0] + 1, dtype=np.uint64)[-1])
         counter[0] += 1
-        tc = TrainConfig(n_epo=cfg.gmmn_n_epo, n_bat=cfg.gmmn_n_bat,
-                         hidden_dims=cfg.gmmn_hidden_dims,
-                         dropout_rate=cfg.gmmn_dropout, seed=seed)
-        return GmmnCopula(train_gmmn(ps.u, tc))
+        return GmmnCopula(train_gmmn(ps.u, cfg.train_config(seed)))
 
     return fit
-
-
-def _check_gmmn_config(cfg: PipelineConfig, tau: int) -> None:
-    """Rejects GMMN settings that training would only refuse after the margin fits."""
-    n_bat = cfg.gmmn_n_bat
-    if n_bat is not None and (n_bat < 2 or tau % n_bat != 0):
-        raise ConfigError(f"gmmn_n_bat={n_bat} must be at least 2 and divide tau={tau}")
-    if cfg.gmmn_n_epo < 1:
-        raise ConfigError(f"gmmn_n_epo={cfg.gmmn_n_epo} must be at least 1")
-    if not 0.0 <= cfg.gmmn_dropout < 1.0:
-        raise ConfigError(f"gmmn_dropout={cfg.gmmn_dropout} must lie in [0, 1)")
-    if len(cfg.gmmn_hidden_dims) == 0 or any(h < 1 for h in cfg.gmmn_hidden_dims):
-        raise ConfigError("gmmn_hidden_dims must be a nonempty list of positive sizes")
 
 
 def fit_mts(cfg: PipelineConfig, dataset: Dataset) -> MtsModel:
@@ -269,8 +260,10 @@ def fit_mts(cfg: PipelineConfig, dataset: Dataset) -> MtsModel:
     A margin whose best MLE start did not converge is kept, and a warning
     naming it goes to the ``mtsgen`` logger.
     """
-    if cfg.dependence == "gmmn":
-        _check_gmmn_config(cfg, dataset.tau)
+    n_bat = cfg.gmmn_n_bat
+    if cfg.dependence == "gmmn" and n_bat is not None and dataset.tau % n_bat != 0:
+        # training would refuse it only after the margin fits
+        raise ConfigError(f"gmmn_n_bat={n_bat} must divide tau={dataset.tau}")
     x_train = dataset.values[:dataset.tau]
     d = dataset.d
     margins = [fit_arma_garch(x_train[:, j], orders=cfg.orders,

@@ -150,6 +150,70 @@ class TestForward:
             assert np.all(np.abs(w) <= np.sqrt(6.0 / (d_prev + d_cur)))
 
 
+class TestTheta:
+    """The trainable parameters live in model.theta; the lists are views into it."""
+
+    def test_set_theta_visible_through_views(self):
+        model = tiny_model((3, 5, 2))
+        theta = np.arange(model.theta.size, dtype=float)
+        set_theta(model, theta)
+        assert model.weights[0][0, 0] == 0.0 and model.weights[0][0, 1] == 1.0
+        # layer 0: 5x3 weights, 5 biases, 5 BN scales, then the 5 BN shifts
+        np.testing.assert_array_equal(model.bn_shift[0], np.arange(25.0, 30.0))
+        np.testing.assert_array_equal(model.biases[-1], theta[-2:])
+
+    def test_flatten_theta_is_a_copy(self):
+        model = tiny_model((3, 5, 2))
+        before = [w.copy() for w in model.weights]
+        theta = flatten_theta(model)
+        theta[:] = 7.0
+        for b, w in zip(before, model.weights):
+            np.testing.assert_array_equal(b, w)
+        assert not np.any(model.theta == 7.0)
+
+    def test_set_theta_rejects_wrong_length(self):
+        model = tiny_model()
+        with pytest.raises(InputError):
+            set_theta(model, np.zeros(model.theta.size + 1))
+
+    def test_shapes_must_match_layer_dims(self):
+        model = tiny_model((2, 4, 2))
+        with pytest.raises(InputError):
+            gmmn.GmmnModel(layer_dims=(2, 4, 2), weights=[w.T for w in model.weights],
+                           biases=model.biases, bn_scale=model.bn_scale,
+                           bn_shift=model.bn_shift, bn_mean=model.bn_mean,
+                           bn_var=model.bn_var)
+
+    def test_loaded_model_has_saved_theta(self, trained_small, tmp_path):
+        from mtsgen import (ArmaGarchParams, GmmnCopula, MarginalFitResult, MtsModel,
+                            PcaTransform, QuantileMaps, load_model, save_model)
+        model, _ = trained_small
+        params = ArmaGarchParams(mu=0.0, phi=[0.2], gamma=[0.0], omega=0.05,
+                                 alpha=[0.1], beta=[0.85], nu=6.0)
+        margin = MarginalFitResult(params=params, filter=None, loglik=0.0, converged=True)
+        mts = MtsModel(margins=[margin, margin], pca=PcaTransform.identity(2),
+                       dependence=GmmnCopula(model),
+                       quantile_maps=QuantileMaps.scaled_t([6.0, 6.0]), tau=200)
+        save_model(mts, tmp_path / "m.npz")
+        loaded = load_model(tmp_path / "m.npz").dependence.model
+        np.testing.assert_array_equal(flatten_theta(loaded), flatten_theta(model))
+        assert loaded.weights[0].base is loaded.theta
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("bad", [
+        {"n_epo": 0}, {"n_bat": 1}, {"hidden_dims": ()}, {"hidden_dims": (4, 0)},
+        {"dropout_rate": 1.0}, {"dropout_rate": -0.1}])
+    def test_out_of_range_rejected(self, bad):
+        with pytest.raises(ConfigError):
+            TrainConfig(**bad)
+
+    @pytest.mark.parametrize("rows", [0, 1])
+    def test_fewer_than_two_rows_rejected(self, rows):
+        with pytest.raises(InputError):
+            train_gmmn(np.full((rows, 2), 0.5), TrainConfig(n_epo=1, hidden_dims=(4,)))
+
+
 def finite_diff_check(dims, seed, n=16, step=1e-5):
     model = glorot_init(dims, np.random.default_rng(seed))
     rng = np.random.default_rng(seed + 1000)
@@ -580,6 +644,14 @@ class TestTiledStep:
         sq, _ = _mmd_grad_wrt_output(u, g, spec)
         with multiprocessing.get_context("fork").Pool(1) as pool:
             assert pool.apply_async(_tiled_sq).get(timeout=60) == sq
+
+    def test_no_worker_thread_outlives_the_step(self, monkeypatch):
+        import threading
+        monkeypatch.setattr(gmmn, "_WORKERS", 2)
+        u, g, spec = FORK_INPUTS
+        assert g.shape[0] * max(u.shape[0], g.shape[0]) > gmmn._TILE
+        _mmd_grad_wrt_output(u, g, spec)
+        assert not [t for t in threading.enumerate() if t.name.startswith("mtsgen-mmd")]
 
     def test_memory_bounded_by_tiles(self, monkeypatch):
         import tracemalloc

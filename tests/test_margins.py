@@ -169,7 +169,7 @@ class TestLaggedState:
         x = np.random.default_rng(8).standard_normal(300)
         full = arma_garch_filter(p, x)
         first = arma_garch_filter(p, x[:200])
-        state = LaggedState.from_filter(p, x[:200], first)
+        state = LaggedState.at(p, x[:200], first, 200)
         second = arma_garch_filter(p, x[200:], state)
         np.testing.assert_allclose(second.sigma2_t, full.sigma2_t[200:], rtol=1e-12)
         np.testing.assert_allclose(second.mu_t, full.mu_t[200:], rtol=1e-12)
@@ -183,7 +183,7 @@ class TestLaggedState:
         full = arma_garch_filter(p, x)
         for t in (1, 2, 3, 17, 60):
             a = LaggedState.at(p, x, full, t)
-            b = LaggedState.from_filter(p, x[:t], arma_garch_filter(p, x[:t]))
+            b = LaggedState.at(p, x[:t], arma_garch_filter(p, x[:t]), t)
             for name in ("x", "resid", "resid2", "sigma2"):
                 np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
