@@ -23,21 +23,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AssessConfig:
+    """Settings of `ammd`: the repetitions and the test kernel mixture."""
+
     n_rep: int = 100
     kernel_tst: KernelSpec = field(default_factory=KernelSpec.for_assessment)
-    r: float = 0.25
-    alpha: float = 0.05
-    n_pth: int = 1000
 
     def __post_init__(self):
         if self.n_rep < 1:
             raise ConfigError("n_rep must be >= 1")
-        if self.r <= 0:
-            raise ConfigError("variogram order r must be positive")
-        if not 0.0 < self.alpha < 1.0:
-            raise ConfigError("alpha must lie in (0, 1)")
-        if self.n_pth < 1:
-            raise ConfigError("n_pth must be >= 1")
 
 
 def ammd(u_test, sampler: DependenceModel, cfg: AssessConfig,

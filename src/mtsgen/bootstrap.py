@@ -34,6 +34,8 @@ class BootstrapMixture(DependenceModel):
         if len(dims) != 1:
             raise InputError("all mixture components must share one dimension")
         self.d = dims.pop()
+        if any(len(tables) != self.d for tables in self.component_quantiles):
+            raise InputError(f"each replicate needs {self.d} quantile tables, one per dimension")
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         u, _ = self.sample_components(n, rng)

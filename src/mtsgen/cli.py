@@ -105,22 +105,20 @@ def cmd_report(args) -> int:
     if missing:
         raise InputError("metrics file missing required columns")
 
-    # wide table plus AMMD scatter pairs for external plotting
+    # one wide table: a row per (dataset, model), a column per metric
     by_model: dict = {}
     for r in rows:
         by_model.setdefault((r["dataset"], r["model"]), {})[r["metric"]] = r["value"]
     metrics_seen = sorted({r["metric"] for r in rows})
-    header = ["dataset", "model"] + metrics_seen
-    print("\t".join(header))
-    for (ds, model), vals in sorted(by_model.items()):
-        print("\t".join([ds, model] + [vals.get(m, "") for m in metrics_seen]))
+    table = [["dataset", "model"] + metrics_seen]
+    table += [[ds, model] + [vals.get(m, "") for m in metrics_seen]
+              for (ds, model), vals in sorted(by_model.items())]
+    for line in table:
+        print("\t".join(line))
 
     if args.out:
         with open(args.out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for (ds, model), vals in sorted(by_model.items()):
-                writer.writerow([ds, model] + [vals.get(m, "") for m in metrics_seen])
+            csv.writer(fh).writerows(table)
         print(f"report table written to {args.out}")
     return 0
 

@@ -16,6 +16,8 @@ from .margins import LaggedState, arma_garch_simulate, scaled_t_quantile
 
 __all__ = ["GaussianCopulaSampler", "equicorrelation", "simulate_mts"]
 
+_BURN_IN = 200   # steps simulated and discarded before the returned series
+
 
 def equicorrelation(d: int, rho: float) -> np.ndarray:
     """Exchangeable correlation matrix with off-diagonal rho."""
@@ -41,19 +43,19 @@ class GaussianCopulaSampler(DependenceModel):
 
 
 def simulate_mts(margin_params: list, copula: DependenceModel, n: int,
-                 rng: np.random.Generator, burn_in: int = 200) -> np.ndarray:
+                 rng: np.random.Generator) -> np.ndarray:
     """Simulate an n x d series with given margins and innovation copula.
 
     Innovations are scaled-t quantile transforms of joint copula draws; a
-    burn-in stretch is discarded so the start-up convention washes out.
+    burn-in of _BURN_IN steps is discarded so the start-up convention washes out.
     """
     d = len(margin_params)
     if copula.d != d:
         raise InputError("copula dimension must match the number of margins")
-    total = n + burn_in
+    total = n + _BURN_IN
     u = copula.sample(total, rng)
     x = np.empty((total, d))
     for j, p in enumerate(margin_params):
         z = scaled_t_quantile(u[:, j], p.nu)
         x[:, j] = arma_garch_simulate(p, z, LaggedState.presample(p))
-    return x[burn_in:]
+    return x[_BURN_IN:]

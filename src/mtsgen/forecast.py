@@ -111,6 +111,13 @@ class MtsModel:
     quantile_maps: QuantileMaps
     tau: int
 
+    def __post_init__(self):
+        if len(self.margins) != self.pca.d:
+            raise InputError(f"{len(self.margins)} margins but PCA dimension {self.pca.d}")
+        if not self.pca.k == self.dependence.d == self.quantile_maps.d:
+            raise InputError(f"PCA k={self.pca.k}, dependence dimension {self.dependence.d} "
+                             f"and quantile maps of dimension {self.quantile_maps.d} disagree")
+
     @property
     def d(self) -> int:
         return len(self.margins)

@@ -41,6 +41,9 @@ _log = logging.getLogger(__name__)
 
 TRAIN_BANDWIDTHS = (0.001, 0.01, 0.15, 0.25, 0.50, 0.75)
 TEST_BANDWIDTHS = (0.1, 0.3, 0.5, 0.7, 0.9)
+# batch normalization: momentum of the running statistics, variance floor
+_BN_MOMENTUM = 0.99
+_BN_EPS = 1e-5
 
 
 @dataclass(frozen=True)
@@ -120,18 +123,11 @@ def kernel_mix(u, v, spec: KernelSpec) -> float:
     return float(sum(np.exp(-d2 / (2.0 * s * s)) for s in spec.bandwidths))
 
 
-def _mmd_sq(a: np.ndarray, b: np.ndarray, spec: KernelSpec,
-            aa_term: float | None = None) -> float:
-    """Squared MMD, full double sums including diagonal terms (V-statistic)."""
-    if aa_term is None:
-        aa_term = _mix_mean(a, a, spec)
-    return aa_term - 2.0 * _mix_mean(a, b, spec) + _mix_mean(b, b, spec)
-
-
 def mmd(a, b, spec: KernelSpec, *, aa_term: float | None = None) -> float:
     """Biased two-sample MMD statistic between the rows of a and b.
 
-    The radicand is clamped at 0 against rounding, so the result is always
+    The squared MMD is the V-statistic: full double sums, diagonal terms
+    included.  It is clamped at 0 against rounding, so the result is always
     nonnegative and exactly 0 for identical samples.  `aa_term`, when given,
     is the mean kernel value over all pairs of rows of a, so a caller that
     scores many samples against the same a computes it only once.
@@ -142,7 +138,10 @@ def mmd(a, b, spec: KernelSpec, *, aa_term: float | None = None) -> float:
         raise InputError("both samples must be nonempty")
     if a.shape[1] != b.shape[1]:
         raise InputError("samples must share the same dimension")
-    return float(np.sqrt(max(_mmd_sq(a, b, spec, aa_term), 0.0)))
+    if aa_term is None:
+        aa_term = _mix_mean(a, a, spec)
+    sq = aa_term - 2.0 * _mix_mean(a, b, spec) + _mix_mean(b, b, spec)
+    return float(np.sqrt(max(sq, 0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -175,8 +174,9 @@ class GmmnModel:
     """Feedforward generator with per-hidden-layer batch normalization.
 
     `layer_dims` runs input -> hidden ... -> output; `bn_mean`/`bn_var` are
-    running statistics used at inference time, updated with `bn_momentum`
-    during training.  The prior is independent standard normal of dimension
+    running statistics used at inference time, updated with the fixed
+    momentum _BN_MOMENTUM during training; _BN_EPS is the fixed variance
+    floor.  The prior is independent standard normal of dimension
     `layer_dims[0]`.  The trainable parameters live in one vector, `theta`:
     the arrays passed as `weights`, `biases`, `bn_scale` and `bn_shift` are
     copied into it, and those lists then hold views into `theta`, so a
@@ -190,11 +190,7 @@ class GmmnModel:
     bn_shift: list
     bn_mean: list
     bn_var: list
-    bn_momentum: float = 0.99
-    bn_eps: float = 1e-5
     dropout_rate: float = 0.5
-    seed: int | None = None
-    kernel: KernelSpec = field(default_factory=KernelSpec.for_training)
     train_loss: np.ndarray | None = None
     theta: np.ndarray = field(init=False, repr=False)
 
@@ -222,8 +218,7 @@ class GmmnModel:
         return self.layer_dims[0]
 
 
-def glorot_init(layer_dims, rng: np.random.Generator, dropout_rate: float = 0.5,
-                kernel: KernelSpec | None = None, seed: int | None = None) -> GmmnModel:
+def glorot_init(layer_dims, rng: np.random.Generator, dropout_rate: float = 0.5) -> GmmnModel:
     """Uniform(+-sqrt(6/(fan_in + fan_out))) weights, zero biases, unit BN scale."""
     if len(layer_dims) < 3:
         raise ConfigError("need at least one hidden layer")
@@ -244,8 +239,6 @@ def glorot_init(layer_dims, rng: np.random.Generator, dropout_rate: float = 0.5,
         bn_mean=[np.zeros(h) for h in hidden],
         bn_var=[np.ones(h) for h in hidden],
         dropout_rate=dropout_rate,
-        seed=seed,
-        kernel=kernel if kernel is not None else KernelSpec.for_training(),
     )
 
 
@@ -279,13 +272,13 @@ def _forward(model: GmmnModel, v: np.ndarray, train: bool,
             mu_b = s.mean(axis=0)
             var_b = s.var(axis=0)
             if update_running:
-                m = model.bn_momentum
+                m = _BN_MOMENTUM
                 model.bn_mean[l] = m * model.bn_mean[l] + (1.0 - m) * mu_b
                 model.bn_var[l] = m * model.bn_var[l] + (1.0 - m) * var_b
         else:
             mu_b = model.bn_mean[l]
             var_b = model.bn_var[l]
-        istd = 1.0 / np.sqrt(var_b + model.bn_eps)
+        istd = 1.0 / np.sqrt(var_b + _BN_EPS)
         xhat = (s - mu_b) * istd
         y = model.bn_scale[l] * xhat + model.bn_shift[l]
         r = np.maximum(y, 0.0)
@@ -481,14 +474,15 @@ class AdamState:
     m1: np.ndarray
     m2: np.ndarray
     r: int = 0
-    alpha: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    # the fixed hyperparameters: class attributes, not fields
+    alpha = 0.001
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
 
     @classmethod
-    def zeros(cls, n: int, **kw) -> "AdamState":
-        return cls(m1=np.zeros(n), m2=np.zeros(n), r=0, **kw)
+    def zeros(cls, n: int) -> "AdamState":
+        return cls(m1=np.zeros(n), m2=np.zeros(n), r=0)
 
 
 def adam_step(state: AdamState, grad: np.ndarray, theta: np.ndarray):
@@ -499,9 +493,7 @@ def adam_step(state: AdamState, grad: np.ndarray, theta: np.ndarray):
     m1_hat = m1 / (1.0 - state.beta1**r)
     m2_hat = m2 / (1.0 - state.beta2**r)
     theta_new = theta - state.alpha * m1_hat / (np.sqrt(m2_hat) + state.eps)
-    new_state = AdamState(m1=m1, m2=m2, r=r, alpha=state.alpha,
-                          beta1=state.beta1, beta2=state.beta2, eps=state.eps)
-    return new_state, theta_new
+    return AdamState(m1=m1, m2=m2, r=r), theta_new
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +508,6 @@ class TrainConfig:
     n_bat: int | None = None
     hidden_dims: tuple = (100,)
     dropout_rate: float = 0.5
-    kernel: KernelSpec = field(default_factory=KernelSpec.for_training)
     seed: int = 0
 
     def __post_init__(self):
@@ -535,7 +526,8 @@ def train_gmmn(u_train, cfg: TrainConfig) -> GmmnModel:
 
     Weights start from the Glorot-uniform initialization; the prior sample is
     drawn once up front, then each epoch randomly re-partitions targets and
-    prior draws into batches and applies one Adam step per batch.  All
+    prior draws into batches and applies one Adam step per batch on the
+    MMD with the training bandwidths, KernelSpec.for_training().  All
     randomness (init, prior, partitions, dropout masks) derives from
     cfg.seed, so runs are bit-reproducible.  A non-finite loss or gradient
     raises NumericalError at the step where it appears.  When training ends,
@@ -559,15 +551,15 @@ def train_gmmn(u_train, cfg: TrainConfig) -> GmmnModel:
     mask_seeds = mask_ss.generate_state(n_steps_total, dtype=np.uint64)
 
     layer_dims = (d_star, *cfg.hidden_dims, d_star)
-    model = glorot_init(layer_dims, init_rng, dropout_rate=cfg.dropout_rate,
-                        kernel=cfg.kernel, seed=cfg.seed)
+    model = glorot_init(layer_dims, init_rng, dropout_rate=cfg.dropout_rate)
     prior = prior_rng.standard_normal((tau, d_star))
 
     adam = AdamState.zeros(model.theta.size)
     losses = np.empty(n_steps_total)
     step_s = np.empty(n_steps_total)
     full_batch = n_bat == tau
-    uu_term = _mix_mean(u, u, cfg.kernel) if full_batch else None
+    spec = KernelSpec.for_training()
+    uu_term = _mix_mean(u, u, spec) if full_batch else None
 
     step = 0
     for epoch in range(cfg.n_epo):
@@ -579,7 +571,7 @@ def train_gmmn(u_train, cfg: TrainConfig) -> GmmnModel:
             u_b = u[perm_u[sl]]
             v_b = prior[perm_v[sl]]
             loss, grad = mmd_loss_and_grad(
-                model, u_b, v_b, cfg.kernel, mask_seed=int(mask_seeds[step]),
+                model, u_b, v_b, spec, mask_seed=int(mask_seeds[step]),
                 uu_term=uu_term, update_running=True)
             if not (np.isfinite(loss) and np.isfinite(grad).all()):
                 raise NumericalError(

@@ -7,7 +7,7 @@ projection/lifting maps between the full and reduced spaces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,30 +21,32 @@ class PcaTransform:
     """Orthogonal eigenbasis of the residual covariance.
 
     `gamma` holds the eigenvectors as columns, sorted by decreasing
-    eigenvalue; `upsilon` is its first `k` columns (or the identity when
+    eigenvalue, and 1 <= k <= d of them are kept.  `upsilon` is not passed:
+    it is built as the first `k` columns of `gamma` (the identity when
     reduction is disabled, in which case k equals the full dimension).
     """
 
     gamma: np.ndarray
     lambdas: np.ndarray
     k: int
-    upsilon: np.ndarray
+    upsilon: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        if not 1 <= self.k <= self.d:
+            raise InputError(f"PCA k must be in [1, {self.d}], got {self.k}")
+        self.upsilon = self.gamma[:, :self.k].copy()
 
     @property
     def d(self) -> int:
         return self.gamma.shape[0]
 
     def with_k(self, k: int) -> "PcaTransform":
-        if not 1 <= k <= self.d:
-            raise InputError(f"k must be in [1, {self.d}], got {k}")
-        return PcaTransform(gamma=self.gamma, lambdas=self.lambdas, k=k,
-                            upsilon=self.gamma[:, :k].copy())
+        return PcaTransform(gamma=self.gamma, lambdas=self.lambdas, k=k)
 
     @classmethod
     def identity(cls, d: int) -> "PcaTransform":
         """No-reduction transform: identity basis, unit eigenvalues."""
-        eye = np.eye(d)
-        return cls(gamma=eye, lambdas=np.ones(d), k=d, upsilon=eye.copy())
+        return cls(gamma=np.eye(d), lambdas=np.ones(d), k=d)
 
 
 def fit_pca(z) -> PcaTransform:
@@ -73,7 +75,7 @@ def fit_pca(z) -> PcaTransform:
     signs = np.sign(vec[idx, np.arange(d)])
     signs[signs == 0] = 1.0
     vec = vec * signs
-    return PcaTransform(gamma=vec, lambdas=lam, k=d, upsilon=vec.copy())
+    return PcaTransform(gamma=vec, lambdas=lam, k=d)
 
 
 def select_k(lambdas, threshold: float = 0.95, k_min: int = 3) -> int:

@@ -43,6 +43,7 @@ __all__ = [
 
 TRANSFORMS = ("none", "difference", "log_returns")
 DEPENDENCE_KINDS = ("independence", "empirical", "empirical_beta", "gmmn")
+_TRAIN_FRAC = 0.7   # training share of the rows when load_dataset gets no tau
 
 _log = logging.getLogger(__name__)
 
@@ -94,12 +95,12 @@ def _apply_transform(raw: np.ndarray, transform: str) -> np.ndarray:
 
 
 def load_dataset(path, transform: str = "none", tau: int | None = None,
-                 train_frac: float = 0.7, name: str | None = None) -> Dataset:
+                 name: str | None = None) -> Dataset:
     """Parse a delimited text table: time label first, numeric columns after.
 
     The configured transform is applied (difference / log-returns drop the
     first row).  When `tau` is not given, the training cut is placed at
-    `train_frac` of the transformed length.
+    _TRAIN_FRAC of the transformed length.
     """
     try:
         with open(path, newline="") as fh:
@@ -140,7 +141,7 @@ def load_dataset(path, transform: str = "none", tau: int | None = None,
     if transform != "none":
         times = times[1:]
     if tau is None:
-        tau = int(round(train_frac * out.shape[0]))
+        tau = int(round(_TRAIN_FRAC * out.shape[0]))
     return Dataset(name=name or str(path), times=times, values=out,
                    columns=columns, transform=transform, tau=tau)
 
@@ -189,7 +190,13 @@ class PipelineConfig:
             raise ConfigError(f"pca_k_min={self.pca_k_min} must be at least 1")
         if self.bootstrap_n_bt < 0:
             raise ConfigError(f"bootstrap_n_bt={self.bootstrap_n_bt} must be nonnegative")
-        self.assess_config()    # n_pth, n_rep, vs_order and var_alpha
+        if self.n_pth < 1:
+            raise ConfigError(f"n_pth={self.n_pth} must be at least 1")
+        if self.vs_order <= 0:
+            raise ConfigError(f"vs_order={self.vs_order} must be positive")
+        if not 0.0 < self.var_alpha < 1.0:
+            raise ConfigError(f"var_alpha={self.var_alpha} must lie in (0, 1)")
+        self.assess_config()    # n_rep
         if self.dependence == "gmmn":
             self.train_config(self.seed)    # gmmn_* ranges
 
@@ -222,8 +229,7 @@ class PipelineConfig:
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()[:12]
 
     def assess_config(self) -> assess.AssessConfig:
-        return assess.AssessConfig(n_rep=self.n_rep, r=self.vs_order,
-                                   alpha=self.var_alpha, n_pth=self.n_pth)
+        return assess.AssessConfig(n_rep=self.n_rep)
 
     def train_config(self, seed: int) -> TrainConfig:
         return TrainConfig(n_epo=self.gmmn_n_epo, n_bat=self.gmmn_n_bat,

@@ -3,7 +3,8 @@
 Models are stored as an ``.npz`` container holding all tensors in 64-bit
 floats plus a JSON metadata entry with a version header.  Round trips are
 exact: forecasts from a loaded model are bit-identical given the same
-seed.
+seed.  The loader reads only the keys the writer emits, so keys that
+older files of the same version still carry are ignored.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from .dependence import (EmpiricalBetaCopula, EmpiricalCopula,
                          IndependenceCopula, PseudoSample)
 from .errors import InputError
 from .forecast import MtsModel, QuantileMaps
-from .gmmn import GmmnCopula, GmmnModel, KernelSpec
+from .gmmn import GmmnCopula, GmmnModel
 from .margins import ArmaGarchParams, MarginalFitResult
 from .pca import PcaTransform
 
@@ -27,15 +28,8 @@ FORMAT_VERSION = "mtsgen-model-v1"
 
 
 def _pack_gmmn(prefix: str, model: GmmnModel, arrays: dict, meta: dict) -> None:
-    meta[prefix] = {
-        "kind": "gmmn",
-        "layer_dims": list(model.layer_dims),
-        "bn_momentum": model.bn_momentum,
-        "bn_eps": model.bn_eps,
-        "dropout_rate": model.dropout_rate,
-        "seed": model.seed,
-        "kernel": list(model.kernel.bandwidths),
-    }
+    meta[prefix] = {"layer_dims": list(model.layer_dims),
+                    "dropout_rate": model.dropout_rate}
     for l, (w, b) in enumerate(zip(model.weights, model.biases)):
         arrays[f"{prefix}/w{l}"] = w
         arrays[f"{prefix}/b{l}"] = b
@@ -58,11 +52,7 @@ def _unpack_gmmn(prefix: str, arrays, meta: dict) -> GmmnModel:
         bn_shift=[arrays[f"{prefix}/bn_shift{l}"] for l in range(n_layers - 1)],
         bn_mean=[arrays[f"{prefix}/bn_mean{l}"] for l in range(n_layers - 1)],
         bn_var=[arrays[f"{prefix}/bn_var{l}"] for l in range(n_layers - 1)],
-        bn_momentum=m["bn_momentum"],
-        bn_eps=m["bn_eps"],
         dropout_rate=m["dropout_rate"],
-        seed=m["seed"],
-        kernel=KernelSpec(tuple(m["kernel"])),
     )
 
 
@@ -80,8 +70,7 @@ def _pack_dependence(prefix: str, dep, arrays: dict, meta: dict) -> None:
         meta[prefix] = {"kind": "gmmn_copula"}
         _pack_gmmn(f"{prefix}/net", dep.model, arrays, meta)
     elif isinstance(dep, BootstrapMixture):
-        meta[prefix] = {"kind": "bootstrap_mixture", "n_bt": dep.n_bt,
-                        "d": dep.d}
+        meta[prefix] = {"kind": "bootstrap_mixture", "n_bt": dep.n_bt}
         for b, comp in enumerate(dep.components):
             _pack_dependence(f"{prefix}/c{b}", comp, arrays, meta)
             for j, table in enumerate(dep.component_quantiles[b]):
@@ -105,8 +94,8 @@ def _unpack_dependence(prefix: str, arrays, meta: dict):
     if kind == "bootstrap_mixture":
         comps = [_unpack_dependence(f"{prefix}/c{b}", arrays, meta)
                  for b in range(m["n_bt"])]
-        quantiles = [[arrays[f"{prefix}/q{b}_{j}"] for j in range(m["d"])]
-                     for b in range(m["n_bt"])]
+        quantiles = [[arrays[f"{prefix}/q{b}_{j}"] for j in range(comp.d)]
+                     for b, comp in enumerate(comps)]
         return BootstrapMixture(components=comps, component_quantiles=quantiles,
                                 n_bt=m["n_bt"])
     raise InputError(f"unknown dependence kind {kind!r} in model file")
@@ -170,8 +159,9 @@ def load_model(path) -> MtsModel:
                 f"model format version mismatch: file has {meta.get('version')!r}, "
                 f"expected {FORMAT_VERSION!r}")
         return _unpack_model(arrays, meta)
-    except (KeyError, ValueError, TypeError) as exc:
-        # json.JSONDecodeError and UnicodeDecodeError are ValueErrors
+    except (LookupError, ValueError, TypeError) as exc:
+        # json.JSONDecodeError and UnicodeDecodeError are ValueErrors; an
+        # array of the wrong rank raises IndexError
         raise InputError(f"corrupt model file {path}: "
                          f"{type(exc).__name__}: {exc}") from exc
 
@@ -187,9 +177,8 @@ def _unpack_model(arrays: dict, meta: dict) -> MtsModel:
                                          loglik=mm["loglik"],
                                          converged=mm["converged"]))
 
-    gamma = arrays["pca/gamma"]
-    pca = PcaTransform(gamma=gamma, lambdas=arrays["pca/lambdas"],
-                       k=meta["pca_k"], upsilon=gamma[:, :meta["pca_k"]].copy())
+    pca = PcaTransform(gamma=arrays["pca/gamma"], lambdas=arrays["pca/lambdas"],
+                       k=meta["pca_k"])
 
     dep = _unpack_dependence("dep", arrays, meta)
 

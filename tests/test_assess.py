@@ -24,16 +24,12 @@ class FixedSampler:
 class TestAssessConfig:
     def test_defaults(self):
         cfg = AssessConfig()
-        assert cfg.n_rep == 100 and cfg.r == 0.25 and cfg.alpha == 0.05
+        assert cfg.n_rep == 100
         assert cfg.kernel_tst.bandwidths == (0.1, 0.3, 0.5, 0.7, 0.9)
 
     def test_validation(self):
         with pytest.raises(InputError):
             AssessConfig(n_rep=0)
-        with pytest.raises(InputError):
-            AssessConfig(r=0.0)
-        with pytest.raises(InputError):
-            AssessConfig(alpha=1.0)
 
 
 class TestAmmd:

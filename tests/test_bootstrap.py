@@ -115,3 +115,9 @@ class TestApplyQuantiles:
             BootstrapMixture(components=[IndependenceCopula(2),
                                          IndependenceCopula(3)],
                              component_quantiles=[[], []], n_bt=2)
+
+    def test_table_count_must_match_dimension(self):
+        with pytest.raises(InputError, match="2 quantile tables, one per dimension"):
+            BootstrapMixture(components=[IndependenceCopula(2), IndependenceCopula(2)],
+                             component_quantiles=[[np.zeros(1)] * 2, [np.zeros(1)]],
+                             n_bt=2)

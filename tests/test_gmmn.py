@@ -413,15 +413,16 @@ def oracle_train_gmmn(u, cfg):
     mask_seeds = mask_ss.generate_state(n_steps_total, dtype=np.uint64)
     model = glorot_init((d_star, *cfg.hidden_dims, d_star),
                         np.random.default_rng(init_ss),
-                        dropout_rate=cfg.dropout_rate, kernel=cfg.kernel, seed=cfg.seed)
+                        dropout_rate=cfg.dropout_rate)
     prior = np.random.default_rng(prior_ss).standard_normal((tau, d_star))
     theta = flatten_theta(model)
     adam = AdamState.zeros(theta.size)
     losses = np.empty(n_steps_total)
     full_batch = n_bat == tau
+    spec = KernelSpec.for_training()
     uu_term = None
     if full_batch:
-        uu_term = float(oracle_mix_from_sqdist(cdist(u, u, "sqeuclidean"), cfg.kernel).mean())
+        uu_term = float(oracle_mix_from_sqdist(cdist(u, u, "sqeuclidean"), spec).mean())
     step = 0
     for _ in range(cfg.n_epo):
         perm_u = shuffle_rng.permutation(tau)
@@ -430,7 +431,7 @@ def oracle_train_gmmn(u, cfg):
             sl = slice(b * n_bat, (b + 1) * n_bat)
             u_b = u[perm_u[sl]]
             v_b = prior[perm_v[sl]]
-            loss, grad = mmd_loss_and_grad(model, u_b, v_b, cfg.kernel,
+            loss, grad = mmd_loss_and_grad(model, u_b, v_b, spec,
                                            mask_seed=int(mask_seeds[step]),
                                            uu_term=uu_term)
             nn_forward(model, v_b, train=True, mask_rng=int(mask_seeds[step]),

@@ -108,6 +108,14 @@ class TestProjectLift:
         twice = lift(t, project(t, once))
         np.testing.assert_allclose(once, twice, atol=1e-10)
 
+    def test_k_checked_and_upsilon_built_at_construction(self):
+        gamma = fit_pca(np.random.default_rng(9).standard_normal((40, 3))).gamma
+        t = PcaTransform(gamma=gamma, lambdas=np.ones(3), k=2)
+        np.testing.assert_array_equal(t.upsilon, gamma[:, :2])
+        for k in (0, 4):
+            with pytest.raises(InputError):
+                PcaTransform(gamma=gamma, lambdas=np.ones(3), k=k)
+
     def test_with_k_bounds(self):
         t = PcaTransform.identity(3)
         with pytest.raises(InputError):

@@ -321,6 +321,45 @@ def u_off_ranks(meta, data):
     data["dep/u"][0, 0] += 1e-3
 
 
+def set_pca_k(k):
+    def edit(meta, data):
+        meta["pca_k"] = k
+    return edit
+
+
+def bootstrap_dim(k):
+    """Give every replicate of a 2-d bootstrap file k columns and k tables."""
+    def edit(meta, data):
+        for b in range(meta["dep"]["n_bt"]):
+            data[f"dep/c{b}/ranks"] = data[f"dep/c{b}/ranks"][:, np.arange(k) % 2]
+            for j in range(k):
+                data[f"dep/q{b}_{j}"] = data[f"dep/q{b}_{j % 2}"]
+    return edit
+
+
+def flatten_gamma(meta, data):
+    data["pca/gamma"] = data["pca/gamma"].ravel()
+
+
+# edits of a 2-d bootstrap file that make its parts disagree in dimension,
+# and the message that names the mismatch
+DIMENSION_MISMATCHES = [
+    (set_pca_k(0), r"k must be in \[1, 2\], got 0"),
+    (set_pca_k(1), "PCA k=1, dependence dimension 2"),
+    (set_pca_k(7), r"k must be in \[1, 2\], got 7"),
+    (bootstrap_dim(1), "PCA k=2, dependence dimension 1"),
+    (bootstrap_dim(3), "PCA k=2, dependence dimension 3"),
+    (flatten_gamma, "corrupt model file .*: IndexError"),
+]
+MISMATCH_EDITS = [edit for edit, _ in DIMENSION_MISMATCHES]
+
+
+@pytest.fixture(scope="module")
+def bootstrap_model(synthetic_csv):
+    cfg = PipelineConfig(dependence="empirical_beta", bootstrap_n_bt=2, seed=6)
+    return fit_mts(cfg, load_dataset(synthetic_csv, tau=200))
+
+
 class TestCorruptModelFile:
     def corrupt(self, model, path, drop_meta=None, drop_array=None, edit=None):
         import json
@@ -371,15 +410,27 @@ class TestCorruptModelFile:
         with pytest.raises(InputError, match=message):
             load_model(path)
 
+    @pytest.mark.parametrize("edit, message", DIMENSION_MISMATCHES,
+                             ids=["pca_k_0", "pca_k_1", "pca_k_7", "dep_dim_1", "dep_dim_3",
+                                  "gamma_1d"])
+    def test_dimension_mismatch_is_named(self, bootstrap_model, tmp_path, edit, message):
+        path = tmp_path / "model.npz"
+        self.corrupt(bootstrap_model, path, edit=edit)
+        with pytest.raises(InputError, match=message):
+            load_model(path)
+
     @pytest.mark.parametrize("drop", [{"drop_meta": "margins"},
                                       {"drop_array": "margin1/beta"},
                                       {"edit": nan_omega},
-                                      {"edit": u_off_ranks}])
-    def test_cli_exit_code(self, pipeline_run, synthetic_csv, tmp_path, drop):
+                                      {"edit": u_off_ranks}]
+                             + [{"edit": edit} for edit in MISMATCH_EDITS])
+    def test_cli_exit_code(self, pipeline_run, bootstrap_model, synthetic_csv, tmp_path,
+                           drop):
         from mtsgen.cli import main
-        _, result = pipeline_run
+        model = (bootstrap_model if drop.get("edit") in MISMATCH_EDITS
+                 else pipeline_run[1].model)
         path = tmp_path / "model.npz"
-        self.corrupt(result.model, path, **drop)
+        self.corrupt(model, path, **drop)
         code = main(["assess", "--data", synthetic_csv, "--seed", "7",
                      "--tau", "200", "--model", str(path),
                      "--out", str(tmp_path / "metrics.csv")])
@@ -576,21 +627,27 @@ class TestRoundTrip:
         assert np.array_equal(a.values, b.values)
 
     @staticmethod
-    def assert_loads_with_dropped_key(pipeline_run, path, key, value):
-        # mtsgen-model-v1 files written before the key was dropped carry it
-        ds, result = pipeline_run
-        save_model(result.model, path)
+    def assert_loads_with_dropped_keys(ds, model, path, keys, entry=None):
+        # mtsgen-model-v1 files written before the keys were dropped carry
+        # them, at the top level of the metadata or in its `entry`
+        save_model(model, path)
         data = dict(np.load(path))
         meta = json.loads(bytes(data["__meta__"]).decode())
-        assert key not in meta
-        meta[key] = value
+        part = meta if entry is None else meta[entry]
+        assert not set(keys) & set(part)
+        part.update(keys)
         data["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
         with open(path, "wb") as fh:
             np.savez(fh, **data)
-        a = forecast_paths(result.model, ds.values[:200], 50, 1, np.random.default_rng(5))
+        a = forecast_paths(model, ds.values[:200], 50, 1, np.random.default_rng(5))
         b = forecast_paths(load_model(path), ds.values[:200], 50, 1,
                            np.random.default_rng(5))
         assert np.array_equal(a.values, b.values)
+
+    @classmethod
+    def assert_loads_with_dropped_key(cls, pipeline_run, path, key, value):
+        ds, result = pipeline_run
+        cls.assert_loads_with_dropped_keys(ds, result.model, path, {key: value})
 
     def test_file_with_pca_enabled_key_loads(self, pipeline_run, tmp_path):
         self.assert_loads_with_dropped_key(pipeline_run, tmp_path / "model.npz",
@@ -599,6 +656,19 @@ class TestRoundTrip:
     def test_file_with_d_key_loads(self, pipeline_run, tmp_path):
         d = pipeline_run[1].model.d
         self.assert_loads_with_dropped_key(pipeline_run, tmp_path / "model.npz", "d", d)
+
+    def test_gmmn_file_with_old_net_keys_loads(self, small_dataset, tmp_path):
+        model = fit_mts(PipelineConfig(seed=71, **ROUND_TRIP_KINDS["gmmn"]), small_dataset)
+        old = {"kind": "gmmn", "bn_momentum": 0.99, "bn_eps": 1e-5, "seed": 12345,
+               "kernel": [0.001, 0.01, 0.15, 0.25, 0.5, 0.75]}
+        self.assert_loads_with_dropped_keys(small_dataset, model, tmp_path / "model.npz",
+                                            old, entry="dep/net")
+
+    def test_bootstrap_file_with_d_key_loads(self, small_dataset, tmp_path):
+        cfg = PipelineConfig(seed=71, **ROUND_TRIP_KINDS["empirical_beta_bt"])
+        model = fit_mts(cfg, small_dataset)
+        self.assert_loads_with_dropped_keys(small_dataset, model, tmp_path / "model.npz",
+                                            {"d": 3}, entry="dep")
 
 
 @pytest.fixture(scope="module")
