@@ -14,7 +14,7 @@ import numpy as np
 
 from .dependence import DependenceModel, pseudo_observations
 from .errors import InputError
-from .forecast import empirical_quantile
+from .forecast import QuantileMaps
 
 __all__ = ["BootstrapMixture", "bootstrap_fit"]
 
@@ -24,7 +24,7 @@ class BootstrapMixture(DependenceModel):
     """Equally weighted mixture of per-replicate dependence models."""
 
     components: list
-    component_quantiles: list   # one list of sorted per-column tables per replicate
+    component_quantiles: list   # one empirical QuantileMaps per replicate
     n_bt: int
 
     def __post_init__(self):
@@ -34,47 +34,39 @@ class BootstrapMixture(DependenceModel):
         if len(dims) != 1:
             raise InputError("all mixture components must share one dimension")
         self.d = dims.pop()
-        if any(len(tables) != self.d for tables in self.component_quantiles):
+        if any(maps.d != self.d for maps in self.component_quantiles):
             raise InputError(f"each replicate needs {self.d} quantile tables, one per dimension")
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        u, _ = self.sample_components(n, rng)
-        return u
+        return self.sample_components(n, rng)[0]
 
     def sample_components(self, n: int, rng: np.random.Generator):
         """Per row: pick a component uniformly, then draw one row from it."""
+        return self._mix(n, rng, lambda b, cnt: self.components[b].sample(cnt, rng))
+
+    def sample_quantiles(self, n: int, rng: np.random.Generator, quantile_maps) -> np.ndarray:
+        """Draws mapped through their own replicate's maps; `quantile_maps` is unused."""
+        y, _ = self._mix(n, rng, lambda b, cnt: self.components[b].sample_quantiles(
+            cnt, rng, self.component_quantiles[b]))
+        return y
+
+    def _mix(self, n: int, rng: np.random.Generator, draw):
+        """Component ids of n rows, and the rows `draw(b, count)` gives each component b."""
         ids = rng.integers(0, self.n_bt, size=n)
-        u = np.empty((n, self.d))
+        out = np.empty((n, self.d))
         for b in range(self.n_bt):
             sel = ids == b
             cnt = int(sel.sum())
             if cnt:
-                u[sel] = self.components[b].sample(cnt, rng)
-        return u, ids
-
-    def sample_quantiles(self, n: int, rng: np.random.Generator, quantile_maps) -> np.ndarray:
-        """Draws mapped through their own component's tables; `quantile_maps` is unused."""
-        u, ids = self.sample_components(n, rng)
-        return self.apply_quantiles(u, ids)
-
-    def apply_quantiles(self, u: np.ndarray, ids: np.ndarray) -> np.ndarray:
-        """Inverse margins of the component each row was drawn from."""
-        y = np.empty_like(u)
-        for b in range(self.n_bt):
-            sel = ids == b
-            if not np.any(sel):
-                continue
-            tables = self.component_quantiles[b]
-            for j in range(self.d):
-                y[sel, j] = empirical_quantile(tables[j], u[sel, j])
-        return y
+                out[sel] = draw(b, cnt)
+        return out, ids
 
 
 def bootstrap_fit(y_hat, n_bt: int, fitter, rng: np.random.Generator) -> BootstrapMixture:
     """Resample rows of the component matrix and fit one model per replicate.
 
     `fitter` maps a PseudoSample to a DependenceModel; each replicate also
-    records the empirical quantile tables of its own resampled columns.
+    records the empirical inverse margins of its own resampled columns.
     """
     y = np.asarray(y_hat, dtype=float)
     if y.ndim != 2 or y.shape[0] < 1:
@@ -87,6 +79,6 @@ def bootstrap_fit(y_hat, n_bt: int, fitter, rng: np.random.Generator) -> Bootstr
         sample = y[idx]
         ps = pseudo_observations(sample)
         components.append(fitter(ps))
-        quantiles.append([np.sort(sample[:, j]) for j in range(y.shape[1])])
+        quantiles.append(QuantileMaps.empirical(sample))
     return BootstrapMixture(components=components, component_quantiles=quantiles,
                             n_bt=n_bt)

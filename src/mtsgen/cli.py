@@ -18,7 +18,8 @@ import numpy as np
 from .errors import ConfigError, InputError, MtsgenError, NumericalError
 from .forecast import rolling_var
 from .pipeline import (METRICS_HEADER, PipelineConfig, load_dataset,
-                       fit_mts, rolling_forecasts, run_pipeline, write_metrics)
+                       fit_mts, rolling_forecasts, run_pipeline, seed_streams,
+                       write_metrics)
 from .serialize import load_model, save_model
 
 
@@ -71,8 +72,8 @@ def cmd_forecast(args) -> int:
     cfg = _build_config(args)
     dataset = _load_data(args)
     model = load_model(args.model)
-    ss = np.random.SeedSequence(cfg.seed).spawn(2)[0]
-    paths = rolling_forecasts(model, dataset, cfg.n_pth, ss)
+    fc_ss, _ = seed_streams(cfg.seed)
+    paths = rolling_forecasts(model, dataset, cfg.n_pth, fc_ss)
     np.savez(args.out, paths=paths, var_series=rolling_var(paths, cfg.var_alpha),
              origins=np.arange(dataset.tau, dataset.n_obs),
              seed=cfg.seed)

@@ -115,16 +115,16 @@ class EmpiricalBetaCopula(DependenceModel):
     uniforms, i.e. Beta(R_{t,j}, n + 1 - R_{t,j}).
     """
 
-    def __init__(self, ranks: np.ndarray, n: int):
+    def __init__(self, ranks: np.ndarray):
         ranks = np.asarray(ranks)
-        if ranks.min() < 1 or ranks.max() > n:
-            raise InputError("ranks must lie in {1, ..., n}")
+        self.n = len(ranks)
+        if ranks.min() < 1 or ranks.max() > self.n:
+            raise InputError(f"ranks must lie in {{1, ..., n}} for the n={self.n} rows")
         self.ranks = ranks
-        self.n = int(n)
         self.d = ranks.shape[1]
 
     def sample(self, n_gen: int, rng: np.random.Generator) -> np.ndarray:
-        idx = rng.integers(0, self.ranks.shape[0], size=n_gen)
+        idx = rng.integers(0, self.n, size=n_gen)
         r = self.ranks[idx].astype(float)
         # Beta(a, b) via two gamma variates
         g1 = rng.standard_gamma(r)

@@ -47,13 +47,14 @@ class QuantileMaps:
 
     Parametric mode applies the scaled-t quantile of each fitted margin
     (used when no dimension reduction is in play); empirical mode uses
-    per-component quantile tables of the training components.
+    per-component quantile tables of the training components (of the model
+    or of one bootstrap replicate).
 
     A draw on the rank grid k / (n + 1), k = 1..n (GMMN and empirical
-    copula draws) comes in as integer ranks through :meth:`on_grid`.  In
-    parametric mode it is then mapped by lookup in a table of the scaled-t
-    quantile at each grid point, computed for the last grid size only and
-    never saved.  The table holds the quantiles of the same doubles
+    copula draws, in a bootstrap mixture too) comes in as integer ranks
+    through :meth:`on_grid`.  In parametric mode it is then mapped by lookup
+    in a table of the scaled-t quantile at each grid point, computed for
+    the last grid size only and never saved.  The table holds the quantiles of the same doubles
     ``ranks / (n + 1.0)`` that ``self`` would get, and the quantile is
     elementwise, so the lookup returns the same bytes as the call.
     """
@@ -65,6 +66,8 @@ class QuantileMaps:
         self.mode = mode
         self.nus = None if nus is None else np.asarray(nus, dtype=float)
         self.tables = None if tables is None else [np.sort(np.asarray(t, dtype=float)) for t in tables]
+        if self.tables is not None and any(t.ndim != 1 or len(t) == 0 for t in self.tables):
+            raise InputError("empirical quantile tables must be nonempty 1-d arrays")
         self._grid = None   # (n, table of shape (n, d)) of the last scaled-t grid
 
     @classmethod
@@ -140,14 +143,41 @@ class PredictivePaths:
             raise InputError("values must have shape (n_pth, horizon, d)")
 
 
-def _innovations(model: MtsModel, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n joint innovations, shape (n, d): dependence draw, inverse margins, lift."""
-    return lift(model.pca, model.dependence.sample_quantiles(n, rng, model.quantile_maps))
+_ORIGIN_BLOCK = 50
 
 
-def _max_lag(model: MtsModel) -> int:
-    """Longest lag any margin's recursions reach back."""
-    return max(max(m.params.orders) for m in model.margins)
+def _filters(model: MtsModel, x: np.ndarray) -> list:
+    """One filter pass per margin over the columns of `x`."""
+    return [arma_garch_filter(m.params, x[:, j]) for j, m in enumerate(model.margins)]
+
+
+def _paths(model: MtsModel, x: np.ndarray, filters: list, origins, n_pth: int, h: int,
+           rngs) -> np.ndarray:
+    """n_pth paths of h steps from each origin, shape (n_origins, n_pth, h, d).
+
+    Origin t continues each margin from the lags after x[:t], read from that
+    margin's filter pass `filters[j]` over all of `x`.  Its joint innovations
+    (dependence draw, inverse margins, lift) come from its own entry of
+    `rngs`, a Generator or a SeedSequence.
+    """
+    origins = np.asarray(origins)
+    lag = max(max(m.params.orders) for m in model.margins)
+    if origins.min() < lag:
+        raise InputError(f"history must cover at least {lag} steps")
+    values = np.empty((len(origins), n_pth, h, model.d))
+    for i, rng in enumerate(rngs):
+        u = model.dependence.sample_quantiles(n_pth * h, np.random.default_rng(rng),
+                                              model.quantile_maps)
+        values[i] = lift(model.pca, u).reshape(n_pth, h, model.d)
+    # each margin's innovations are overwritten by its paths, so memory
+    # holds one array of paths; blocks of origins keep the simulator's
+    # temporaries small, which keeps them from fragmenting the heap
+    for j, m in enumerate(model.margins):
+        for lo in range(0, len(origins), _ORIGIN_BLOCK):
+            block = slice(lo, lo + _ORIGIN_BLOCK)
+            state = LaggedState.at(m.params, x[:, j], filters[j], origins[block, None])
+            values[block, ..., j] = arma_garch_simulate(m.params, values[block, ..., j], state)
+    return values
 
 
 def forecast_paths(model: MtsModel, history, n_pth: int, h: int,
@@ -161,16 +191,8 @@ def forecast_paths(model: MtsModel, history, n_pth: int, h: int,
     if history.ndim != 2 or history.shape[1] != model.d:
         raise InputError(f"history must have {model.d} columns")
     t = history.shape[0]
-    if t < _max_lag(model):
-        raise InputError(f"history must cover at least {_max_lag(model)} steps")
-
-    # each margin's innovations are overwritten by its paths
-    values = _innovations(model, n_pth * h, rng).reshape(n_pth, h, model.d)
-    for j, fit in enumerate(model.margins):
-        x = history[:, j]
-        state = LaggedState.at(fit.params, x, arma_garch_filter(fit.params, x), t)
-        values[:, :, j] = arma_garch_simulate(fit.params, values[:, :, j], state)
-    return PredictivePaths(values=values, origin=t, horizon=h)
+    values = _paths(model, history, _filters(model, history), [t], n_pth, h, [rng])
+    return PredictivePaths(values=values[0], origin=t, horizon=h)
 
 
 def aggregate_returns(paths: PredictivePaths, s: int = 0) -> np.ndarray:

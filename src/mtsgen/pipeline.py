@@ -23,11 +23,9 @@ from .bootstrap import bootstrap_fit
 from .dependence import (EmpiricalBetaCopula, EmpiricalCopula,
                          IndependenceCopula, pseudo_observations)
 from .errors import ConfigError, InputError
-from .forecast import (MtsModel, QuantileMaps, _innovations, _max_lag,
-                       rolling_var)
+from .forecast import MtsModel, QuantileMaps, _filters, _paths, rolling_var
 from .gmmn import GmmnCopula, TrainConfig, train_gmmn
-from .margins import (LaggedState, arma_garch_filter, arma_garch_simulate,
-                      fit_arma_garch)
+from .margins import fit_arma_garch
 from .pca import PcaTransform, fit_pca, project, select_k
 
 __all__ = [
@@ -37,6 +35,7 @@ __all__ = [
     "load_dataset",
     "fit_mts",
     "run_pipeline",
+    "seed_streams",
     "write_metrics",
     "METRICS_HEADER",
 ]
@@ -241,6 +240,15 @@ class PipelineConfig:
 # fitting and orchestration
 # ---------------------------------------------------------------------------
 
+def seed_streams(seed: int) -> tuple:
+    """The two children of the master seed, the whole seed lineage of a run.
+
+    `fit_mts` fits the dependence model from the first and draws the bootstrap
+    resamples from the second; forecasts draw from the first, AMMD from the second.
+    """
+    return tuple(np.random.SeedSequence(seed).spawn(2))
+
+
 def _dependence_fitter(cfg: PipelineConfig, seed_seq: np.random.SeedSequence):
     """Returns a function PseudoSample -> DependenceModel for cfg.dependence."""
     counter = [0]
@@ -251,7 +259,7 @@ def _dependence_fitter(cfg: PipelineConfig, seed_seq: np.random.SeedSequence):
         if cfg.dependence == "empirical":
             return EmpiricalCopula(ps)
         if cfg.dependence == "empirical_beta":
-            return EmpiricalBetaCopula(ps.ranks, ps.n)
+            return EmpiricalBetaCopula(ps.ranks)
         # gmmn: a distinct derived seed per invocation (bootstrap replicates)
         seed = int(seed_seq.generate_state(counter[0] + 1, dtype=np.uint64)[-1])
         counter[0] += 1
@@ -294,8 +302,7 @@ def fit_mts(cfg: PipelineConfig, dataset: Dataset) -> MtsModel:
     else:
         qmaps = QuantileMaps.scaled_t([m.params.nu for m in margins])
 
-    ss = np.random.SeedSequence(cfg.seed)
-    dep_ss, boot_ss = ss.spawn(2)
+    dep_ss, boot_ss = seed_streams(cfg.seed)
     fitter = _dependence_fitter(cfg, dep_ss)
     if cfg.bootstrap_n_bt > 0:
         dep = bootstrap_fit(y, cfg.bootstrap_n_bt, fitter,
@@ -307,16 +314,6 @@ def fit_mts(cfg: PipelineConfig, dataset: Dataset) -> MtsModel:
                     quantile_maps=qmaps, tau=dataset.tau)
 
 
-def _filter_margins(model: MtsModel, dataset: Dataset) -> list:
-    """One filter pass per margin over the full series.
-
-    The fitted filters run across the training boundary, so every test
-    origin's lags and every test-period residual come from this one pass.
-    """
-    return [arma_garch_filter(m.params, dataset.values[:, j])
-            for j, m in enumerate(model.margins)]
-
-
 def _test_dependence(model: MtsModel, dataset: Dataset, filters: list) -> np.ndarray:
     """Pseudo-observations of the projected test-period residuals."""
     z = np.column_stack([f.z_t for f in filters])
@@ -324,28 +321,15 @@ def _test_dependence(model: MtsModel, dataset: Dataset, filters: list) -> np.nda
     return pseudo_observations(y_test).u
 
 
-_ORIGIN_BLOCK = 50
-
-
-def _rolling_paths(model: MtsModel, dataset: Dataset, filters: list, n_pth: int,
-                   seed_seq: np.random.SeedSequence) -> np.ndarray:
-    if dataset.tau < _max_lag(model):
-        raise InputError(f"history must cover at least {_max_lag(model)} steps")
+def _one_step_paths(model: MtsModel, dataset: Dataset, filters: list, n_pth: int,
+                    seed_seq: np.random.SeedSequence) -> np.ndarray:
+    """:func:`rolling_forecasts` from the given filter pass of each margin."""
+    if dataset.tau < model.tau:
+        raise InputError(f"the test period starts at tau={dataset.tau}, inside the "
+                         f"model's training window (tau={model.tau})")
     origins = np.arange(dataset.tau, dataset.n_obs)
-    paths = np.empty((len(origins), n_pth, dataset.d))
-    for i, s in enumerate(seed_seq.spawn(len(origins))):
-        paths[i] = _innovations(model, n_pth, np.random.default_rng(s))
-    # each margin's innovations are overwritten by its paths, so memory
-    # holds one (n_test, n_pth, d) array; blocks of origins keep the
-    # simulator's temporaries small, which keeps them from fragmenting the heap
-    for j, m in enumerate(model.margins):
-        for lo in range(0, len(origins), _ORIGIN_BLOCK):
-            block = slice(lo, lo + _ORIGIN_BLOCK)
-            state = LaggedState.at(m.params, dataset.values[:, j], filters[j],
-                                   origins[block, None])
-            paths[block, :, j] = arma_garch_simulate(m.params, paths[block, :, j, None],
-                                                     state)[..., 0]
-    return paths
+    return _paths(model, dataset.values, filters, origins, n_pth, 1,
+                  seed_seq.spawn(len(origins)))[:, :, 0]
 
 
 def rolling_forecasts(model: MtsModel, dataset: Dataset, n_pth: int,
@@ -354,10 +338,10 @@ def rolling_forecasts(model: MtsModel, dataset: Dataset, n_pth: int,
 
     Origin t draws from its own child of `seed_seq` and continues each
     margin from the lags after x[:t]; the paths equal those of
-    forecast_paths(model, x[:t], n_pth, 1, rng_t).
+    forecast_paths(model, x[:t], n_pth, 1, rng_t).  The test period must
+    not start inside the model's training window.
     """
-    return _rolling_paths(model, dataset, _filter_margins(model, dataset),
-                          n_pth, seed_seq)
+    return _one_step_paths(model, dataset, _filters(model, dataset.values), n_pth, seed_seq)
 
 
 @dataclass
@@ -377,11 +361,10 @@ def run_pipeline(cfg: PipelineConfig, dataset: Dataset,
     if model is None:
         model = fit_mts(cfg, dataset)
 
-    ss = np.random.SeedSequence(cfg.seed)
-    fc_ss, ammd_ss = ss.spawn(2)
-
-    filters = _filter_margins(model, dataset)
-    paths = _rolling_paths(model, dataset, filters, cfg.n_pth, fc_ss)
+    fc_ss, ammd_ss = seed_streams(cfg.seed)
+    # one filter pass per margin serves the forecasts and the test residuals
+    filters = _filters(model, dataset.values)
+    paths = _one_step_paths(model, dataset, filters, cfg.n_pth, fc_ss)
     u_test = _test_dependence(model, dataset, filters)
     x_test = dataset.values[dataset.tau:]
 

@@ -64,7 +64,7 @@ def _pack_dependence(prefix: str, dep, arrays: dict, meta: dict) -> None:
         arrays[f"{prefix}/u"] = dep.ps.u
         arrays[f"{prefix}/ranks"] = dep.ps.ranks
     elif isinstance(dep, EmpiricalBetaCopula):
-        meta[prefix] = {"kind": "empirical_beta", "n": dep.n}
+        meta[prefix] = {"kind": "empirical_beta"}
         arrays[f"{prefix}/ranks"] = dep.ranks
     elif isinstance(dep, GmmnCopula):
         meta[prefix] = {"kind": "gmmn_copula"}
@@ -73,7 +73,7 @@ def _pack_dependence(prefix: str, dep, arrays: dict, meta: dict) -> None:
         meta[prefix] = {"kind": "bootstrap_mixture", "n_bt": dep.n_bt}
         for b, comp in enumerate(dep.components):
             _pack_dependence(f"{prefix}/c{b}", comp, arrays, meta)
-            for j, table in enumerate(dep.component_quantiles[b]):
+            for j, table in enumerate(dep.component_quantiles[b].tables):
                 arrays[f"{prefix}/q{b}_{j}"] = table
     else:
         raise InputError(f"cannot serialize dependence model {type(dep).__name__}")
@@ -88,13 +88,14 @@ def _unpack_dependence(prefix: str, arrays, meta: dict):
         return EmpiricalCopula(PseudoSample(u=arrays[f"{prefix}/u"],
                                             ranks=arrays[f"{prefix}/ranks"]))
     if kind == "empirical_beta":
-        return EmpiricalBetaCopula(arrays[f"{prefix}/ranks"], m["n"])
+        return EmpiricalBetaCopula(arrays[f"{prefix}/ranks"])
     if kind == "gmmn_copula":
         return GmmnCopula(_unpack_gmmn(f"{prefix}/net", arrays, meta))
     if kind == "bootstrap_mixture":
         comps = [_unpack_dependence(f"{prefix}/c{b}", arrays, meta)
                  for b in range(m["n_bt"])]
-        quantiles = [[arrays[f"{prefix}/q{b}_{j}"] for j in range(comp.d)]
+        quantiles = [QuantileMaps("empirical",
+                                  tables=[arrays[f"{prefix}/q{b}_{j}"] for j in range(comp.d)])
                      for b, comp in enumerate(comps)]
         return BootstrapMixture(components=comps, component_quantiles=quantiles,
                                 n_bt=m["n_bt"])

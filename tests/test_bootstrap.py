@@ -6,6 +6,12 @@ from scipy import stats
 
 from mtsgen import (BootstrapMixture, EmpiricalCopula, IndependenceCopula,
                     InputError, QuantileMaps, bootstrap_fit)
+from mtsgen.dependence import DependenceModel
+
+
+def tables(*columns):
+    """Empirical quantile maps with one table per given column."""
+    return QuantileMaps("empirical", tables=columns)
 
 
 def empirical_fitter(ps):
@@ -35,8 +41,8 @@ class TestBootstrapFit:
 
         mix = bootstrap_fit(y_train, 5, recording_fitter, np.random.default_rng(3))
         # quantile tables hold sorted resampled values, all drawn from y_train
-        for tables in mix.component_quantiles:
-            for j, table in enumerate(tables):
+        for maps in mix.component_quantiles:
+            for j, table in enumerate(maps.tables):
                 assert set(table).issubset(set(y_train[:, j]))
 
     def test_component_count_and_dimension(self, y_train):
@@ -72,7 +78,7 @@ class TestSampleMixture:
     def test_two_identical_independence_components_uniform(self):
         mix = BootstrapMixture(
             components=[IndependenceCopula(2), IndependenceCopula(2)],
-            component_quantiles=[[np.zeros(1)] * 2] * 2, n_bt=2)
+            component_quantiles=[tables(np.zeros(1), np.zeros(1))] * 2, n_bt=2)
         u, _ = mix.sample_components(10**4, np.random.default_rng(10))
         for j in range(2):
             assert stats.kstest(u[:, j], "uniform").pvalue > 0.01
@@ -85,39 +91,53 @@ class TestSampleMixture:
         np.testing.assert_array_equal(a[1], b[1])
 
 
+class ConstantCopula(DependenceModel):
+    """Every draw is 0.4 in its one coordinate."""
+
+    d = 1
+
+    def sample(self, n, rng):
+        return np.full((n, 1), 0.4)
+
+
 class TestApplyQuantiles:
     def test_per_component_tables(self):
-        tables_a = [np.array([0.0, 10.0])]
-        tables_b = [np.array([100.0, 110.0])]
+        tables_a = tables(np.array([0.0, 10.0]))
+        tables_b = tables(np.array([100.0, 110.0]))
         mix = BootstrapMixture(
-            components=[IndependenceCopula(1), IndependenceCopula(1)],
+            components=[ConstantCopula(), ConstantCopula()],
             component_quantiles=[tables_a, tables_b], n_bt=2)
-        u = np.array([[0.4], [0.4]])
-        ids = np.array([0, 1])
-        y = mix.apply_quantiles(u, ids)
+        y = mix.sample_quantiles(50, np.random.default_rng(4), None)
+        ids = np.random.default_rng(4).integers(0, 2, size=50)
+        assert set(ids) == {0, 1}
         # ceil(0.4 * 2) = 1 -> first order statistic of each table
-        assert y[0, 0] == 0.0
-        assert y[1, 0] == 100.0
+        assert np.all(y[ids == 0, 0] == 0.0)
+        assert np.all(y[ids == 1, 0] == 100.0)
 
     def test_sample_quantiles_uses_component_tables(self):
         mix = BootstrapMixture(
             components=[IndependenceCopula(1), IndependenceCopula(1)],
-            component_quantiles=[[np.array([0.0, 10.0])], [np.array([100.0, 110.0])]],
+            component_quantiles=[tables(np.array([0.0, 10.0])),
+                                 tables(np.array([100.0, 110.0]))],
             n_bt=2)
         qmaps = QuantileMaps.scaled_t([6.0])    # not used by a mixture
         y = mix.sample_quantiles(200, np.random.default_rng(3), qmaps)
         u, ids = mix.sample_components(200, np.random.default_rng(3))
-        assert np.array_equal(y, mix.apply_quantiles(u, ids))
+        want = np.empty_like(u)
+        for b in range(2):
+            want[ids == b] = mix.component_quantiles[b](u[ids == b])
+        assert np.array_equal(y, want)
         assert set(np.unique(y)) == {0.0, 10.0, 100.0, 110.0}
 
     def test_mismatched_components_rejected(self):
         with pytest.raises(InputError):
             BootstrapMixture(components=[IndependenceCopula(2),
                                          IndependenceCopula(3)],
-                             component_quantiles=[[], []], n_bt=2)
+                             component_quantiles=[tables(), tables()], n_bt=2)
 
     def test_table_count_must_match_dimension(self):
         with pytest.raises(InputError, match="2 quantile tables, one per dimension"):
             BootstrapMixture(components=[IndependenceCopula(2), IndependenceCopula(2)],
-                             component_quantiles=[[np.zeros(1)] * 2, [np.zeros(1)]],
+                             component_quantiles=[tables(np.zeros(1), np.zeros(1)),
+                                                  tables(np.zeros(1))],
                              n_bt=2)

@@ -84,14 +84,14 @@ class TestEmpiricalCopula:
 
 class TestEmpiricalBetaCopula:
     def test_single_observation_is_uniform(self):
-        cop = EmpiricalBetaCopula(np.array([[1]]), n=1)
+        cop = EmpiricalBetaCopula(np.array([[1]]))
         out = cop.sample(10**4, np.random.default_rng(5))
         assert stats.kstest(out[:, 0], "uniform").pvalue > 0.01
 
     def test_margins_uniform(self):
         y = np.random.default_rng(6).standard_normal((50, 2))
         ps = pseudo_observations(y)
-        cop = EmpiricalBetaCopula(ps.ranks, ps.n)
+        cop = EmpiricalBetaCopula(ps.ranks)
         out = cop.sample(10**4, np.random.default_rng(7))
         for j in range(2):
             assert stats.kstest(out[:, j], "uniform").pvalue > 0.01
@@ -99,7 +99,7 @@ class TestEmpiricalBetaCopula:
     def test_component_means(self):
         y = np.random.default_rng(8).standard_normal((20, 2))
         ps = pseudo_observations(y)
-        cop = EmpiricalBetaCopula(ps.ranks, ps.n)
+        cop = EmpiricalBetaCopula(ps.ranks)
         out = cop.sample(10**4, np.random.default_rng(9))
         target = ps.ranks.mean(axis=0) / (ps.n + 1)
         # se of the mean of a mixture of betas, bounded by uniform variance
@@ -108,9 +108,9 @@ class TestEmpiricalBetaCopula:
 
     def test_bad_ranks_rejected(self):
         with pytest.raises(InputError):
-            EmpiricalBetaCopula(np.array([[0]]), n=3)
+            EmpiricalBetaCopula(np.array([[0], [1], [2]]))
         with pytest.raises(InputError):
-            EmpiricalBetaCopula(np.array([[4]]), n=3)
+            EmpiricalBetaCopula(np.array([[1], [2], [4]]))
 
 
 class TestIndependenceCopula:
@@ -132,7 +132,7 @@ class TestIndependenceCopula:
 
 @pytest.mark.parametrize("make", [
     lambda ps: EmpiricalCopula(ps),
-    lambda ps: EmpiricalBetaCopula(ps.ranks, ps.n),
+    lambda ps: EmpiricalBetaCopula(ps.ranks),
     lambda ps: IndependenceCopula(ps.d),
 ])
 def test_common_contract(make):

@@ -117,6 +117,14 @@ class TestForecastPaths:
         with pytest.raises(InputError):
             forecast_paths(model, np.empty((0, 1)), 5, 1, np.random.default_rng(8))
 
+    def test_history_shorter_than_lags_rejected(self):
+        # orders (2, 1, 1, 2): the recursions reach back two steps
+        p = ArmaGarchParams(mu=0.0, phi=[0.5, 0.1], gamma=[0.0], omega=0.05,
+                            alpha=[0.1], beta=[0.5, 0.2], nu=6.0)
+        model = make_model([p])
+        with pytest.raises(InputError, match="history must cover at least 2 steps"):
+            forecast_paths(model, np.zeros((1, 1)), 5, 1, np.random.default_rng(8))
+
     def test_wrong_width_rejected(self):
         model = make_model([flat_params(), flat_params()])
         with pytest.raises(InputError):

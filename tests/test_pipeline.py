@@ -1,6 +1,7 @@
 """Pipeline, serialization and CLI tests on small synthetic datasets."""
 
 import csv
+import dataclasses
 import io
 import json
 import logging
@@ -263,6 +264,22 @@ class TestCli:
         saved = np.load(out)
         assert saved["paths"].shape == (60, 50, 2)
 
+    def test_forecast_equals_run_pipeline(self, pipeline_run, small_cfg, synthetic_csv,
+                                          tmp_path):
+        from mtsgen.cli import main
+        ds, result = pipeline_run
+        model_path, out = tmp_path / "m.npz", tmp_path / "fc.npz"
+        save_model(result.model, model_path)
+        code = main(["forecast", "--data", synthetic_csv, "--seed", str(small_cfg.seed),
+                     "--tau", "200", "--dependence", "empirical",
+                     "--n-pth", str(small_cfg.n_pth), "--model", str(model_path),
+                     "--out", str(out)])
+        assert code == 0
+        want = run_pipeline(small_cfg, ds, load_model(model_path))
+        saved = np.load(out)
+        assert np.array_equal(saved["paths"], want.paths)
+        assert np.array_equal(saved["var_series"], want.var_series)
+
     def test_missing_data_exit_code(self, tmp_path):
         r = self.run_cli("fit", "--data", "/no/such.csv", "--seed", "1",
                          "--out", str(tmp_path / "m.npz"))
@@ -311,6 +328,41 @@ class TestRollingForecasts:
         assert paths.shape == (30, n_pth, 3)
         assert np.array_equal(paths, expected)
 
+    def test_history_shorter_than_lags_rejected(self):
+        x = np.random.default_rng(14).standard_normal((140, 2))
+        ds = Dataset(name="s", times=list(range(140)), values=x,
+                     columns=["a", "b"], transform="none", tau=110)
+        model = fit_mts(PipelineConfig(orders=(2, 1, 1, 2)), ds)
+        # a test period from t=1 has one step of history before its first origin
+        short = dataclasses.replace(ds, tau=1)
+        with pytest.raises(InputError, match="history must cover at least 2 steps"):
+            rolling_forecasts(dataclasses.replace(model, tau=1), short, 5,
+                              np.random.SeedSequence(0))
+
+
+class TestTrainingWindow:
+    """Test origins may not lie inside the window the model was fitted on."""
+
+    def test_earlier_test_period_rejected(self, pipeline_run, synthetic_csv):
+        _, result = pipeline_run
+        with pytest.raises(InputError, match="tau=150.*tau=200"):
+            rolling_forecasts(result.model, load_dataset(synthetic_csv, tau=150), 5,
+                              np.random.SeedSequence(0))
+
+    def test_later_test_period_accepted(self, pipeline_run, synthetic_csv):
+        _, result = pipeline_run
+        paths = rolling_forecasts(result.model, load_dataset(synthetic_csv, tau=230), 5,
+                                  np.random.SeedSequence(0))
+        assert paths.shape == (30, 5, 2)
+
+    def test_cli_exit_code(self, pipeline_run, synthetic_csv, tmp_path):
+        from mtsgen.cli import main
+        path = tmp_path / "model.npz"
+        save_model(pipeline_run[1].model, path)
+        code = main(["assess", "--data", synthetic_csv, "--seed", "7", "--tau", "150",
+                     "--model", str(path), "--out", str(tmp_path / "metrics.csv")])
+        assert code == 2
+
 
 def nan_omega(meta, data):
     meta["margins"][0]["omega"] = float("nan")
@@ -341,6 +393,18 @@ def flatten_gamma(meta, data):
     data["pca/gamma"] = data["pca/gamma"].ravel()
 
 
+def empty_table(key):
+    def edit(meta, data):
+        data[key] = np.empty(0)
+    return edit
+
+
+def two_dim_table(key):
+    def edit(meta, data):
+        data[key] = np.stack([data[key], data[key]])
+    return edit
+
+
 # edits of a 2-d bootstrap file that make its parts disagree in dimension,
 # and the message that names the mismatch
 DIMENSION_MISMATCHES = [
@@ -357,6 +421,14 @@ MISMATCH_EDITS = [edit for edit, _ in DIMENSION_MISMATCHES]
 @pytest.fixture(scope="module")
 def bootstrap_model(synthetic_csv):
     cfg = PipelineConfig(dependence="empirical_beta", bootstrap_n_bt=2, seed=6)
+    return fit_mts(cfg, load_dataset(synthetic_csv, tau=200))
+
+
+@pytest.fixture(scope="module")
+def pca_bootstrap_model(synthetic_csv):
+    """A file of this model holds both kinds of quantile table."""
+    cfg = PipelineConfig(dependence="empirical_beta", pca_enabled=True, pca_k_min=1,
+                         bootstrap_n_bt=2, seed=6)
     return fit_mts(cfg, load_dataset(synthetic_csv, tau=200))
 
 
@@ -431,6 +503,20 @@ class TestCorruptModelFile:
                  else pipeline_run[1].model)
         path = tmp_path / "model.npz"
         self.corrupt(model, path, **drop)
+        code = main(["assess", "--data", synthetic_csv, "--seed", "7",
+                     "--tau", "200", "--model", str(path),
+                     "--out", str(tmp_path / "metrics.csv")])
+        assert code == 2
+
+    @pytest.mark.parametrize("key", ["qmap/t0", "dep/q0_0"])
+    @pytest.mark.parametrize("bad", [empty_table, two_dim_table], ids=["empty", "2d"])
+    def test_bad_quantile_table_exit_code(self, pca_bootstrap_model, synthetic_csv,
+                                          tmp_path, bad, key):
+        from mtsgen.cli import main
+        path = tmp_path / "model.npz"
+        self.corrupt(pca_bootstrap_model, path, edit=bad(key))
+        with pytest.raises(InputError, match="nonempty 1-d arrays"):
+            load_model(path)
         code = main(["assess", "--data", synthetic_csv, "--seed", "7",
                      "--tau", "200", "--model", str(path),
                      "--out", str(tmp_path / "metrics.csv")])
@@ -663,6 +749,13 @@ class TestRoundTrip:
                "kernel": [0.001, 0.01, 0.15, 0.25, 0.5, 0.75]}
         self.assert_loads_with_dropped_keys(small_dataset, model, tmp_path / "model.npz",
                                             old, entry="dep/net")
+
+    def test_empirical_beta_file_with_n_key_loads(self, small_dataset, tmp_path):
+        # n is the row count of the rank matrix; an edited n changes nothing
+        cfg = PipelineConfig(seed=71, **ROUND_TRIP_KINDS["empirical_beta_bt"])
+        model = fit_mts(cfg, small_dataset)
+        self.assert_loads_with_dropped_keys(small_dataset, model, tmp_path / "model.npz",
+                                            {"n": 10**6}, entry="dep/c0")
 
     def test_bootstrap_file_with_d_key_loads(self, small_dataset, tmp_path):
         cfg = PipelineConfig(seed=71, **ROUND_TRIP_KINDS["empirical_beta_bt"])
