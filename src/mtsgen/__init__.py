@@ -14,8 +14,7 @@ from .dependence import (EmpiricalBetaCopula, EmpiricalCopula,
                          IndependenceCopula, PseudoSample,
                          pseudo_observations)
 from .errors import ConfigError, InputError, MtsgenError, NumericalError
-from .forecast import (MtsModel, PredictivePaths, QuantileMaps,
-                       aggregate_returns, forecast_paths, var_forecast)
+from .forecast import MtsModel, QuantileMaps, forecast_paths, var_forecast
 from .gmmn import (AdamState, GmmnCopula, GmmnModel, KernelSpec, TrainConfig,
                    adam_step, kernel_mix, mmd, mmd_loss_and_grad, nn_forward,
                    sample_gmmn, train_gmmn)

@@ -44,8 +44,8 @@ class BootstrapMixture(DependenceModel):
         """Per row: pick a component uniformly, then draw one row from it."""
         return self._mix(n, rng, lambda b, cnt: self.components[b].sample(cnt, rng))
 
-    def sample_quantiles(self, n: int, rng: np.random.Generator, quantile_maps) -> np.ndarray:
-        """Draws mapped through their own replicate's maps; `quantile_maps` is unused."""
+    def innovations(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        """n draws, each mapped through the quantile maps of its own replicate."""
         y, _ = self._mix(n, rng, lambda b, cnt: self.components[b].sample_quantiles(
             cnt, rng, self.component_quantiles[b]))
         return y

@@ -11,15 +11,16 @@ import argparse
 import csv
 import json
 import logging
+import os
 import sys
 
 import numpy as np
 
 from .errors import ConfigError, InputError, MtsgenError, NumericalError
 from .forecast import rolling_var
-from .pipeline import (METRICS_HEADER, PipelineConfig, load_dataset,
-                       fit_mts, rolling_forecasts, run_pipeline, seed_streams,
-                       write_metrics)
+from .pipeline import (DEPENDENCE_KINDS, METRICS_HEADER, TRANSFORMS, PipelineConfig,
+                       load_dataset, fit_mts, rolling_forecasts, run_pipeline,
+                       seed_streams, write_metrics)
 from .serialize import load_model, save_model
 
 
@@ -128,18 +129,17 @@ def _add_common(p, need_model=False):
     p.add_argument("--data", required=True, help="CSV input (time label + numeric columns)")
     p.add_argument("--config", help="JSON configuration file")
     p.add_argument("--seed", type=int, required=True, help="master seed")
-    p.add_argument("--transform", default="none",
-                   choices=["none", "difference", "log_returns"])
+    p.add_argument("--transform", default="none", choices=TRANSFORMS)
     p.add_argument("--tau", type=int, help="training cut (default: 70%% of rows)")
     p.add_argument("--dataset-name", help="label used in the metrics table")
-    p.add_argument("--dependence",
-                   choices=["independence", "empirical", "empirical_beta", "gmmn"])
+    p.add_argument("--dependence", choices=DEPENDENCE_KINDS)
     p.add_argument("--pca", action="store_const", const=True, default=None)
     p.add_argument("--n-pth", type=int, dest="n_pth")
     p.add_argument("--n-rep", type=int, dest="n_rep")
     p.add_argument("--epochs", type=int)
     if need_model:
         p.add_argument("--model", help="fitted model container (.npz)")
+    p.add_argument("--out", required=True)
     _add_verbose(p)
 
 
@@ -156,23 +156,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="fit margins, reduction and dependence model")
     _add_common(p)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("bootstrap", help="fit a bootstrap mixture of dependence models")
     _add_common(p)
     p.add_argument("--n-bt", type=int, dest="n_bt", required=True)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("forecast", help="rolling one-step predictive paths")
     _add_common(p, need_model=True)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_forecast)
 
     p = sub.add_parser("assess", help="run forecasts and emit the metrics table")
     _add_common(p, need_model=True)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_assess)
 
     p = sub.add_parser("report", help="merge metrics tables into one report")
@@ -182,6 +178,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_report)
 
     return parser
+
+
+def _check_out(path) -> None:
+    """Refuse, before any work, an `--out` that is not a file in an existing directory."""
+    if path is not None and (os.path.isdir(path)
+                             or not os.path.isdir(os.path.dirname(path) or ".")):
+        raise InputError(f"cannot write --out {path}: not a file in an existing directory")
 
 
 def main(argv=None) -> int:
@@ -196,11 +199,13 @@ def main(argv=None) -> int:
         logger.addHandler(handler)
         logger.setLevel(logging.INFO if args.verbose == 1 else logging.DEBUG)
     try:
+        _check_out(args.out)
         return args.func(args)
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (InputError, MtsgenError) as exc:
+    except (InputError, MtsgenError, OSError) as exc:
+        # reads raise InputError, so an OSError is a failed write, which names its file
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:

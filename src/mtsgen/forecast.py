@@ -22,9 +22,7 @@ __all__ = [
     "QuantileMaps",
     "empirical_quantile",
     "MtsModel",
-    "PredictivePaths",
     "forecast_paths",
-    "aggregate_returns",
     "var_forecast",
     "rolling_var",
 ]
@@ -106,41 +104,44 @@ class QuantileMaps:
 
 @dataclass
 class MtsModel:
-    """Fitted multivariate model: margins, optional reduction, dependence."""
+    """Fitted multivariate model: margins, optional reduction, dependence.
+
+    Only a bootstrap mixture, which draws through its replicates' own maps,
+    has no `quantile_maps`; scaled-t maps use the margins' nu.
+    """
 
     margins: list
     pca: PcaTransform
     dependence: DependenceModel
-    quantile_maps: QuantileMaps
+    quantile_maps: QuantileMaps | None
     tau: int
 
     def __post_init__(self):
+        from .bootstrap import BootstrapMixture   # bootstrap imports QuantileMaps from here
+
+        qm = self.quantile_maps
+        if isinstance(self.dependence, BootstrapMixture) != (qm is None):
+            raise InputError("a bootstrap mixture draws through its replicates' quantile "
+                             "maps and takes none; any other dependence model needs them")
         if len(self.margins) != self.pca.d:
             raise InputError(f"{len(self.margins)} margins but PCA dimension {self.pca.d}")
-        if not self.pca.k == self.dependence.d == self.quantile_maps.d:
+        maps_d = self.dependence.d if qm is None else qm.d   # a mixture checks its own
+        if not self.pca.k == self.dependence.d == maps_d:
             raise InputError(f"PCA k={self.pca.k}, dependence dimension {self.dependence.d} "
-                             f"and quantile maps of dimension {self.quantile_maps.d} disagree")
+                             f"and quantile maps of dimension {maps_d} disagree")
+        if (qm is not None and qm.mode == "scaled_t"
+                and not np.array_equal(qm.nus, [m.params.nu for m in self.margins])):
+            raise InputError("scaled-t quantile maps must use the margins' degrees of freedom")
 
     @property
     def d(self) -> int:
         return len(self.margins)
 
-    @property
-    def d_star(self) -> int:
-        return self.pca.k
-
-
-@dataclass
-class PredictivePaths:
-    """Simulated forward values: values[i, s, j] is path i, step s+1, component j."""
-
-    values: np.ndarray
-    origin: int
-    horizon: int
-
-    def __post_init__(self):
-        if self.values.ndim != 3 or self.values.shape[1] != self.horizon:
-            raise InputError("values must have shape (n_pth, horizon, d)")
+    def innovations(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        """n joint draws of the components' innovations, through the inverse margins."""
+        if self.quantile_maps is None:
+            return self.dependence.innovations(n, rng)
+        return self.dependence.sample_quantiles(n, rng, self.quantile_maps)
 
 
 _ORIGIN_BLOCK = 50
@@ -166,9 +167,8 @@ def _paths(model: MtsModel, x: np.ndarray, filters: list, origins, n_pth: int, h
         raise InputError(f"history must cover at least {lag} steps")
     values = np.empty((len(origins), n_pth, h, model.d))
     for i, rng in enumerate(rngs):
-        u = model.dependence.sample_quantiles(n_pth * h, np.random.default_rng(rng),
-                                              model.quantile_maps)
-        values[i] = lift(model.pca, u).reshape(n_pth, h, model.d)
+        y = model.innovations(n_pth * h, np.random.default_rng(rng))
+        values[i] = lift(model.pca, y).reshape(n_pth, h, model.d)
     # each margin's innovations are overwritten by its paths, so memory
     # holds one array of paths; blocks of origins keep the simulator's
     # temporaries small, which keeps them from fragmenting the heap
@@ -181,23 +181,18 @@ def _paths(model: MtsModel, x: np.ndarray, filters: list, origins, n_pth: int, h
 
 
 def forecast_paths(model: MtsModel, history, n_pth: int, h: int,
-                   rng: np.random.Generator) -> PredictivePaths:
-    """Simulate n_pth paths of length h conditional on the observed history.
+                   rng: np.random.Generator) -> np.ndarray:
+    """n_pth paths of h steps after the observed history, shape (n_pth, h, d).
 
-    Each margin is filtered over the history, and its recursions continue
-    from the lags at the end of it.
+    paths[i, s, j] is path i, step s + 1, component j.  Each margin is
+    filtered over the history, and its recursions continue from the lags at
+    the end of it.
     """
     history = np.atleast_2d(np.asarray(history, dtype=float))
     if history.ndim != 2 or history.shape[1] != model.d:
         raise InputError(f"history must have {model.d} columns")
     t = history.shape[0]
-    values = _paths(model, history, _filters(model, history), [t], n_pth, h, [rng])
-    return PredictivePaths(values=values[0], origin=t, horizon=h)
-
-
-def aggregate_returns(paths: PredictivePaths, s: int = 0) -> np.ndarray:
-    """Componentwise sum at step s of every path (aggregate portfolio value)."""
-    return paths.values[:, s, :].sum(axis=1)
+    return _paths(model, history, _filters(model, history), [t], n_pth, h, [rng])[0]
 
 
 def var_forecast(aggregates, alpha: float) -> float:

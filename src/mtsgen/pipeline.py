@@ -295,20 +295,18 @@ def fit_mts(cfg: PipelineConfig, dataset: Dataset) -> MtsModel:
     else:
         pca = PcaTransform.identity(d)
     y = project(pca, z)
-    ps = pseudo_observations(y)
-
-    if cfg.pca_enabled:
-        qmaps = QuantileMaps.empirical(y)
-    else:
-        qmaps = QuantileMaps.scaled_t([m.params.nu for m in margins])
 
     dep_ss, boot_ss = seed_streams(cfg.seed)
     fitter = _dependence_fitter(cfg, dep_ss)
     if cfg.bootstrap_n_bt > 0:
+        # each replicate holds the inverse margins of its own resample
         dep = bootstrap_fit(y, cfg.bootstrap_n_bt, fitter,
                             np.random.default_rng(boot_ss))
+        qmaps = None
     else:
-        dep = fitter(ps)
+        dep = fitter(pseudo_observations(y))
+        qmaps = (QuantileMaps.empirical(y) if cfg.pca_enabled
+                 else QuantileMaps.scaled_t([m.params.nu for m in margins]))
 
     return MtsModel(margins=margins, pca=pca, dependence=dep,
                     quantile_maps=qmaps, tau=dataset.tau)

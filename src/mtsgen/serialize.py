@@ -3,7 +3,8 @@
 Models are stored as an ``.npz`` container holding all tensors in 64-bit
 floats plus a JSON metadata entry with a version header.  Round trips are
 exact: forecasts from a loaded model are bit-identical given the same
-seed.  The loader reads only the keys the writer emits, so keys that
+seed.  Each value is stored once: what other entries fix is derived on
+load.  The loader reads only the keys the writer emits, so keys that
 older files of the same version still carry are ignored.
 """
 
@@ -58,10 +59,9 @@ def _unpack_gmmn(prefix: str, arrays, meta: dict) -> GmmnModel:
 
 def _pack_dependence(prefix: str, dep, arrays: dict, meta: dict) -> None:
     if isinstance(dep, IndependenceCopula):
-        meta[prefix] = {"kind": "independence", "d": dep.d}
+        meta[prefix] = {"kind": "independence"}
     elif isinstance(dep, EmpiricalCopula):
         meta[prefix] = {"kind": "empirical"}
-        arrays[f"{prefix}/u"] = dep.ps.u
         arrays[f"{prefix}/ranks"] = dep.ps.ranks
     elif isinstance(dep, EmpiricalBetaCopula):
         meta[prefix] = {"kind": "empirical_beta"}
@@ -83,10 +83,11 @@ def _unpack_dependence(prefix: str, arrays, meta: dict):
     m = meta[prefix]
     kind = m["kind"]
     if kind == "independence":
-        return IndependenceCopula(m["d"])
+        return IndependenceCopula(meta["pca_k"])
     if kind == "empirical":
-        return EmpiricalCopula(PseudoSample(u=arrays[f"{prefix}/u"],
-                                            ranks=arrays[f"{prefix}/ranks"]))
+        ranks = arrays[f"{prefix}/ranks"]
+        # as pseudo_observations computes them
+        return EmpiricalCopula(PseudoSample(u=ranks / (len(ranks) + 1.0), ranks=ranks))
     if kind == "empirical_beta":
         return EmpiricalBetaCopula(arrays[f"{prefix}/ranks"])
     if kind == "gmmn_copula":
@@ -124,13 +125,12 @@ def save_model(model: MtsModel, path) -> None:
     _pack_dependence("dep", model.dependence, arrays, meta)
 
     qm = model.quantile_maps
-    meta["qmap_mode"] = qm.mode
-    if qm.mode == "scaled_t":
-        arrays["qmap/nus"] = qm.nus
-    else:
-        meta["qmap_n"] = len(qm.tables)
-        for j, table in enumerate(qm.tables):
-            arrays[f"qmap/t{j}"] = table
+    if qm is not None:
+        # scaled-t maps take the margins' nu; empirical ones hold pca_k tables
+        meta["qmap_mode"] = qm.mode
+        if qm.mode == "empirical":
+            for j, table in enumerate(qm.tables):
+                arrays[f"qmap/t{j}"] = table
 
     arrays["__meta__"] = np.frombuffer(
         json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8)
@@ -183,12 +183,13 @@ def _unpack_model(arrays: dict, meta: dict) -> MtsModel:
 
     dep = _unpack_dependence("dep", arrays, meta)
 
-    if meta["qmap_mode"] == "scaled_t":
-        qmaps = QuantileMaps.scaled_t(arrays["qmap/nus"])
+    if isinstance(dep, BootstrapMixture):
+        qmaps = None
+    elif meta["qmap_mode"] == "scaled_t":
+        qmaps = QuantileMaps.scaled_t([m.params.nu for m in margins])
     else:
         qmaps = QuantileMaps("empirical",
-                             tables=[arrays[f"qmap/t{j}"]
-                                     for j in range(meta["qmap_n"])])
+                             tables=[arrays[f"qmap/t{j}"] for j in range(pca.k)])
 
     return MtsModel(margins=margins, pca=pca, dependence=dep,
                     quantile_maps=qmaps, tau=meta["tau"])

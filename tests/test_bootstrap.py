@@ -107,7 +107,7 @@ class TestApplyQuantiles:
         mix = BootstrapMixture(
             components=[ConstantCopula(), ConstantCopula()],
             component_quantiles=[tables_a, tables_b], n_bt=2)
-        y = mix.sample_quantiles(50, np.random.default_rng(4), None)
+        y = mix.innovations(50, np.random.default_rng(4))
         ids = np.random.default_rng(4).integers(0, 2, size=50)
         assert set(ids) == {0, 1}
         # ceil(0.4 * 2) = 1 -> first order statistic of each table
@@ -120,8 +120,7 @@ class TestApplyQuantiles:
             component_quantiles=[tables(np.array([0.0, 10.0])),
                                  tables(np.array([100.0, 110.0]))],
             n_bt=2)
-        qmaps = QuantileMaps.scaled_t([6.0])    # not used by a mixture
-        y = mix.sample_quantiles(200, np.random.default_rng(3), qmaps)
+        y = mix.innovations(200, np.random.default_rng(3))
         u, ids = mix.sample_components(200, np.random.default_rng(3))
         want = np.empty_like(u)
         for b in range(2):

@@ -1,12 +1,13 @@
-"""Forecasting tests: quantile maps, path simulation, aggregation, VaR."""
+"""Forecasting tests: quantile maps, path simulation, VaR."""
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from mtsgen import (ArmaGarchParams, IndependenceCopula, InputError,
+from mtsgen import (ArmaGarchParams, BootstrapMixture, EmpiricalBetaCopula,
+                    EmpiricalCopula, IndependenceCopula, InputError,
                     MarginalFitResult, MtsModel, PcaTransform, QuantileMaps,
-                    aggregate_returns, arma_garch_filter, forecast_paths,
+                    arma_garch_filter, forecast_paths, pseudo_observations,
                     scaled_t_quantile, var_forecast)
 from mtsgen.forecast import empirical_quantile, rolling_var
 from mtsgen.margins import scaled_t_cdf
@@ -67,14 +68,52 @@ class TestQuantileMaps:
             QuantileMaps("banana")
 
 
+class TestModelMaps:
+    """A bootstrap mixture owns its inverse margins; other models take the model's."""
+
+    def mixture(self):
+        return BootstrapMixture(components=[IndependenceCopula(1)] * 2,
+                                component_quantiles=[QuantileMaps.empirical([[0.0], [1.0]]),
+                                                     QuantileMaps.empirical([[5.0], [6.0]])],
+                                n_bt=2)
+
+    def test_mixture_with_maps_rejected(self):
+        with pytest.raises(InputError, match="bootstrap mixture"):
+            make_model([flat_params()], dependence=self.mixture())
+
+    @pytest.mark.parametrize("dependence", [
+        IndependenceCopula(1),
+        EmpiricalCopula(pseudo_observations(np.arange(5.0))),
+        EmpiricalBetaCopula(pseudo_observations(np.arange(5.0)).ranks),
+    ], ids=["independence", "empirical", "empirical_beta"])
+    def test_other_model_without_maps_rejected(self, dependence):
+        margins = make_model([flat_params()]).margins
+        with pytest.raises(InputError, match="needs them"):
+            MtsModel(margins=margins, pca=PcaTransform.identity(1), dependence=dependence,
+                     quantile_maps=None, tau=100)
+
+    def test_scaled_t_nu_must_be_the_margins(self):
+        with pytest.raises(InputError, match="degrees of freedom"):
+            make_model([flat_params(nu=6.0), flat_params(nu=8.0)],
+                       qmaps=QuantileMaps.scaled_t([6.0, 7.0]))
+
+    def test_mixture_draws_through_its_replicates(self):
+        margins = make_model([flat_params()]).margins
+        model = MtsModel(margins=margins, pca=PcaTransform.identity(1),
+                         dependence=self.mixture(), quantile_maps=None, tau=100)
+        y = model.innovations(100, np.random.default_rng(0))
+        assert np.array_equal(y, model.dependence.innovations(100, np.random.default_rng(0)))
+        assert set(np.unique(y)) == {0.0, 1.0, 5.0, 6.0}
+
+
 class TestForecastPaths:
     def test_shape_and_determinism(self):
         model = make_model([flat_params(), flat_params()])
         hist = np.random.default_rng(1).standard_normal((120, 2))
         a = forecast_paths(model, hist, 50, 3, np.random.default_rng(2))
         b = forecast_paths(model, hist, 50, 3, np.random.default_rng(2))
-        assert a.values.shape == (50, 3, 2)
-        np.testing.assert_array_equal(a.values, b.values)
+        assert a.shape == (50, 3, 2)
+        np.testing.assert_array_equal(a, b)
 
     def test_conditioning_only(self):
         # paths depend on the history handed in, nothing else
@@ -84,7 +123,7 @@ class TestForecastPaths:
         hist = np.random.default_rng(3).standard_normal((100, 1))
         a = forecast_paths(model, hist, 20, 2, np.random.default_rng(4))
         b = forecast_paths(model, hist.copy(), 20, 2, np.random.default_rng(4))
-        np.testing.assert_array_equal(a.values, b.values)
+        np.testing.assert_array_equal(a, b)
 
     def test_one_step_distribution_flat_model(self):
         # no serial dynamics: X = mu + sqrt(omega) * F^{-1}(U)
@@ -92,7 +131,7 @@ class TestForecastPaths:
         model = make_model([flat_params(mu=mu, omega=omega)])
         hist = np.zeros((60, 1))
         fp = forecast_paths(model, hist, 10**4, 1, np.random.default_rng(5))
-        x = fp.values[:, 0, 0]
+        x = fp[:, 0, 0]
         assert x.mean() == pytest.approx(mu, abs=3 * np.sqrt(omega / 10**4))
         assert x.std() == pytest.approx(np.sqrt(omega), rel=0.05)
 
@@ -107,7 +146,7 @@ class TestForecastPaths:
         resid = hist[-1, 0] - filt.mu_t[-1]
         mu1 = p.phi[0] * hist[-1, 0]
         s21 = p.omega + p.alpha[0] * resid**2 + p.beta[0] * filt.sigma2_t[-1]
-        pit = scaled_t_cdf((fp.values[:, 0, 0] - mu1) / np.sqrt(s21), p.nu)
+        pit = scaled_t_cdf((fp[:, 0, 0] - mu1) / np.sqrt(s21), p.nu)
         assert stats.kstest(pit, "uniform").pvalue > 0.01
 
     def test_short_history_rejected(self):
@@ -129,27 +168,6 @@ class TestForecastPaths:
         model = make_model([flat_params(), flat_params()])
         with pytest.raises(InputError):
             forecast_paths(model, np.zeros((50, 3)), 5, 1, np.random.default_rng(9))
-
-
-class TestAggregation:
-    def test_identity_for_single_component(self):
-        model = make_model([flat_params()])
-        fp = forecast_paths(model, np.zeros((60, 1)), 8, 2, np.random.default_rng(10))
-        np.testing.assert_array_equal(aggregate_returns(fp, 1), fp.values[:, 1, 0])
-
-    def test_hand_sum(self):
-        from mtsgen.forecast import PredictivePaths
-        vals = np.array([[[1.0, 2.0]], [[3.0, -1.0]]])   # n_pth=2, h=1, d=2
-        fp = PredictivePaths(values=vals, origin=0, horizon=1)
-        np.testing.assert_array_equal(aggregate_returns(fp), [3.0, 2.0])
-
-    def test_linearity(self):
-        from mtsgen.forecast import PredictivePaths
-        vals = np.random.default_rng(11).standard_normal((5, 1, 3))
-        fp = PredictivePaths(values=vals, origin=0, horizon=1)
-        scaled = PredictivePaths(values=2.5 * vals, origin=0, horizon=1)
-        np.testing.assert_allclose(aggregate_returns(scaled),
-                                   2.5 * aggregate_returns(fp))
 
 
 class TestVarForecast:

@@ -160,7 +160,7 @@ class TestPcaPath:
         ds = load_dataset(synthetic_csv, tau=200)
         model = fit_mts(cfg, ds)
         assert model.quantile_maps.mode == "empirical"
-        assert 1 <= model.d_star <= 2
+        assert 1 <= model.pca.k <= 2
 
     def test_no_reduction_uses_scaled_t(self, pipeline_run):
         _, result = pipeline_run
@@ -189,7 +189,7 @@ class TestSerialization:
                            np.random.default_rng(5))
         b = forecast_paths(loaded, ds.values[:200], 50, 1,
                            np.random.default_rng(5))
-        np.testing.assert_array_equal(a.values, b.values)
+        np.testing.assert_array_equal(a, b)
 
     def test_bootstrap_round_trip(self, synthetic_csv, tmp_path):
         cfg = PipelineConfig(dependence="empirical_beta", bootstrap_n_bt=2,
@@ -323,7 +323,7 @@ class TestRollingForecasts:
         rngs = [np.random.default_rng(s)
                 for s in np.random.SeedSequence(cfg.seed).spawn(ds.n_obs - ds.tau)]
         expected = np.stack([
-            forecast_paths(model, ds.values[:t], n_pth, 1, rng).values[:, 0, :]
+            forecast_paths(model, ds.values[:t], n_pth, 1, rng)[:, 0, :]
             for t, rng in zip(range(ds.tau, ds.n_obs), rngs)])
         assert paths.shape == (30, n_pth, 3)
         assert np.array_equal(paths, expected)
@@ -368,9 +368,9 @@ def nan_omega(meta, data):
     meta["margins"][0]["omega"] = float("nan")
 
 
-def u_off_ranks(meta, data):
-    data["dep/u"] = data["dep/u"].copy()
-    data["dep/u"][0, 0] += 1e-3
+def rank_off_grid(meta, data):
+    data["dep/ranks"] = data["dep/ranks"].copy()
+    data["dep/ranks"][0, 0] = len(data["dep/ranks"]) + 1
 
 
 def set_pca_k(k):
@@ -425,8 +425,15 @@ def bootstrap_model(synthetic_csv):
 
 
 @pytest.fixture(scope="module")
+def pca_model(synthetic_csv):
+    """A file of this model holds its empirical quantile tables `qmap/t*`."""
+    cfg = PipelineConfig(dependence="empirical_beta", pca_enabled=True, pca_k_min=1, seed=6)
+    return fit_mts(cfg, load_dataset(synthetic_csv, tau=200))
+
+
+@pytest.fixture(scope="module")
 def pca_bootstrap_model(synthetic_csv):
-    """A file of this model holds both kinds of quantile table."""
+    """A file of this model holds each replicate's quantile tables `dep/q*`."""
     cfg = PipelineConfig(dependence="empirical_beta", pca_enabled=True, pca_k_min=1,
                          bootstrap_n_bt=2, seed=6)
     return fit_mts(cfg, load_dataset(synthetic_csv, tau=200))
@@ -471,8 +478,8 @@ class TestCorruptModelFile:
             load_model(path)
 
     @pytest.mark.parametrize("edit, message", [(nan_omega, "finite"),
-                                               (u_off_ranks, "ranks")],
-                             ids=["nan_omega", "u_off_ranks"])
+                                               (rank_off_grid, "ranks")],
+                             ids=["nan_omega", "rank_off_grid"])
     def test_inconsistent_values_are_input_errors(self, pipeline_run, tmp_path,
                                                   edit, message):
         # JSON writes the NaN as a bare NaN token, which json.loads reads back
@@ -494,7 +501,7 @@ class TestCorruptModelFile:
     @pytest.mark.parametrize("drop", [{"drop_meta": "margins"},
                                       {"drop_array": "margin1/beta"},
                                       {"edit": nan_omega},
-                                      {"edit": u_off_ranks}]
+                                      {"edit": rank_off_grid}]
                              + [{"edit": edit} for edit in MISMATCH_EDITS])
     def test_cli_exit_code(self, pipeline_run, bootstrap_model, synthetic_csv, tmp_path,
                            drop):
@@ -510,11 +517,12 @@ class TestCorruptModelFile:
 
     @pytest.mark.parametrize("key", ["qmap/t0", "dep/q0_0"])
     @pytest.mark.parametrize("bad", [empty_table, two_dim_table], ids=["empty", "2d"])
-    def test_bad_quantile_table_exit_code(self, pca_bootstrap_model, synthetic_csv,
+    def test_bad_quantile_table_exit_code(self, pca_model, pca_bootstrap_model, synthetic_csv,
                                           tmp_path, bad, key):
         from mtsgen.cli import main
         path = tmp_path / "model.npz"
-        self.corrupt(pca_bootstrap_model, path, edit=bad(key))
+        model = pca_model if key.startswith("qmap/") else pca_bootstrap_model
+        self.corrupt(model, path, edit=bad(key))
         with pytest.raises(InputError, match="nonempty 1-d arrays"):
             load_model(path)
         code = main(["assess", "--data", synthetic_csv, "--seed", "7",
@@ -635,6 +643,55 @@ class TestFitCommand:
         assert load_model(out).dependence is not None
 
 
+class TestUnwritableOut:
+    """An `--out` that cannot be written exits 2 before any work, naming the path."""
+
+    @pytest.mark.parametrize("command", [
+        ["fit"], ["bootstrap", "--n-bt", "2"], ["forecast", "--model", "m.npz"], ["assess"],
+    ], ids=["fit", "bootstrap", "forecast", "assess"])
+    @pytest.mark.parametrize("out", ["/nonexistent/x", "."], ids=["no_dir", "a_dir"])
+    def test_exit_code_before_any_fit(self, synthetic_csv, monkeypatch, capsys, command, out):
+        import mtsgen.pipeline as pipeline
+        from mtsgen.cli import main
+
+        def fit_arma_garch(*args, **kw):
+            raise AssertionError("margin MLE ran before the --out check")
+
+        monkeypatch.setattr(pipeline, "fit_arma_garch", fit_arma_garch)
+        code = main([*command, "--data", synthetic_csv, "--seed", "1", "--tau", "200",
+                     "--out", out])
+        assert code == 2
+        assert capsys.readouterr().err == (f"error: cannot write --out {out}: "
+                                           "not a file in an existing directory\n")
+
+    def test_report(self, tmp_path, capsys):
+        from mtsgen.cli import main
+        code = main(["report", str(tmp_path / "metrics.csv"), "--out", "/nonexistent/x"])
+        assert code == 2
+        assert "cannot write --out /nonexistent/x" in capsys.readouterr().err
+
+    def test_no_traceback(self, synthetic_csv):
+        r = subprocess.run([sys.executable, "-m", "mtsgen.cli", "fit", "--data", synthetic_csv,
+                            "--seed", "1", "--out", "/nonexistent/x"],
+                           capture_output=True, text=True)
+        assert r.returncode == 2
+        assert r.stderr.startswith("error: cannot write --out /nonexistent/x")
+        assert "Traceback" not in r.stderr
+
+    def test_failed_write_exit_code(self, synthetic_csv, tmp_path, monkeypatch, capsys):
+        from mtsgen import cli
+        out = tmp_path / "m.npz"
+
+        def save_model(model, path):
+            raise OSError(28, "No space left on device", str(path))
+
+        monkeypatch.setattr(cli, "save_model", save_model)
+        code = cli.main(["fit", "--data", synthetic_csv, "--seed", "1", "--tau", "200",
+                         "--out", str(out)])
+        assert code == 2
+        assert str(out) in capsys.readouterr().err
+
+
 class TestConfigFailFast:
     """Every config value is checked when the config is built, before any fit."""
 
@@ -710,25 +767,33 @@ class TestRoundTrip:
         loaded = load_model(path)
         a = forecast_paths(model, small_dataset.values, 60, 2, np.random.default_rng(72))
         b = forecast_paths(loaded, small_dataset.values, 60, 2, np.random.default_rng(72))
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a, b)
 
     @staticmethod
-    def assert_loads_with_dropped_keys(ds, model, path, keys, entry=None):
-        # mtsgen-model-v1 files written before the keys were dropped carry
-        # them, at the top level of the metadata or in its `entry`
+    def assert_loads_with_old_entries(ds, model, path, add):
+        # mtsgen-model-v1 files written before some entries were dropped
+        # carry them; `add(meta, data)` puts them back into a saved file
         save_model(model, path)
         data = dict(np.load(path))
         meta = json.loads(bytes(data["__meta__"]).decode())
-        part = meta if entry is None else meta[entry]
-        assert not set(keys) & set(part)
-        part.update(keys)
+        add(meta, data)
         data["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
         with open(path, "wb") as fh:
             np.savez(fh, **data)
         a = forecast_paths(model, ds.values[:200], 50, 1, np.random.default_rng(5))
         b = forecast_paths(load_model(path), ds.values[:200], 50, 1,
                            np.random.default_rng(5))
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a, b)
+
+    @classmethod
+    def assert_loads_with_dropped_keys(cls, ds, model, path, keys, entry=None):
+        """Metadata `keys` at the top level of the metadata or in its `entry`."""
+        def add(meta, data):
+            part = meta if entry is None else meta[entry]
+            assert not set(keys) & set(part)
+            part.update(keys)
+
+        cls.assert_loads_with_old_entries(ds, model, path, add)
 
     @classmethod
     def assert_loads_with_dropped_key(cls, pipeline_run, path, key, value):
@@ -762,6 +827,68 @@ class TestRoundTrip:
         model = fit_mts(cfg, small_dataset)
         self.assert_loads_with_dropped_keys(small_dataset, model, tmp_path / "model.npz",
                                             {"d": 3}, entry="dep")
+
+
+STORED_ONCE_KINDS = {
+    "independence": {"dependence": "independence"},
+    "empirical": {"dependence": "empirical"},
+    "empirical_beta": {"dependence": "empirical_beta"},
+    "gmmn": ROUND_TRIP_KINDS["gmmn"],
+}
+
+
+@pytest.fixture(scope="module", params=[(kind, pca, n_bt) for kind in sorted(STORED_ONCE_KINDS)
+                                        for pca in (False, True) for n_bt in (0, 2)],
+                ids=lambda p: f"{p[0]}-{'pca' if p[1] else 'no_pca'}-{'bt' if p[2] else 'no_bt'}")
+def every_model(request, small_dataset):
+    """A config of each dependence kind, with and without PCA and bootstrap, and its model."""
+    kind, pca, n_bt = request.param
+    cfg = PipelineConfig(pca_enabled=pca, pca_k_min=1, bootstrap_n_bt=n_bt, seed=76,
+                         **STORED_ONCE_KINDS[kind])
+    return cfg, fit_mts(cfg, small_dataset)
+
+
+def add_dropped_entries(cfg, meta, data):
+    """The entries that earlier writers stored although other entries fix them."""
+    k = meta["pca_k"]
+    for prefix, entry in list(meta.items()):
+        if isinstance(entry, dict) and entry.get("kind") == "independence":
+            entry["d"] = k
+        if isinstance(entry, dict) and entry.get("kind") == "empirical":
+            ranks = data[f"{prefix}/ranks"]
+            data[f"{prefix}/u"] = ranks / (len(ranks) + 1.0)
+    if meta["dep"]["kind"] == "bootstrap_mixture":
+        # a mixture's model-level maps, which nothing read: without PCA the
+        # margins' nu, with PCA k tables (here the first replicate's)
+        meta["qmap_mode"] = "empirical" if cfg.pca_enabled else "scaled_t"
+        for j in range(k if cfg.pca_enabled else 0):
+            data[f"qmap/t{j}"] = data[f"dep/q0_{j}"]
+    if meta["qmap_mode"] == "scaled_t":
+        data["qmap/nus"] = np.array([m["nu"] for m in meta["margins"]])
+    else:
+        meta["qmap_n"] = k
+
+
+class TestStoredOnce:
+    """A model file holds no value that other entries already fix."""
+
+    def test_no_derived_entries(self, every_model, tmp_path):
+        save_model(every_model[1], tmp_path / "model.npz")
+        with np.load(tmp_path / "model.npz") as data:
+            keys = set(data.files)
+            meta = json.loads(bytes(data["__meta__"]).decode())
+        assert "qmap_n" not in meta and "qmap/nus" not in keys
+        assert not any(key.endswith("/u") for key in keys)
+        assert not any("d" in entry for entry in meta.values() if isinstance(entry, dict))
+        mixture = meta["dep"]["kind"] == "bootstrap_mixture"
+        assert mixture == ("qmap_mode" not in meta)
+        assert not (mixture and any(key.startswith("qmap/") for key in keys))
+
+    def test_file_with_dropped_entries_loads(self, every_model, small_dataset, tmp_path):
+        cfg, model = every_model
+        TestRoundTrip.assert_loads_with_old_entries(
+            small_dataset, model, tmp_path / "model.npz",
+            lambda meta, data: add_dropped_entries(cfg, meta, data))
 
 
 @pytest.fixture(scope="module")

@@ -62,7 +62,7 @@ class TestSampleQuantiles:
         got = forecast_paths(model, data.values, 40, 3, np.random.default_rng(82))
         per_draw()
         want = forecast_paths(model, data.values, 40, 3, np.random.default_rng(82))
-        assert np.array_equal(got.values, want.values)
+        assert np.array_equal(got, want)
 
     def test_rolling_paths_equal_per_draw_paths(self, model, data, per_draw):
         # spawning children advances a SeedSequence, so each run gets a fresh one
