@@ -1,0 +1,51 @@
+"""One fan-out of independent blocks of numpy work over the process's CPUs.
+
+numpy ufuncs, `cdist` and BLAS release the GIL, so threads over disjoint
+blocks of such work run in parallel.  Threads are started for each call and
+joined before it returns: no pool or thread outlives a call, and a forked
+child has no state to reset.
+"""
+
+from __future__ import annotations
+
+import os
+import threading
+
+# one worker per CPU this process may run on
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+
+
+def fan_out(task, blocks: int, buffers) -> None:
+    """Run task(w, n_tasks, buffers()) for w in range(n_tasks).
+
+    n_tasks = min(_WORKERS, blocks), at least 1.  Each task's buffers are
+    made here, on the calling thread, before any task starts.  Task 0 runs
+    on the calling thread and the others on threads started for this call;
+    all are joined before the call returns.  The first exception, in task
+    order, is re-raised.  Tasks must write disjoint parts of any shared
+    output, so that the result does not depend on n_tasks.
+    """
+    n_tasks = max(1, min(_WORKERS, blocks))
+    bufs = [buffers() for _ in range(n_tasks)]
+    errors = [None] * n_tasks
+
+    def run(w):
+        try:
+            task(w, n_tasks, bufs[w])
+        except Exception as exc:  # re-raised on the calling thread
+            errors[w] = exc
+
+    threads = []
+    try:
+        for w in range(1, n_tasks):
+            t = threading.Thread(target=run, args=(w,), name=f"mtsgen-par-{w}")
+            t.start()
+            threads.append(t)
+        task(0, n_tasks, bufs[0])
+    finally:
+        for t in threads:
+            t.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc

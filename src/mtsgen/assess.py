@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _par
 from .dependence import DependenceModel
 from .errors import ConfigError, InputError
 from .gmmn import KernelSpec, _mix_mean, mmd
@@ -58,12 +59,18 @@ def _as_path_array(forecasts) -> np.ndarray:
 
 
 def mse_per_step(forecasts, x_test) -> np.ndarray:
-    """Mean squared distance between each step's paths and the realized value."""
+    """Mean squared distance between each step's paths and the realized value.
+
+    One step at a time, so memory stays at one (n_pth, d) block.
+    """
     paths = _as_path_array(forecasts)
     x = np.atleast_2d(np.asarray(x_test, dtype=float))
     if x.shape != (paths.shape[0], paths.shape[2]):
         raise InputError("x_test shape does not match forecasts")
-    return ((paths - x[:, None, :]) ** 2).sum(axis=2).mean(axis=1)
+    out = np.empty(paths.shape[0])
+    for t, (p, xt) in enumerate(zip(paths, x)):
+        out[t] = ((p - xt) ** 2).sum(axis=1).mean()
+    return out
 
 
 def amse(forecasts, x_test) -> float:
@@ -75,9 +82,11 @@ def vs_per_step(forecasts, x_test, r: float = 0.25) -> np.ndarray:
     """Variogram score of order r at each test step.
 
     Sums over all ordered component pairs the squared gap between the
-    realized pairwise distance (to power r) and its predictive mean.  One
-    step at a time, and the power is taken once per unordered pair, so
-    memory stays at one (n_pth, d (d - 1) / 2) block.
+    realized pairwise distance (to power r) and its predictive mean.  The
+    power is taken once per unordered pair.  `_par.fan_out` hands each task
+    a contiguous block of steps, which it scores one at a time in its own
+    (n_pth, d (d - 1) / 2) block, so memory stays at one such block per
+    worker and each step's score does not depend on the number of workers.
     """
     paths = _as_path_array(forecasts)
     x = np.atleast_2d(np.asarray(x_test, dtype=float))
@@ -87,18 +96,22 @@ def vs_per_step(forecasts, x_test, r: float = 0.25) -> np.ndarray:
     iu, ju = np.triu_indices(d, k=1)
     # column block i of `gaps` holds the pairs (i, j > i), in triu order
     starts = np.concatenate(([0], np.cumsum(np.arange(d - 1, 0, -1))))
-    # C order keeps the axis-0 mean a row-by-row sum, as over (n_pth, d, d)
-    gaps = np.empty((n_pth, iu.size))
-    sim = np.zeros((d, d))
     out = np.empty(n_t)
-    for t, (p, xt) in enumerate(zip(paths, x)):
-        obs = np.abs(xt[:, None] - xt[None, :]) ** r                         # (d, d)
-        for i in range(d - 1):
-            np.subtract(p[:, i:i + 1], p[:, i + 1:], out=gaps[:, starts[i]:starts[i + 1]])
-        np.abs(gaps, out=gaps)
-        gaps **= r
-        sim[iu, ju] = sim[ju, iu] = gaps.mean(axis=0)
-        out[t] = ((obs - sim) ** 2).sum()
+
+    def run(w, n_tasks, bufs):
+        gaps, sim = bufs
+        for t in range(w * n_t // n_tasks, (w + 1) * n_t // n_tasks):
+            p, xt = paths[t], x[t]
+            obs = np.abs(xt[:, None] - xt[None, :]) ** r                     # (d, d)
+            for i in range(d - 1):
+                np.subtract(p[:, i:i + 1], p[:, i + 1:], out=gaps[:, starts[i]:starts[i + 1]])
+            np.abs(gaps, out=gaps)
+            gaps **= r
+            sim[iu, ju] = sim[ju, iu] = gaps.mean(axis=0)
+            out[t] = ((obs - sim) ** 2).sum()
+
+    # C order keeps the axis-0 mean a row-by-row sum, as over (n_pth, d, d)
+    _par.fan_out(run, n_t, lambda: (np.empty((n_pth, iu.size)), np.zeros((d, d))))
     return out
 
 

@@ -75,9 +75,11 @@ def cmd_forecast(args) -> int:
     model = load_model(args.model)
     fc_ss, _ = seed_streams(cfg.seed)
     paths = rolling_forecasts(model, dataset, cfg.n_pth, fc_ss)
-    np.savez(args.out, paths=paths, var_series=rolling_var(paths, cfg.var_alpha),
-             origins=np.arange(dataset.tau, dataset.n_obs),
-             seed=cfg.seed)
+    # through a file handle: np.savez would add ".npz" to a bare path
+    with open(args.out, "wb") as fh:
+        np.savez(fh, paths=paths, var_series=rolling_var(paths, cfg.var_alpha),
+                 origins=np.arange(dataset.tau, dataset.n_obs),
+                 seed=cfg.seed)
     print(f"{paths.shape[0]} one-step forecasts "
           f"({cfg.n_pth} paths each) written to {args.out}")
     return 0

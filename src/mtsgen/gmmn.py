@@ -11,14 +11,13 @@ backpropagation and parameters updated with Adam.
 from __future__ import annotations
 
 import logging
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
+from . import _par
 from .dependence import DependenceModel, pseudo_observations
 from .errors import ConfigError, InputError, NumericalError
 
@@ -327,9 +326,6 @@ def nn_forward(model: GmmnModel, v, train: bool = False,
 # b x max(n, m) kernel entries, so one worker's buffers stay in cache and the
 # step's memory does not grow with the square of the sample size.
 _TILE = 2**16
-# one worker per CPU this process may run on
-_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
 
 
 def _mmd_tile(u: np.ndarray, g: np.ndarray, i0: int, i1: int, spec: KernelSpec,
@@ -365,14 +361,12 @@ def _mmd_grad_wrt_output(u: np.ndarray, g: np.ndarray, spec: KernelSpec,
     """Squared-MMD value and its gradient with respect to the generated rows g.
 
     The work runs over tiles of b = _TILE // max(n, m) generated rows, at
-    most m, dealt round-robin to at most _WORKERS tasks.  The calling
-    thread runs the first task; with more than one tile, threads started
-    for this call run the others and are joined before it returns, so no
-    thread outlives the call.  A tile holds one block of each kernel
-    matrix, so the step needs O(_WORKERS * _TILE) memory besides its
-    inputs and output.  Each task owns its kernel and distance buffers,
-    which are allocated here, on the calling thread.  The kernel
-    sums are reduced here too, in tile order, so the result depends on n,
+    most m, dealt round-robin to the tasks of `_par.fan_out`, which runs
+    one task per CPU, no more than there are tiles.  A tile holds one block
+    of each kernel matrix, so the step needs O(workers * _TILE) memory
+    besides its inputs and output.  Each task owns its kernel and distance
+    buffers, which `fan_out` allocates on the calling thread.  The kernel
+    sums are reduced here, in tile order, so the result depends on n,
     m and _TILE but not on the number of workers.  With a single tile the
     result is bit for bit that of the full kernel matrices, one bandwidth
     at a time.  Kernel entries whose exponent lies below -746 are set to
@@ -385,22 +379,13 @@ def _mmd_grad_wrt_output(u: np.ndarray, g: np.ndarray, spec: KernelSpec,
     tiles = [(i0, min(i0 + b, m)) for i0 in range(0, m, b)]
     sums = np.empty((len(tiles), 2, len(spec.bandwidths)))
     grad = np.zeros_like(g)
-    n_tasks = min(_WORKERS, len(tiles))
-    bufs = [(_GaussKernel(max(n, m) * b), np.empty(b * m), np.empty(n * b))
-            for _ in range(n_tasks)]
 
-    def run(w):
+    def run(w, n_tasks, bufs):
         for t in range(w, len(tiles), n_tasks):
-            _mmd_tile(u, g, *tiles[t], spec, bufs[w], grad, sums[t])
+            _mmd_tile(u, g, *tiles[t], spec, bufs, grad, sums[t])
 
-    if n_tasks == 1:
-        run(0)
-    else:
-        with ThreadPoolExecutor(n_tasks - 1, thread_name_prefix="mtsgen-mmd") as pool:
-            futures = [pool.submit(run, w) for w in range(1, n_tasks)]
-            run(0)
-            for f in futures:
-                f.result()
+    _par.fan_out(run, len(tiles),
+                 lambda: (_GaussKernel(max(n, m) * b), np.empty(b * m), np.empty(n * b)))
     vv_mean = 0.0
     uv_mean = 0.0
     for vv, uv in sums:

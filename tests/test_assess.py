@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mtsgen import (AssessConfig, EmpiricalCopula, IndependenceCopula,
+from mtsgen import (_par, AssessConfig, EmpiricalCopula, IndependenceCopula,
                     InputError, ammd, amse, avs, vear, pseudo_observations)
 from mtsgen.assess import mse_per_step, vs_per_step
 from mtsgen.datagen import GaussianCopulaSampler, equicorrelation
@@ -112,6 +112,30 @@ class TestAmse:
         with pytest.raises(InputError):
             amse(np.zeros((2, 3, 2)), np.zeros((5, 2)))
 
+    @pytest.mark.parametrize("shape", [(6, 40, 5), (3, 17, 1), (4, 1000, 30)])
+    def test_matches_broadcast_formula(self, shape):
+        rng = np.random.default_rng(22)
+        paths = rng.standard_normal(shape) * 2.0
+        x = rng.standard_normal((shape[0], shape[2]))
+        # the all-steps-at-once formula, two (n_t, n_pth, d) temporaries
+        expected = ((paths - x[:, None, :]) ** 2).sum(axis=2).mean(axis=1)
+        assert np.array_equal(mse_per_step(paths, x), expected)
+
+    def test_memory_bounded_by_one_step(self):
+        import tracemalloc
+        n_t, n_pth, d = 200, 500, 20
+        rng = np.random.default_rng(23)
+        paths = rng.standard_normal((n_t, n_pth, d))
+        x = rng.standard_normal((n_t, d))
+        tracemalloc.start()
+        try:
+            amse(paths, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one step's difference and its square
+        assert peak < 3 * n_pth * d * 8
+
 
 class TestAvs:
     def test_univariate_zero(self):
@@ -157,9 +181,21 @@ class TestAvs:
         expected = ((obs - sim) ** 2).sum(axis=(1, 2))
         assert np.array_equal(vs_per_step(paths, x, r), expected)
 
-    def test_memory_bounded_by_one_step(self):
+    def test_independent_of_workers(self, monkeypatch):
+        rng = np.random.default_rng(24)
+        paths = rng.standard_normal((7, 30, 6))
+        x = rng.standard_normal((7, 6))
+        results = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(_par, "_WORKERS", workers)
+            results.append(vs_per_step(paths, x, 0.25))
+        for res in results[1:]:
+            assert np.array_equal(res, results[0])
+
+    def test_memory_bounded_by_one_step(self, monkeypatch):
         import tracemalloc
-        n_t, n_pth, d = 200, 500, 20
+        monkeypatch.setattr(_par, "_WORKERS", 2)
+        n_t, n_pth, d = 20, 2000, 20
         rng = np.random.default_rng(17)
         paths = rng.standard_normal((n_t, n_pth, d))
         x = rng.standard_normal((n_t, d))
@@ -169,7 +205,10 @@ class TestAvs:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 10 * n_pth * d * d * 8
+        gap_block = n_pth * d * (d - 1) // 2 * 8
+        # per worker: its gap block, and numpy's iterator buffers (3 operands of
+        # 8192 doubles) for the strided subtract; 64 KiB for (d, d) arrays
+        assert peak < 2 * (gap_block + 3 * 8192 * 8) + 64 * 1024
 
 
 class TestVear:

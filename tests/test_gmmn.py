@@ -11,7 +11,7 @@ from mtsgen import (AdamState, InputError, KernelSpec, adam_step,
 from mtsgen.datagen import GaussianCopulaSampler, equicorrelation
 from scipy.spatial.distance import cdist
 
-from mtsgen import gmmn
+from mtsgen import _par, gmmn
 from mtsgen.errors import ConfigError, NumericalError
 from mtsgen.gmmn import (TrainConfig, _mix_from_sqdist, _mix_mean,
                          _mmd_grad_wrt_output, flatten_theta, glorot_init,
@@ -609,7 +609,7 @@ class TestTiledStep:
         spec = KernelSpec.for_training()
         results = []
         for workers in (1, 2, 3):
-            monkeypatch.setattr(gmmn, "_WORKERS", workers)
+            monkeypatch.setattr(_par, "_WORKERS", workers)
             results.append(_mmd_grad_wrt_output(u, g, spec))
         for sq, grad in results[1:]:
             assert np.array_equal(sq, results[0][0])
@@ -621,7 +621,7 @@ class TestTiledStep:
         cfg = TrainConfig(n_epo=3, hidden_dims=(8,), seed=61)
         models = []
         for workers in (1, 2, 3):
-            monkeypatch.setattr(gmmn, "_WORKERS", workers)
+            monkeypatch.setattr(_par, "_WORKERS", workers)
             models.append(train_gmmn(u, cfg))
         for model in models[1:]:
             assert np.array_equal(model.train_loss, models[0].train_loss)
@@ -640,7 +640,7 @@ class TestTiledStep:
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
     def test_forked_child_runs_the_step(self, monkeypatch):
         import multiprocessing
-        monkeypatch.setattr(gmmn, "_WORKERS", 2)
+        monkeypatch.setattr(_par, "_WORKERS", 2)
         u, g, spec = FORK_INPUTS
         sq, _ = _mmd_grad_wrt_output(u, g, spec)
         with multiprocessing.get_context("fork").Pool(1) as pool:
@@ -648,15 +648,15 @@ class TestTiledStep:
 
     def test_no_worker_thread_outlives_the_step(self, monkeypatch):
         import threading
-        monkeypatch.setattr(gmmn, "_WORKERS", 2)
+        monkeypatch.setattr(_par, "_WORKERS", 2)
         u, g, spec = FORK_INPUTS
         assert g.shape[0] * max(u.shape[0], g.shape[0]) > gmmn._TILE
         _mmd_grad_wrt_output(u, g, spec)
-        assert not [t for t in threading.enumerate() if t.name.startswith("mtsgen-mmd")]
+        assert not [t for t in threading.enumerate() if t.name.startswith("mtsgen-par")]
 
     def test_memory_bounded_by_tiles(self, monkeypatch):
         import tracemalloc
-        monkeypatch.setattr(gmmn, "_WORKERS", 2)
+        monkeypatch.setattr(_par, "_WORKERS", 2)
         tau = 2000
         rng = np.random.default_rng(64)
         u, g = rng.random((tau, 5)), rng.random((tau, 5))

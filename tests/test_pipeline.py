@@ -280,6 +280,21 @@ class TestCli:
         assert np.array_equal(saved["paths"], want.paths)
         assert np.array_equal(saved["var_series"], want.var_series)
 
+    def test_forecast_out_is_the_file_written(self, pipeline_run, small_cfg, synthetic_csv,
+                                              tmp_path, capsys):
+        from mtsgen.cli import main
+        _, result = pipeline_run
+        model_path, out = tmp_path / "m.npz", tmp_path / "fc"
+        save_model(result.model, model_path)
+        code = main(["forecast", "--data", synthetic_csv, "--seed", str(small_cfg.seed),
+                     "--tau", "200", "--n-pth", str(small_cfg.n_pth),
+                     "--model", str(model_path), "--out", str(out)])
+        assert code == 0
+        assert f"written to {out}" in capsys.readouterr().out
+        assert not (tmp_path / "fc.npz").exists()
+        with np.load(out) as saved:
+            assert saved["paths"].shape[1] == small_cfg.n_pth
+
     def test_missing_data_exit_code(self, tmp_path):
         r = self.run_cli("fit", "--data", "/no/such.csv", "--seed", "1",
                          "--out", str(tmp_path / "m.npz"))
