@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,12 +22,14 @@ __all__ = [
 ]
 
 
+KERNEL_TST = KernelSpec.for_assessment()   # the test kernel mixture every AMMD uses
+
+
 @dataclass(frozen=True)
 class AssessConfig:
-    """Settings of `ammd`: the repetitions and the test kernel mixture."""
+    """Settings of `ammd`: the number of repetitions; the kernel is always KERNEL_TST."""
 
     n_rep: int = 100
-    kernel_tst: KernelSpec = field(default_factory=KernelSpec.for_assessment)
 
     def __post_init__(self):
         if self.n_rep < 1:
@@ -44,8 +46,8 @@ def ammd(u_test, sampler: DependenceModel, cfg: AssessConfig,
     u_test = np.asarray(u_test, dtype=float)
     m = u_test.shape[0]
     a = np.atleast_2d(u_test)
-    aa_term = _mix_mean(a, a, cfg.kernel_tst)
-    vals = [mmd(u_test, sampler.sample(m, rng), cfg.kernel_tst, aa_term=aa_term)
+    aa_term = _mix_mean(a, a, KERNEL_TST)
+    vals = [mmd(u_test, sampler.sample(m, rng), KERNEL_TST, aa_term=aa_term)
             for _ in range(cfg.n_rep)]
     return float(np.mean(vals))
 

@@ -21,21 +21,24 @@ __all__ = ["BootstrapMixture", "bootstrap_fit"]
 
 @dataclass
 class BootstrapMixture(DependenceModel):
-    """Equally weighted mixture of per-replicate dependence models."""
+    """Equally weighted mixture of per-replicate dependence models, `n_bt` of them."""
 
     components: list
     component_quantiles: list   # one empirical QuantileMaps per replicate
-    n_bt: int
 
     def __post_init__(self):
-        if self.n_bt < 1 or len(self.components) != self.n_bt:
-            raise InputError("mixture needs n_bt >= 1 fitted components")
+        if not self.components or len(self.component_quantiles) != len(self.components):
+            raise InputError("mixture needs one or more components, each with its quantile maps")
         dims = {c.d for c in self.components}
         if len(dims) != 1:
             raise InputError("all mixture components must share one dimension")
         self.d = dims.pop()
         if any(maps.d != self.d for maps in self.component_quantiles):
             raise InputError(f"each replicate needs {self.d} quantile tables, one per dimension")
+
+    @property
+    def n_bt(self) -> int:
+        return len(self.components)
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return self.sample_components(n, rng)[0]
@@ -80,5 +83,4 @@ def bootstrap_fit(y_hat, n_bt: int, fitter, rng: np.random.Generator) -> Bootstr
         ps = pseudo_observations(sample)
         components.append(fitter(ps))
         quantiles.append(QuantileMaps.empirical(sample))
-    return BootstrapMixture(components=components, component_quantiles=quantiles,
-                            n_bt=n_bt)
+    return BootstrapMixture(components=components, component_quantiles=quantiles)

@@ -19,6 +19,7 @@ The other models keep the default.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -36,18 +37,21 @@ __all__ = [
 
 @dataclass
 class PseudoSample:
-    """Rank-transformed sample: u[t, j] = ranks[t, j] / (n + 1)."""
+    """Rank-transformed sample: integer ranks, and u = ranks / (n + 1) cached from them."""
 
-    u: np.ndarray
     ranks: np.ndarray
 
     @property
     def n(self) -> int:
-        return self.u.shape[0]
+        return self.ranks.shape[0]
 
     @property
     def d(self) -> int:
-        return self.u.shape[1]
+        return self.ranks.shape[1]
+
+    @cached_property
+    def u(self) -> np.ndarray:
+        return self.ranks / (self.n + 1.0)
 
 
 def pseudo_observations(y) -> PseudoSample:
@@ -68,7 +72,7 @@ def pseudo_observations(y) -> PseudoSample:
     ranks = np.empty_like(order)
     rows = np.arange(1, n + 1)[:, None]
     np.put_along_axis(ranks, order, np.broadcast_to(rows, y.shape), axis=0)
-    return PseudoSample(u=ranks / (n + 1.0), ranks=ranks)
+    return PseudoSample(ranks)
 
 
 class DependenceModel:
@@ -88,13 +92,10 @@ class EmpiricalCopula(DependenceModel):
     """Resampling with replacement from a fixed pseudo-observation sample."""
 
     def __init__(self, ps: PseudoSample):
-        # the lookup on the rank grid reads ranks, `sample` reads u
         ranks = np.asarray(ps.ranks)
         if (not np.issubdtype(ranks.dtype, np.integer) or ranks.ndim != 2 or ranks.size == 0
-                or ranks.min() < 1 or ranks.max() > len(ranks)
-                or not np.array_equal(ps.u, ranks / (len(ranks) + 1.0))):
-            raise InputError("pseudo-observations must be integer ranks in {1, ..., n} "
-                             "and u = ranks / (n + 1)")
+                or ranks.min() < 1 or ranks.max() > len(ranks)):
+            raise InputError("pseudo-observations must be integer ranks in {1, ..., n}")
         self.ps = ps
         self.d = ps.d
 

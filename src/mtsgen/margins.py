@@ -8,7 +8,8 @@ Each component series is modeled as
 
 with iid innovations Z_t having mean 0 and variance 1 (scaled t with
 nu > 2 degrees of freedom).  The module provides filtering (extracting
-standardized residuals), simulation (the exact inverse of the filter),
+standardized residuals, always from the stationary start), simulation (the
+exact inverse of the filter from that start, or continuing from any lags),
 and constrained maximum likelihood fitting.
 """
 
@@ -129,13 +130,6 @@ class _Rows(NamedTuple):
     def take(self, idx: np.ndarray) -> "_Rows":
         return _Rows(*(f[idx] for f in self))
 
-    def presample(self) -> "LaggedState":
-        """Stationary start of every row, lags of shape (r, order); see :meth:`LaggedState.presample`."""
-        r, (p1, q1, p2, q2) = len(self.mu), self.orders
-        v0 = (self.omega / (1.0 - self.alpha.sum(axis=-1) - self.beta.sum(axis=-1)))[:, None]
-        return LaggedState(x=np.repeat(self.mu[:, None], p1, axis=1), resid=np.zeros((r, q1)),
-                           resid2=np.repeat(v0, p2, axis=1), sigma2=np.repeat(v0, q2, axis=1))
-
 
 def _violations(p):
     """Each constraint on the parameters `p` as (message, broken).
@@ -172,7 +166,7 @@ class FilterOutput:
 
 @dataclass
 class LaggedState:
-    """Lagged values needed to continue the recursions.
+    """Lagged values a simulation continues from: :meth:`presample` or :meth:`at`.
 
     Lags run along the last axis, oldest first, most recent last; any
     leading axes index origins (see :meth:`at`).  `resid2` carries the
@@ -189,9 +183,12 @@ class LaggedState:
 
     @classmethod
     def presample(cls, params: ArmaGarchParams) -> "LaggedState":
-        """Stationary start: residual lags 0, variance lags at the unconditional variance."""
-        rows = _Rows.of(params).presample()
-        return cls(x=rows.x[0], resid=rows.resid[0], resid2=rows.resid2[0], sigma2=rows.sigma2[0])
+        """Stationary start, where the filter starts: x lags at mu, residual lags 0,
+        squared-residual and variance lags at the unconditional variance."""
+        p1, q1, p2, q2 = params.orders
+        v0 = params.uncond_variance
+        return cls(x=np.full(p1, params.mu, dtype=float), resid=np.zeros(q1),
+                   resid2=np.full(p2, v0), sigma2=np.full(q2, v0))
 
     @classmethod
     def at(cls, params: ArmaGarchParams, x: np.ndarray, filt: FilterOutput, t) -> "LaggedState":
@@ -211,15 +208,13 @@ class LaggedState:
 
         def read(m, fill, values):
             idx = t[..., None] - m + np.arange(m)
-            return np.where(idx >= 0, values(np.maximum(idx, 0)), fill)
+            return np.where(idx >= 0, values[np.maximum(idx, 0)], fill)
 
-        def resid(i):
-            return filt.z_t[i] * np.sqrt(filt.sigma2_t[i])
-
-        return cls(x=read(p1, params.mu, lambda i: np.asarray(x, dtype=float)[i]),
+        resid = filt.resid
+        return cls(x=read(p1, params.mu, np.asarray(x, dtype=float)),
                    resid=read(q1, 0.0, resid),
-                   resid2=read(p2, v0, lambda i: resid(i)**2),
-                   sigma2=read(q2, v0, lambda i: filt.sigma2_t[i]))
+                   resid2=read(p2, v0, resid**2),
+                   sigma2=read(q2, v0, filt.sigma2_t))
 
 
 @dataclass
@@ -233,16 +228,6 @@ class MarginalFitResult:
 # ---------------------------------------------------------------------------
 # filtering and simulation
 # ---------------------------------------------------------------------------
-
-def _check_state(params: ArmaGarchParams, state: LaggedState) -> None:
-    """Rejects a state with too few lags or with negative variance lags."""
-    p1, q1, p2, q2 = params.orders
-    for name, need in (("x", p1), ("resid", q1), ("resid2", p2), ("sigma2", q2)):
-        if np.shape(getattr(state, name))[-1] < need:
-            raise InputError(f"state.{name} must supply at least {need} lags")
-    if np.any(state.resid2 < 0.0) or np.any(state.sigma2 < 0.0):
-        raise InputError("squared-residual and variance lags must be nonnegative")
-
 
 def _lfilter_rows(tail: np.ndarray, u: np.ndarray, zi: np.ndarray | None = None) -> np.ndarray:
     """``lfilter([1], [1, *tail[i]], u[i], zi=zi[i])`` for every row i.
@@ -264,48 +249,39 @@ def _lfilter_rows(tail: np.ndarray, u: np.ndarray, zi: np.ndarray | None = None)
     return out
 
 
-def _filter(rows: _Rows, x: np.ndarray, state: LaggedState):
-    """Residuals and conditional variances of `x` under each parameter row, continuing from `state`.
+def _filter(rows: _Rows, x: np.ndarray):
+    """Residuals and variances of `x` under each parameter row, from the stationary start.
 
     Both recursions are linear IIR filters: the residuals in the mean
-    equation, sigma2 in the variance equation.  The lags of x, of the
-    residuals and of their squares that reach before `x` are added to the
-    filter inputs; sigma2's own lags become the variance filter's initial
-    conditions, computed as lfiltic computes them.  The lags of `state` are
-    (order,), shared by all rows, or (r, order).  Returns (resid, sigma2,
-    ok), the first two of shape (r, len(x)); `ok` marks the rows whose
-    variance stays positive and finite.
+    equation, sigma2 in the variance equation.  At the stationary start of
+    :meth:`LaggedState.presample` the lags of x equal mu and the residual
+    lags are 0, so the mean filter's pre-sample terms vanish.  The squared
+    residual lags and sigma2's own lags equal each row's unconditional
+    variance v0: the first are added to the variance filter's inputs, the
+    second become its initial conditions, computed as lfiltic computes
+    them.  Returns (resid, sigma2, ok), the first two of shape (r, len(x));
+    `ok` marks the rows whose variance stays positive and finite.
     """
     p1, q1, p2, q2 = rows.orders
-    r, n, mu = len(rows.mu), len(x), rows.mu
-    # pre-sample lags reach only the first max-order steps; adding them one
-    # column at a time costs the likelihood less than slicing arrays would
-
-    # e_i = a_i - sum_l gamma_l e_{i-1-l}, a from the AR part and the lags
-    xc = x - mu[:, None]
+    # e_i = a_i - sum_l gamma_l e_{i-1-l}, a from the AR part
+    xc = x - rows.mu[:, None]
     a = xc.copy()
     for k in range(p1):
         a[:, k + 1:] -= rows.phi[:, k, None] * xc[:, :-k - 1]
-        for i in range(min(k + 1, n)):
-            a[:, i] -= rows.phi[:, k] * (state.x[..., i - 1 - k] - mu)
-    for l in range(q1):
-        for i in range(min(l + 1, n)):
-            a[:, i] -= rows.gamma[:, l] * state.resid[..., i - 1 - l]
     e = _lfilter_rows(rows.gamma, a) if q1 else a
 
     # s2_i = b_i + sum_l beta_l s2_{i-1-l}
+    v0 = rows.omega / (1.0 - rows.alpha.sum(axis=-1) - rows.beta.sum(axis=-1))
     e2 = e * e
-    b = np.repeat(rows.omega[:, None], n, axis=1)
+    b = np.repeat(rows.omega[:, None], len(x), axis=1)
     for k in range(p2):
         b[:, k + 1:] += rows.alpha[:, k, None] * e2[:, :-k - 1]
-        for i in range(min(k + 1, n)):
-            b[:, i] += rows.alpha[:, k] * state.resid2[..., i - 1 - k]
+        b[:, :k + 1] += (rows.alpha[:, k] * v0)[:, None]
     if q2:
         tail = -rows.beta
-        y = state.sigma2[..., ::-1][..., :q2]
-        zi = np.zeros((r, q2))
+        zi = np.zeros((len(v0), q2))
         for m in range(q2):
-            zi[:, m] -= (tail[:, m:] * y[..., :q2 - m]).sum(axis=-1)
+            zi[:, m] -= (tail[:, m:] * v0[:, None]).sum(axis=-1)
         s2 = _lfilter_rows(tail, b, zi)
     else:
         s2 = b
@@ -319,21 +295,18 @@ def _require(ok: np.ndarray) -> None:
         raise NumericalError("nonpositive or non-finite conditional variance")
 
 
-def arma_garch_filter(params: ArmaGarchParams, x, state: LaggedState | None = None) -> FilterOutput:
+def arma_garch_filter(params: ArmaGarchParams, x) -> FilterOutput:
     """Run the conditional mean/variance recursions over observed data.
 
-    `state` supplies pre-sample lags; the default is the stationary start of
-    :meth:`LaggedState.presample`.
+    The recursions start at the stationary start of
+    :meth:`LaggedState.presample`, as the likelihood does.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or len(x) < 1:
         raise InputError("x must be a nonempty 1-d series")
     if not np.all(np.isfinite(x)):
         raise InputError("x contains non-finite values")
-    if state is None:
-        state = LaggedState.presample(params)
-    _check_state(params, state)
-    e, s2, ok = _filter(_Rows.of(params), x, state)
+    e, s2, ok = _filter(_Rows.of(params), x)
     _require(ok)
     e, s2 = e[0], s2[0]
     return FilterOutput(mu_t=x - e, sigma2_t=s2, z_t=e / np.sqrt(s2))
@@ -342,9 +315,10 @@ def arma_garch_filter(params: ArmaGarchParams, x, state: LaggedState | None = No
 def arma_garch_simulate(params: ArmaGarchParams, z, state: LaggedState | None = None) -> np.ndarray:
     """Simulate forward from innovations `z`, continuing the recursions from `state`.
 
-    Exact inverse of :func:`arma_garch_filter` for matching state:
-    X_s = mu_s + sigma_s * z_s.  `z` has shape (..., h), one path per entry
-    of its leading axes, with steps on the last axis.  The lags of `state`
+    X_s = mu_s + sigma_s * z_s.  From the default stationary start, where
+    :func:`arma_garch_filter` starts, it is the exact inverse of the filter.
+    `z` has shape (..., h), one path per entry of its leading axes, with
+    steps on the last axis.  The lags of `state`
     have shape (..., order) and their leading axes broadcast against
     ``z[..., 0]``: 1-d lags start every path from one state, and lags from
     :meth:`LaggedState.at` with origins of shape (n, 1) give each row of a
@@ -357,8 +331,12 @@ def arma_garch_simulate(params: ArmaGarchParams, z, state: LaggedState | None = 
         raise InputError("z must hold at least one step on its last axis")
     if state is None:
         state = LaggedState.presample(params)
-    _check_state(params, state)
     p1, q1, p2, q2 = params.orders
+    for name, need in (("x", p1), ("resid", q1), ("resid2", p2), ("sigma2", q2)):
+        if np.shape(getattr(state, name))[-1] < need:
+            raise InputError(f"state.{name} must supply at least {need} lags")
+    if np.any(state.resid2 < 0.0) or np.any(state.sigma2 < 0.0):
+        raise InputError("squared-residual and variance lags must be nonnegative")
     fields = (state.x, state.resid, state.resid2, state.sigma2)
     try:
         lead = np.broadcast_shapes(z.shape[:-1], *(np.shape(f)[:-1] for f in fields))
@@ -416,7 +394,7 @@ def _loglik_rows(rows: _Rows, x: np.ndarray):
     Returns (loglik, ok): `ok` marks the rows whose conditional variance
     stays positive and finite, and `loglik` holds one value per such row.
     """
-    e, s2, ok = _filter(rows, x, rows.presample())
+    e, s2, ok = _filter(rows, x)
     nu = rows.nu[:, None]
     if not ok.all():
         e, s2, nu = e[ok], s2[ok], nu[ok]

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import assess
-from .bootstrap import bootstrap_fit
+from .bootstrap import BootstrapMixture, bootstrap_fit
 from .dependence import (EmpiricalBetaCopula, EmpiricalCopula,
                          IndependenceCopula, pseudo_observations)
 from .errors import ConfigError, InputError
@@ -41,7 +41,9 @@ __all__ = [
 ]
 
 TRANSFORMS = ("none", "difference", "log_returns")
-DEPENDENCE_KINDS = ("independence", "empirical", "empirical_beta", "gmmn")
+_KIND_OF = {IndependenceCopula: "independence", EmpiricalCopula: "empirical",
+            EmpiricalBetaCopula: "empirical_beta", GmmnCopula: "gmmn"}
+DEPENDENCE_KINDS = tuple(_KIND_OF.values())   # the config's `dependence` values
 _TRAIN_FRAC = 0.7   # training share of the rows when load_dataset gets no tau
 
 _log = logging.getLogger(__name__)
@@ -342,6 +344,15 @@ def rolling_forecasts(model: MtsModel, dataset: Dataset, n_pth: int,
     return _one_step_paths(model, dataset, _filters(model, dataset.values), n_pth, seed_seq)
 
 
+def _model_name(dep) -> str:
+    """The metrics' `model` label of `dep`: its kind, with "_bt" for a bootstrap mixture."""
+    if isinstance(dep, BootstrapMixture):
+        return _model_name(dep.components[0]) + "_bt"
+    if type(dep) not in _KIND_OF:
+        raise InputError(f"no metrics label for dependence model {type(dep).__name__}")
+    return _KIND_OF[type(dep)]
+
+
 @dataclass
 class PipelineResult:
     model: MtsModel
@@ -355,9 +366,10 @@ class PipelineResult:
 
 def run_pipeline(cfg: PipelineConfig, dataset: Dataset,
                  model: MtsModel | None = None) -> PipelineResult:
-    """Full fit -> forecast -> assess run; pass `model` to skip refitting."""
+    """Full fit -> forecast -> assess run; pass `model` to skip refitting; it names the metrics."""
     if model is None:
         model = fit_mts(cfg, dataset)
+    model_name = _model_name(model.dependence)
 
     fc_ss, ammd_ss = seed_streams(cfg.seed)
     # one filter pass per margin serves the forecasts and the test residuals
@@ -370,7 +382,6 @@ def run_pipeline(cfg: PipelineConfig, dataset: Dataset,
     s_actual = x_test.sum(axis=1)
 
     acfg = cfg.assess_config()
-    model_name = cfg.dependence + ("_bt" if cfg.bootstrap_n_bt > 0 else "")
     values = {
         "AMMD": assess.ammd(u_test, model.dependence, acfg,
                             np.random.default_rng(ammd_ss)),

@@ -85,9 +85,7 @@ def _unpack_dependence(prefix: str, arrays, meta: dict):
     if kind == "independence":
         return IndependenceCopula(meta["pca_k"])
     if kind == "empirical":
-        ranks = arrays[f"{prefix}/ranks"]
-        # as pseudo_observations computes them
-        return EmpiricalCopula(PseudoSample(u=ranks / (len(ranks) + 1.0), ranks=ranks))
+        return EmpiricalCopula(PseudoSample(arrays[f"{prefix}/ranks"]))
     if kind == "empirical_beta":
         return EmpiricalBetaCopula(arrays[f"{prefix}/ranks"])
     if kind == "gmmn_copula":
@@ -98,8 +96,7 @@ def _unpack_dependence(prefix: str, arrays, meta: dict):
         quantiles = [QuantileMaps("empirical",
                                   tables=[arrays[f"{prefix}/q{b}_{j}"] for j in range(comp.d)])
                      for b, comp in enumerate(comps)]
-        return BootstrapMixture(components=comps, component_quantiles=quantiles,
-                                n_bt=m["n_bt"])
+        return BootstrapMixture(components=comps, component_quantiles=quantiles)
     raise InputError(f"unknown dependence kind {kind!r} in model file")
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from mtsgen import (_par, AssessConfig, EmpiricalCopula, IndependenceCopula,
                     InputError, ammd, amse, avs, vear, pseudo_observations)
-from mtsgen.assess import mse_per_step, vs_per_step
+from mtsgen.assess import KERNEL_TST, mse_per_step, vs_per_step
 from mtsgen.datagen import GaussianCopulaSampler, equicorrelation
 
 
@@ -25,7 +25,7 @@ class TestAssessConfig:
     def test_defaults(self):
         cfg = AssessConfig()
         assert cfg.n_rep == 100
-        assert cfg.kernel_tst.bandwidths == (0.1, 0.3, 0.5, 0.7, 0.9)
+        assert KERNEL_TST.bandwidths == (0.1, 0.3, 0.5, 0.7, 0.9)
 
     def test_validation(self):
         with pytest.raises(InputError):
@@ -46,7 +46,7 @@ class TestAmmd:
         rng1 = np.random.default_rng(3)
         rng2 = np.random.default_rng(3)
         assert ammd(u, cop, cfg, rng1) == mmd(u, cop.sample(30, rng2),
-                                              cfg.kernel_tst)
+                                              KERNEL_TST)
 
     def test_equals_mean_of_plain_mmd(self):
         from mtsgen.gmmn import mmd
@@ -54,7 +54,7 @@ class TestAmmd:
         cop = IndependenceCopula(3)
         cfg = AssessConfig(n_rep=6)
         rng = np.random.default_rng(6)
-        expected = np.mean([mmd(u, cop.sample(40, rng), cfg.kernel_tst)
+        expected = np.mean([mmd(u, cop.sample(40, rng), KERNEL_TST)
                             for _ in range(cfg.n_rep)])
         assert ammd(u, cop, cfg, np.random.default_rng(6)) == float(expected)
 

@@ -78,7 +78,7 @@ class TestSampleMixture:
     def test_two_identical_independence_components_uniform(self):
         mix = BootstrapMixture(
             components=[IndependenceCopula(2), IndependenceCopula(2)],
-            component_quantiles=[tables(np.zeros(1), np.zeros(1))] * 2, n_bt=2)
+            component_quantiles=[tables(np.zeros(1), np.zeros(1))] * 2)
         u, _ = mix.sample_components(10**4, np.random.default_rng(10))
         for j in range(2):
             assert stats.kstest(u[:, j], "uniform").pvalue > 0.01
@@ -106,7 +106,7 @@ class TestApplyQuantiles:
         tables_b = tables(np.array([100.0, 110.0]))
         mix = BootstrapMixture(
             components=[ConstantCopula(), ConstantCopula()],
-            component_quantiles=[tables_a, tables_b], n_bt=2)
+            component_quantiles=[tables_a, tables_b])
         y = mix.innovations(50, np.random.default_rng(4))
         ids = np.random.default_rng(4).integers(0, 2, size=50)
         assert set(ids) == {0, 1}
@@ -118,8 +118,7 @@ class TestApplyQuantiles:
         mix = BootstrapMixture(
             components=[IndependenceCopula(1), IndependenceCopula(1)],
             component_quantiles=[tables(np.array([0.0, 10.0])),
-                                 tables(np.array([100.0, 110.0]))],
-            n_bt=2)
+                                 tables(np.array([100.0, 110.0]))])
         y = mix.innovations(200, np.random.default_rng(3))
         u, ids = mix.sample_components(200, np.random.default_rng(3))
         want = np.empty_like(u)
@@ -132,11 +131,19 @@ class TestApplyQuantiles:
         with pytest.raises(InputError):
             BootstrapMixture(components=[IndependenceCopula(2),
                                          IndependenceCopula(3)],
-                             component_quantiles=[tables(), tables()], n_bt=2)
+                             component_quantiles=[tables(), tables()])
+
+    def test_fewer_maps_than_components_rejected(self):
+        with pytest.raises(InputError, match="each with its quantile maps"):
+            BootstrapMixture(components=[IndependenceCopula(2), IndependenceCopula(2)],
+                             component_quantiles=[tables(np.zeros(1), np.zeros(1))])
+
+    def test_empty_mixture_rejected(self):
+        with pytest.raises(InputError, match="one or more components"):
+            BootstrapMixture(components=[], component_quantiles=[])
 
     def test_table_count_must_match_dimension(self):
         with pytest.raises(InputError, match="2 quantile tables, one per dimension"):
             BootstrapMixture(components=[IndependenceCopula(2), IndependenceCopula(2)],
                              component_quantiles=[tables(np.zeros(1), np.zeros(1)),
-                                                  tables(np.zeros(1))],
-                             n_bt=2)
+                                                  tables(np.zeros(1))])

@@ -1,5 +1,7 @@
 """Pseudo-observations and the nonparametric dependence samplers."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -35,6 +37,13 @@ class TestPseudoObservations:
         y = np.random.default_rng(1).standard_normal((25, 2))
         ps = pseudo_observations(y)
         np.testing.assert_allclose(ps.u, ps.ranks / 26.0)
+
+    def test_u_keeps_its_bytes(self):
+        # u is derived from the ranks on first use: the bytes it had when stored
+        ps = pseudo_observations(np.random.default_rng(5).standard_normal((300, 4)))
+        assert ps.u.dtype == np.float64 and ps.u is ps.u
+        assert hashlib.sha256(ps.u.tobytes()).hexdigest() == (
+            "87739ce3800d8e0f4535fdd86ab19fbefe75b3c036e9fa51497f3bac2015341f")
 
     def test_ties_stable(self):
         ps = pseudo_observations(np.array([1.0, 1.0, 0.0]))

