@@ -16,11 +16,12 @@ import sys
 
 import numpy as np
 
+from .bootstrap import BootstrapMixture
 from .errors import ConfigError, InputError, MtsgenError, NumericalError
 from .forecast import rolling_var
 from .pipeline import (DEPENDENCE_KINDS, METRICS_HEADER, TRANSFORMS, PipelineConfig,
-                       load_dataset, fit_mts, rolling_forecasts, run_pipeline,
-                       seed_streams, write_metrics)
+                       _model_name, load_dataset, fit_mts, rolling_forecasts,
+                       run_pipeline, seed_streams, write_metrics)
 from .serialize import load_model, save_model
 
 
@@ -57,14 +58,14 @@ def _load_data(args):
 def cmd_fit(args) -> int:
     """`fit`, and `bootstrap`, which also requires --n-bt >= 1."""
     cfg = _build_config(args)
-    bootstrap = args.command == "bootstrap"
-    if bootstrap and cfg.bootstrap_n_bt < 1:
+    if args.command == "bootstrap" and cfg.bootstrap_n_bt < 1:
         raise InputError("bootstrap requires --n-bt >= 1")
     dataset = _load_data(args)
     model = fit_mts(cfg, dataset)
     save_model(model, args.out)
-    what = (f"bootstrap mixture ({cfg.bootstrap_n_bt} x {cfg.dependence})" if bootstrap
-            else f"fitted model ({cfg.dependence})")
+    dep = model.dependence
+    what = (f"bootstrap mixture ({dep.n_bt} x {_model_name(dep.components[0])})"
+            if isinstance(dep, BootstrapMixture) else f"fitted model ({_model_name(dep)})")
     print(f"{what} written to {args.out} [config {cfg.config_hash}]")
     return 0
 

@@ -6,14 +6,16 @@ returns an ``n x d`` matrix of values strictly inside (0, 1), and
 inverse margins.
 
 Some draws lie on a rank grid: every value is k / (m + 1) for an integer
-rank k in 1..m.  The empirical copula resamples rows of its
-pseudo-observations (m = the sample size), and the GMMN copula re-ranks
-its n outputs (m = n).  These models hand their integer ranks to
+rank k in 1..m.  The empirical copula resamples rows of its ranks
+(m = the sample size), and the GMMN copula re-ranks its n outputs (m = n).
+These models hand their integer ranks to
 ``quantile_maps.on_grid(ranks, m)``, which maps each grid point once
 instead of once per draw.  The ranks and the draws use the same RNG
 calls, and ``on_grid`` returns the bytes ``quantile_maps(ranks / (m + 1.0))``
 would, so the result equals ``quantile_maps(sample(n, rng))`` bit for bit.
-The other models keep the default.
+The empirical beta copula is the empirical copula with each picked rank
+drawn through a Beta law, off the grid; it and the other models keep the
+default.
 """
 
 from __future__ import annotations
@@ -99,37 +101,32 @@ class EmpiricalCopula(DependenceModel):
         self.ps = ps
         self.d = ps.d
 
+    def _pick(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        """The ranks of n rows picked uniformly with replacement."""
+        return self.ps.ranks[rng.integers(0, self.ps.n, size=n)]
+
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        idx = rng.integers(0, self.ps.n, size=n)
-        return self.ps.u[idx]
+        return self._pick(n, rng) / (self.ps.n + 1.0)
 
     def sample_quantiles(self, n: int, rng: np.random.Generator, quantile_maps) -> np.ndarray:
-        idx = rng.integers(0, self.ps.n, size=n)
-        return quantile_maps.on_grid(self.ps.ranks[idx], self.ps.n)
+        return quantile_maps.on_grid(self._pick(n, rng), self.ps.n)
 
 
-class EmpiricalBetaCopula(DependenceModel):
-    """Rank-indexed order-statistic smoothing of the empirical copula.
+class EmpiricalBetaCopula(EmpiricalCopula):
+    """The empirical beta copula (Segers, Sibuya & Tsukahara, 2017).
 
-    A draw picks a row t uniformly, then each coordinate j independently
-    follows the distribution of the R_{t,j}-th order statistic of n iid
-    uniforms, i.e. Beta(R_{t,j}, n + 1 - R_{t,j}).
+    A draw picks a row t of the ranks as the empirical copula does; each
+    coordinate j then independently follows Beta(R_{t,j}, n + 1 - R_{t,j}),
+    the law of the R_{t,j}-th order statistic of n iid uniforms.
     """
 
-    def __init__(self, ranks: np.ndarray):
-        ranks = np.asarray(ranks)
-        self.n = len(ranks)
-        if ranks.min() < 1 or ranks.max() > self.n:
-            raise InputError(f"ranks must lie in {{1, ..., n}} for the n={self.n} rows")
-        self.ranks = ranks
-        self.d = ranks.shape[1]
+    sample_quantiles = DependenceModel.sample_quantiles   # the draws lie off the rank grid
 
-    def sample(self, n_gen: int, rng: np.random.Generator) -> np.ndarray:
-        idx = rng.integers(0, self.n, size=n_gen)
-        r = self.ranks[idx].astype(float)
+    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        r = self._pick(n, rng).astype(float)
         # Beta(a, b) via two gamma variates
         g1 = rng.standard_gamma(r)
-        g2 = rng.standard_gamma(self.n + 1.0 - r)
+        g2 = rng.standard_gamma(self.ps.n + 1.0 - r)
         return g1 / (g1 + g2)
 
 

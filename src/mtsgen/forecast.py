@@ -50,11 +50,11 @@ class QuantileMaps:
 
     A draw on the rank grid k / (n + 1), k = 1..n (GMMN and empirical
     copula draws, in a bootstrap mixture too) comes in as integer ranks
-    through :meth:`on_grid`.  In parametric mode it is then mapped by lookup
-    in a table of the scaled-t quantile at each grid point, computed for
-    the last grid size only and never saved.  The table holds the quantiles of the same doubles
-    ``ranks / (n + 1.0)`` that ``self`` would get, and the quantile is
-    elementwise, so the lookup returns the same bytes as the call.
+    through :meth:`on_grid`, and is mapped by lookup in a table of ``self``
+    at each grid point, computed for the last grid size only and never
+    saved.  The table holds the quantiles of the same doubles
+    ``ranks / (n + 1.0)`` that ``self`` would get, and both kinds of map
+    are elementwise, so the lookup returns the same bytes as the call.
     """
 
     def __init__(self, mode: str, nus: np.ndarray | None = None,
@@ -66,7 +66,7 @@ class QuantileMaps:
         self.tables = None if tables is None else [np.sort(np.asarray(t, dtype=float)) for t in tables]
         if self.tables is not None and any(t.ndim != 1 or len(t) == 0 for t in self.tables):
             raise InputError("empirical quantile tables must be nonempty 1-d arrays")
-        self._grid = None   # (n, table of shape (n, d)) of the last scaled-t grid
+        self._grid = None   # (n, table of shape (n, d)) of the last grid
 
     @classmethod
     def scaled_t(cls, nus) -> "QuantileMaps":
@@ -94,11 +94,9 @@ class QuantileMaps:
 
     def on_grid(self, ranks: np.ndarray, n: int) -> np.ndarray:
         """``self(ranks / (n + 1.0))`` for integer ranks in 1..n, bit for bit."""
-        if self.mode == "empirical":
-            return self(ranks / (n + 1.0))
         if self._grid is None or self._grid[0] != n:
             grid = np.arange(1, n + 1) / (n + 1.0)
-            self._grid = (n, np.column_stack([scaled_t_quantile(grid, nu) for nu in self.nus]))
+            self._grid = (n, self(np.repeat(grid[:, None], self.d, axis=1)))
         return np.take_along_axis(self._grid[1], ranks - 1, axis=0)
 
 
@@ -148,7 +146,10 @@ _ORIGIN_BLOCK = 50
 
 
 def _filters(model: MtsModel, x: np.ndarray) -> list:
-    """One filter pass per margin over the columns of `x`."""
+    """One filter pass per margin over the columns of `x`, one column per margin."""
+    if x.ndim != 2 or x.shape[1] != model.d:
+        raise InputError(f"the model has {model.d} margins, one per column, but the "
+                         f"data have shape {x.shape}")
     return [arma_garch_filter(m.params, x[:, j]) for j, m in enumerate(model.margins)]
 
 
@@ -189,10 +190,8 @@ def forecast_paths(model: MtsModel, history, n_pth: int, h: int,
     the end of it.
     """
     history = np.atleast_2d(np.asarray(history, dtype=float))
-    if history.ndim != 2 or history.shape[1] != model.d:
-        raise InputError(f"history must have {model.d} columns")
-    t = history.shape[0]
-    return _paths(model, history, _filters(model, history), [t], n_pth, h, [rng])[0]
+    return _paths(model, history, _filters(model, history), [len(history)], n_pth, h,
+                  [rng])[0]
 
 
 def var_forecast(aggregates, alpha: float) -> float:

@@ -261,7 +261,7 @@ def _dependence_fitter(cfg: PipelineConfig, seed_seq: np.random.SeedSequence):
         if cfg.dependence == "empirical":
             return EmpiricalCopula(ps)
         if cfg.dependence == "empirical_beta":
-            return EmpiricalBetaCopula(ps.ranks)
+            return EmpiricalBetaCopula(ps)
         # gmmn: a distinct derived seed per invocation (bootstrap replicates)
         seed = int(seed_seq.generate_state(counter[0] + 1, dtype=np.uint64)[-1])
         counter[0] += 1

@@ -1,11 +1,12 @@
 """Versioned binary persistence for fitted models.
 
-Models are stored as an ``.npz`` container holding all tensors in 64-bit
-floats plus a JSON metadata entry with a version header.  Round trips are
-exact: forecasts from a loaded model are bit-identical given the same
-seed.  Each value is stored once: what other entries fix is derived on
-load.  The loader reads only the keys the writer emits, so keys that
-older files of the same version still carry are ignored.
+Models are stored as an ``.npz`` container holding every tensor in 64-bit
+floats, except the rank copulas' ranks in 64-bit integers, plus a JSON
+metadata entry with a version header.  Round trips are exact: forecasts
+from a loaded model are bit-identical given the same seed.  Each value
+is stored once: what other entries fix is derived on load.  The loader
+reads only the keys the writer emits, so keys that older files of the
+same version still carry are ignored.
 """
 
 from __future__ import annotations
@@ -26,6 +27,9 @@ from .pca import PcaTransform
 __all__ = ["save_model", "load_model", "FORMAT_VERSION"]
 
 FORMAT_VERSION = "mtsgen-model-v1"
+# the rank copulas, each stored as its integer ranks
+_RANK_COPULA = {"empirical": EmpiricalCopula, "empirical_beta": EmpiricalBetaCopula}
+_RANK_KIND = {cls: kind for kind, cls in _RANK_COPULA.items()}
 
 
 def _pack_gmmn(prefix: str, model: GmmnModel, arrays: dict, meta: dict) -> None:
@@ -60,12 +64,9 @@ def _unpack_gmmn(prefix: str, arrays, meta: dict) -> GmmnModel:
 def _pack_dependence(prefix: str, dep, arrays: dict, meta: dict) -> None:
     if isinstance(dep, IndependenceCopula):
         meta[prefix] = {"kind": "independence"}
-    elif isinstance(dep, EmpiricalCopula):
-        meta[prefix] = {"kind": "empirical"}
+    elif type(dep) in _RANK_KIND:   # exact class: a beta copula is an EmpiricalCopula too
+        meta[prefix] = {"kind": _RANK_KIND[type(dep)]}
         arrays[f"{prefix}/ranks"] = dep.ps.ranks
-    elif isinstance(dep, EmpiricalBetaCopula):
-        meta[prefix] = {"kind": "empirical_beta"}
-        arrays[f"{prefix}/ranks"] = dep.ranks
     elif isinstance(dep, GmmnCopula):
         meta[prefix] = {"kind": "gmmn_copula"}
         _pack_gmmn(f"{prefix}/net", dep.model, arrays, meta)
@@ -84,10 +85,8 @@ def _unpack_dependence(prefix: str, arrays, meta: dict):
     kind = m["kind"]
     if kind == "independence":
         return IndependenceCopula(meta["pca_k"])
-    if kind == "empirical":
-        return EmpiricalCopula(PseudoSample(arrays[f"{prefix}/ranks"]))
-    if kind == "empirical_beta":
-        return EmpiricalBetaCopula(arrays[f"{prefix}/ranks"])
+    if kind in _RANK_COPULA:
+        return _RANK_COPULA[kind](PseudoSample(arrays[f"{prefix}/ranks"]))
     if kind == "gmmn_copula":
         return GmmnCopula(_unpack_gmmn(f"{prefix}/net", arrays, meta))
     if kind == "bootstrap_mixture":

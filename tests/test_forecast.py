@@ -83,7 +83,7 @@ class TestModelMaps:
     @pytest.mark.parametrize("dependence", [
         IndependenceCopula(1),
         EmpiricalCopula(pseudo_observations(np.arange(5.0))),
-        EmpiricalBetaCopula(pseudo_observations(np.arange(5.0)).ranks),
+        EmpiricalBetaCopula(pseudo_observations(np.arange(5.0))),
     ], ids=["independence", "empirical", "empirical_beta"])
     def test_other_model_without_maps_rejected(self, dependence):
         margins = make_model([flat_params()]).margins

@@ -13,9 +13,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from mtsgen import (ArmaGarchParams, ConfigError, InputError, MtsgenError,
-                    PipelineConfig, forecast_paths, load_dataset, load_model,
-                    run_pipeline, save_model)
+from mtsgen import (ArmaGarchParams, ConfigError, InputError, MarginalFitResult,
+                    MtsgenError, MtsModel, PcaTransform, PipelineConfig, QuantileMaps,
+                    forecast_paths, load_dataset, load_model, run_pipeline, save_model)
 from mtsgen.datagen import GaussianCopulaSampler, equicorrelation, simulate_mts
 from mtsgen.dependence import IndependenceCopula
 from mtsgen.pipeline import Dataset, fit_mts, rolling_forecasts, write_metrics
@@ -407,6 +407,43 @@ class TestTrainingWindow:
         assert code == 2
 
 
+class TestDataWidth:
+    """Data whose width is not the model's margin count exit 2 before any filter runs."""
+
+    @pytest.fixture(scope="class")
+    def three_margins(self, tmp_path_factory):
+        params = ArmaGarchParams(mu=0.0, phi=[0.2], gamma=[0.0], omega=0.05,
+                                 alpha=[0.1], beta=[0.8], nu=6.0)
+        margins = [MarginalFitResult(params=params, filter=None, loglik=0.0, converged=True)
+                   for _ in range(3)]
+        model = MtsModel(margins=margins, pca=PcaTransform.identity(3),
+                         dependence=IndependenceCopula(3),
+                         quantile_maps=QuantileMaps.scaled_t([6.0] * 3), tau=200)
+        path = tmp_path_factory.mktemp("width") / "m.npz"
+        save_model(model, path)
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["forecast", "assess"])
+    @pytest.mark.parametrize("width", [2, 4])
+    def test_cli_exit_code(self, synthetic_csv, three_margins, tmp_path, monkeypatch, capsys,
+                           command, width):
+        import mtsgen.forecast as forecast
+        from mtsgen.cli import main
+
+        def arma_garch_filter(*args, **kw):
+            raise AssertionError("a margin filter ran before the width check")
+
+        monkeypatch.setattr(forecast, "arma_garch_filter", arma_garch_filter)
+        x = np.loadtxt(synthetic_csv, delimiter=",", skiprows=1)[:, 1:]
+        data = tmp_path / "x.csv"
+        write_csv(data, x[:, np.arange(width) % 2])
+        code = main([command, "--data", str(data), "--seed", "1", "--tau", "200",
+                     "--model", three_margins, "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert f"has 3 margins, one per column, but the data have shape (260, {width})" in (
+            capsys.readouterr().err)
+
+
 def nan_omega(meta, data):
     meta["margins"][0]["omega"] = float("nan")
 
@@ -558,6 +595,24 @@ class TestCorruptModelFile:
                      "--out", str(tmp_path / "metrics.csv")])
         assert code == 2
 
+    @pytest.mark.parametrize("bad", [lambda r: r.astype(float), lambda r: r[:, 0]],
+                             ids=["float", "one_dim"])
+    def test_bad_ranks_exit_code(self, pca_model, synthetic_csv, tmp_path, bad):
+        from mtsgen.cli import main
+
+        def edit(meta, data):
+            assert meta["dep"]["kind"] == "empirical_beta"
+            data["dep/ranks"] = bad(data["dep/ranks"])
+
+        path = tmp_path / "model.npz"
+        self.corrupt(pca_model, path, edit=edit)
+        with pytest.raises(InputError, match="integer ranks"):
+            load_model(path)
+        code = main(["assess", "--data", synthetic_csv, "--seed", "7",
+                     "--tau", "200", "--model", str(path),
+                     "--out", str(tmp_path / "metrics.csv")])
+        assert code == 2
+
     @pytest.mark.parametrize("key", ["qmap/t0", "dep/q0_0"])
     @pytest.mark.parametrize("bad", [empty_table, two_dim_table], ids=["empty", "2d"])
     def test_bad_quantile_table_exit_code(self, pca_model, pca_bootstrap_model, synthetic_csv,
@@ -672,12 +727,18 @@ class TestFitCommand:
         assert code == 2
         assert not out.exists()
 
-    @pytest.mark.parametrize("command, message", [
-        (["fit"], "fitted model (empirical_beta)"),
-        (["bootstrap", "--n-bt", "2"], "bootstrap mixture (2 x empirical_beta)"),
-    ], ids=["fit", "bootstrap"])
-    def test_message(self, synthetic_csv, tmp_path, capsys, command, message):
+    @pytest.mark.parametrize("command, config, message", [
+        (["fit"], None, "fitted model (empirical_beta)"),
+        (["bootstrap", "--n-bt", "2"], None, "bootstrap mixture (2 x empirical_beta)"),
+        (["fit"], {"bootstrap_n_bt": 2}, "bootstrap mixture (2 x empirical_beta)"),
+    ], ids=["fit", "bootstrap", "fit_bootstrap_config"])
+    def test_message(self, synthetic_csv, tmp_path, capsys, command, config, message):
+        # the message names the model fitted, whichever command or key asked for it
         from mtsgen.cli import main
+        if config is not None:
+            config_path = tmp_path / "c.json"
+            config_path.write_text(json.dumps(config))
+            command = [*command, "--config", str(config_path)]
         out = tmp_path / "m.npz"
         code = main([*command, "--data", synthetic_csv, "--seed", "1", "--tau", "200",
                      "--dependence", "empirical_beta", "--out", str(out)])

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from mtsgen import (ArmaGarchParams, EmpiricalCopula, GmmnCopula, InputError,
-                    PipelineConfig, PseudoSample, forecast_paths, load_model,
-                    save_model)
+from mtsgen import (ArmaGarchParams, EmpiricalBetaCopula, EmpiricalCopula, GmmnCopula,
+                    InputError, PipelineConfig, PseudoSample, forecast_paths,
+                    load_model, save_model)
 from mtsgen import forecast as forecast_module
 from mtsgen.datagen import GaussianCopulaSampler, equicorrelation, simulate_mts
 from mtsgen.dependence import DependenceModel
@@ -101,13 +101,16 @@ class TestGridTable:
         assert calls == [(grid,)] * data.d
 
     def test_one_slot_cache(self, data):
-        model = fit_mts(PipelineConfig(seed=87, **KINDS["gmmn"]), data)
-        dep, qm = model.dependence, model.quantile_maps
-        for n in (50, 80):
-            dep.sample_quantiles(n, np.random.default_rng(n), qm)
-        n, table = qm._grid
-        assert n == 80 and table.shape == (80, data.d)
-        assert np.array_equal(table, qm(np.arange(1, 81)[:, None] / 81.0 + np.zeros(data.d)))
+        # scaled-t maps without PCA, empirical maps with it: one table either way
+        for pca in (False, True):
+            model = fit_mts(PipelineConfig(pca_enabled=pca, pca_k_min=1, seed=87,
+                                           **KINDS["gmmn"]), data)
+            dep, qm = model.dependence, model.quantile_maps
+            for n in (50, 80):
+                dep.sample_quantiles(n, np.random.default_rng(n), qm)
+            n, table = qm._grid
+            assert n == 80 and table.shape == (80, qm.d)
+            assert np.array_equal(table, qm(np.arange(1, 81)[:, None] / 81.0 + np.zeros(qm.d)))
 
 
 class TestEmpiricalPseudoSample:
@@ -123,5 +126,6 @@ class TestEmpiricalPseudoSample:
         lambda ps: PseudoSample(ps.ranks[:, 0]),
     ], ids=["float_ranks", "rank_zero", "one_dim"])
     def test_inconsistent_sample_rejected(self, edit):
-        with pytest.raises(InputError):
-            EmpiricalCopula(edit(self.ps()))
+        for cls in (EmpiricalCopula, EmpiricalBetaCopula):
+            with pytest.raises(InputError, match="integer ranks"):
+                cls(edit(self.ps()))
