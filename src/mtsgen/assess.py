@@ -52,12 +52,15 @@ def ammd(u_test, sampler: DependenceModel, cfg: AssessConfig,
     return float(np.mean(vals))
 
 
-def _as_path_array(forecasts) -> np.ndarray:
-    """The one-step paths as a (n_t, n_pth, d) array."""
-    arr = np.asarray(forecasts)
-    if arr.ndim != 3:
+def _paths_and_values(forecasts, x_test) -> tuple:
+    """The one-step paths as a (n_t, n_pth, d) array, and the realized values as (n_t, d)."""
+    paths = np.asarray(forecasts)
+    if paths.ndim != 3:
         raise InputError("forecasts must have shape (n_t, n_pth, d)")
-    return arr
+    x = np.atleast_2d(np.asarray(x_test, dtype=float))
+    if x.shape != (paths.shape[0], paths.shape[2]):
+        raise InputError("x_test shape does not match forecasts")
+    return paths, x
 
 
 def mse_per_step(forecasts, x_test) -> np.ndarray:
@@ -65,10 +68,7 @@ def mse_per_step(forecasts, x_test) -> np.ndarray:
 
     One step at a time, so memory stays at one (n_pth, d) block.
     """
-    paths = _as_path_array(forecasts)
-    x = np.atleast_2d(np.asarray(x_test, dtype=float))
-    if x.shape != (paths.shape[0], paths.shape[2]):
-        raise InputError("x_test shape does not match forecasts")
+    paths, x = _paths_and_values(forecasts, x_test)
     out = np.empty(paths.shape[0])
     for t, (p, xt) in enumerate(zip(paths, x)):
         out[t] = ((p - xt) ** 2).sum(axis=1).mean()
@@ -90,10 +90,7 @@ def vs_per_step(forecasts, x_test, r: float = 0.25) -> np.ndarray:
     (n_pth, d (d - 1) / 2) block, so memory stays at one such block per
     worker and each step's score does not depend on the number of workers.
     """
-    paths = _as_path_array(forecasts)
-    x = np.atleast_2d(np.asarray(x_test, dtype=float))
-    if x.shape != (paths.shape[0], paths.shape[2]):
-        raise InputError("x_test shape does not match forecasts")
+    paths, x = _paths_and_values(forecasts, x_test)
     n_t, n_pth, d = paths.shape
     iu, ju = np.triu_indices(d, k=1)
     # column block i of `gaps` holds the pairs (i, j > i), in triu order

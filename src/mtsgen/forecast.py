@@ -43,10 +43,10 @@ def empirical_quantile(sorted_values: np.ndarray, p) -> np.ndarray:
 class QuantileMaps:
     """Componentwise inverse margins for the dependence sample.
 
-    Parametric mode applies the scaled-t quantile of each fitted margin
-    (used when no dimension reduction is in play); empirical mode uses
-    per-component quantile tables of the training components (of the model
-    or of one bootstrap replicate).
+    Their kind, ``mode``, follows from the one argument given: ``nus``
+    gives the scaled-t quantile of each fitted margin (used when no
+    dimension reduction is in play), ``tables`` the empirical quantiles of
+    the training components (of the model or of one bootstrap replicate).
 
     A draw on the rank grid k / (n + 1), k = 1..n (GMMN and empirical
     copula draws, in a bootstrap mixture too) comes in as integer ranks
@@ -57,11 +57,10 @@ class QuantileMaps:
     are elementwise, so the lookup returns the same bytes as the call.
     """
 
-    def __init__(self, mode: str, nus: np.ndarray | None = None,
-                 tables: list | None = None):
-        if mode not in ("scaled_t", "empirical"):
-            raise InputError(f"unknown quantile-map mode {mode!r}")
-        self.mode = mode
+    def __init__(self, *, nus: np.ndarray | None = None, tables: list | None = None):
+        if (nus is None) == (tables is None):
+            raise InputError("quantile maps take either nus or tables, not both or neither")
+        self.mode = "scaled_t" if tables is None else "empirical"
         self.nus = None if nus is None else np.asarray(nus, dtype=float)
         self.tables = None if tables is None else [np.sort(np.asarray(t, dtype=float)) for t in tables]
         if self.tables is not None and any(t.ndim != 1 or len(t) == 0 for t in self.tables):
@@ -70,13 +69,13 @@ class QuantileMaps:
 
     @classmethod
     def scaled_t(cls, nus) -> "QuantileMaps":
-        return cls("scaled_t", nus=nus)
+        return cls(nus=nus)
 
     @classmethod
     def empirical(cls, y_columns) -> "QuantileMaps":
         """Tables from the columns of a training component matrix."""
         y = np.asarray(y_columns, dtype=float)
-        return cls("empirical", tables=[y[:, j] for j in range(y.shape[1])])
+        return cls(tables=[y[:, j] for j in range(y.shape[1])])
 
     @property
     def d(self) -> int:
@@ -187,9 +186,11 @@ def forecast_paths(model: MtsModel, history, n_pth: int, h: int,
 
     paths[i, s, j] is path i, step s + 1, component j.  Each margin is
     filtered over the history, and its recursions continue from the lags at
-    the end of it.
+    the end of it.  A 1-d history is one series, for a model of one margin.
     """
-    history = np.atleast_2d(np.asarray(history, dtype=float))
+    history = np.asarray(history, dtype=float)
+    if history.ndim == 1:
+        history = history[:, None]
     return _paths(model, history, _filters(model, history), [len(history)], n_pth, h,
                   [rng])[0]
 

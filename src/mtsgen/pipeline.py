@@ -171,26 +171,36 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self):
+        def integer(v):   # JSON true is a Python int, but no count
+            return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+        def real(v):
+            return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
         if self.dependence not in DEPENDENCE_KINDS:
             raise ConfigError(f"dependence must be one of {DEPENDENCE_KINDS}")
-        integer = (int, np.integer)
-        if len(self.orders) != 4 or any(not isinstance(o, integer) or o < 0 for o in self.orders):
+        if len(self.orders) != 4 or any(not integer(o) or o < 0 for o in self.orders):
             raise ConfigError("orders must be four nonnegative integers")
-        for key in ("n_pth", "n_rep", "pca_k_min", "bootstrap_n_bt", "gmmn_n_epo"):
-            if not isinstance(getattr(self, key), integer):
+        for key in ("fix_mu_zero", "pca_enabled"):
+            if not isinstance(getattr(self, key), bool):
+                raise ConfigError(f"{key} must be true or false")
+        for key in ("n_pth", "n_rep", "pca_k_min", "bootstrap_n_bt", "gmmn_n_epo", "seed"):
+            if not integer(getattr(self, key)):
                 raise ConfigError(f"{key} must be an integer")
-        if not (self.gmmn_n_bat is None or isinstance(self.gmmn_n_bat, integer)):
+        if not (self.gmmn_n_bat is None or integer(self.gmmn_n_bat)):
             raise ConfigError("gmmn_n_bat must be an integer or null")
-        if not all(isinstance(h, integer) for h in self.gmmn_hidden_dims):
+        if not all(integer(h) for h in self.gmmn_hidden_dims):
             raise ConfigError("gmmn_hidden_dims must hold integers")
-        if not isinstance(self.gmmn_dropout, numbers.Real):
-            raise ConfigError("gmmn_dropout must be a real number")
+        for key in ("pca_threshold", "gmmn_dropout", "vs_order", "var_alpha"):
+            if not real(getattr(self, key)):
+                raise ConfigError(f"{key} must be a real number")
         if not 0.0 < self.pca_threshold <= 1.0:
             raise ConfigError(f"pca_threshold={self.pca_threshold} must lie in (0, 1]")
         if self.pca_k_min < 1:
             raise ConfigError(f"pca_k_min={self.pca_k_min} must be at least 1")
-        if self.bootstrap_n_bt < 0:
-            raise ConfigError(f"bootstrap_n_bt={self.bootstrap_n_bt} must be nonnegative")
+        for key in ("bootstrap_n_bt", "seed"):
+            if getattr(self, key) < 0:
+                raise ConfigError(f"{key}={getattr(self, key)} must be nonnegative")
         if self.n_pth < 1:
             raise ConfigError(f"n_pth={self.n_pth} must be at least 1")
         if self.vs_order <= 0:
@@ -251,23 +261,15 @@ def seed_streams(seed: int) -> tuple:
     return tuple(np.random.SeedSequence(seed).spawn(2))
 
 
-def _dependence_fitter(cfg: PipelineConfig, seed_seq: np.random.SeedSequence):
-    """Returns a function PseudoSample -> DependenceModel for cfg.dependence."""
-    counter = [0]
-
-    def fit(ps):
-        if cfg.dependence == "independence":
-            return IndependenceCopula(ps.d)
-        if cfg.dependence == "empirical":
-            return EmpiricalCopula(ps)
-        if cfg.dependence == "empirical_beta":
-            return EmpiricalBetaCopula(ps)
-        # gmmn: a distinct derived seed per invocation (bootstrap replicates)
-        seed = int(seed_seq.generate_state(counter[0] + 1, dtype=np.uint64)[-1])
-        counter[0] += 1
-        return GmmnCopula(train_gmmn(ps.u, cfg.train_config(seed)))
-
-    return fit
+def _fit_dependence(cfg: PipelineConfig, ps, seed: int):
+    """The cfg.dependence model of the PseudoSample `ps`; a GMMN trains from `seed`."""
+    if cfg.dependence == "independence":
+        return IndependenceCopula(ps.d)
+    if cfg.dependence == "empirical":
+        return EmpiricalCopula(ps)
+    if cfg.dependence == "empirical_beta":
+        return EmpiricalBetaCopula(ps)
+    return GmmnCopula(train_gmmn(ps.u, cfg.train_config(seed)))
 
 
 def fit_mts(cfg: PipelineConfig, dataset: Dataset) -> MtsModel:
@@ -299,14 +301,15 @@ def fit_mts(cfg: PipelineConfig, dataset: Dataset) -> MtsModel:
     y = project(pca, z)
 
     dep_ss, boot_ss = seed_streams(cfg.seed)
-    fitter = _dependence_fitter(cfg, dep_ss)
+    # fit b, the model or replicate b (bootstrap_fit's call b), takes word b
+    seeds = iter(dep_ss.generate_state(max(cfg.bootstrap_n_bt, 1), dtype=np.uint64).tolist())
     if cfg.bootstrap_n_bt > 0:
         # each replicate holds the inverse margins of its own resample
-        dep = bootstrap_fit(y, cfg.bootstrap_n_bt, fitter,
+        dep = bootstrap_fit(y, cfg.bootstrap_n_bt, lambda ps: _fit_dependence(cfg, ps, next(seeds)),
                             np.random.default_rng(boot_ss))
         qmaps = None
     else:
-        dep = fitter(pseudo_observations(y))
+        dep = _fit_dependence(cfg, pseudo_observations(y), next(seeds))
         qmaps = (QuantileMaps.empirical(y) if cfg.pca_enabled
                  else QuantileMaps.scaled_t([m.params.nu for m in margins]))
 

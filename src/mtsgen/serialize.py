@@ -92,8 +92,7 @@ def _unpack_dependence(prefix: str, arrays, meta: dict):
     if kind == "bootstrap_mixture":
         comps = [_unpack_dependence(f"{prefix}/c{b}", arrays, meta)
                  for b in range(m["n_bt"])]
-        quantiles = [QuantileMaps("empirical",
-                                  tables=[arrays[f"{prefix}/q{b}_{j}"] for j in range(comp.d)])
+        quantiles = [QuantileMaps(tables=[arrays[f"{prefix}/q{b}_{j}"] for j in range(comp.d)])
                      for b, comp in enumerate(comps)]
         return BootstrapMixture(components=comps, component_quantiles=quantiles)
     raise InputError(f"unknown dependence kind {kind!r} in model file")
@@ -184,8 +183,7 @@ def _unpack_model(arrays: dict, meta: dict) -> MtsModel:
     elif meta["qmap_mode"] == "scaled_t":
         qmaps = QuantileMaps.scaled_t([m.params.nu for m in margins])
     else:
-        qmaps = QuantileMaps("empirical",
-                             tables=[arrays[f"qmap/t{j}"] for j in range(pca.k)])
+        qmaps = QuantileMaps(tables=[arrays[f"qmap/t{j}"] for j in range(pca.k)])
 
     return MtsModel(margins=margins, pca=pca, dependence=dep,
                     quantile_maps=qmaps, tau=meta["tau"])

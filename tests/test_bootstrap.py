@@ -11,7 +11,7 @@ from mtsgen.dependence import DependenceModel
 
 def tables(*columns):
     """Empirical quantile maps with one table per given column."""
-    return QuantileMaps("empirical", tables=columns)
+    return QuantileMaps(tables=columns)
 
 
 def empirical_fitter(ps):

@@ -63,9 +63,11 @@ class TestQuantileMaps:
         assert out[0, 0] == 2.0
         assert out[0, 1] == 1.0
 
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(InputError):
-            QuantileMaps("banana")
+    @pytest.mark.parametrize("kwargs", [{}, {"nus": [5.0], "tables": [[0.0, 1.0]]}],
+                             ids=["neither", "both"])
+    def test_one_of_nus_or_tables(self, kwargs):
+        with pytest.raises(InputError, match="either nus or tables"):
+            QuantileMaps(**kwargs)
 
 
 class TestModelMaps:
@@ -162,6 +164,13 @@ class TestForecastPaths:
         model = make_model([p])
         with pytest.raises(InputError, match="history must cover at least 2 steps"):
             forecast_paths(model, np.zeros((1, 1)), 5, 1, np.random.default_rng(8))
+
+    def test_one_dim_history_is_one_series(self):
+        model = make_model([flat_params()])
+        hist = np.random.default_rng(10).standard_normal(50)
+        a = forecast_paths(model, hist, 20, 3, np.random.default_rng(11))
+        b = forecast_paths(model, hist[:, None], 20, 3, np.random.default_rng(11))
+        assert np.array_equal(a, b)
 
     def test_wrong_width_rejected(self):
         model = make_model([flat_params(), flat_params()])

@@ -178,6 +178,26 @@ class TestBootstrapPath:
         assert result.model.dependence.n_bt == 3
         assert all(r["model"] == "empirical_bt" for r in result.metrics)
 
+    def test_gmmn_replicate_seeds(self, monkeypatch):
+        # replicate b trains from word b of one array drawn from the
+        # dependence stream of the master seed
+        import mtsgen.pipeline as pipeline
+        inner, seeds = pipeline.train_gmmn, []
+
+        def train_gmmn(u, cfg):
+            seeds.append(cfg.seed)
+            return inner(u, cfg)
+
+        monkeypatch.setattr(pipeline, "train_gmmn", train_gmmn)
+        x = np.random.default_rng(61).standard_normal((60, 2))
+        ds = Dataset(name="s", times=list(range(60)), values=x,
+                     columns=["a", "b"], transform="none", tau=50)
+        cfg = PipelineConfig(dependence="gmmn", bootstrap_n_bt=3, gmmn_n_epo=1,
+                             gmmn_hidden_dims=(4,), seed=62)
+        fit_mts(cfg, ds)
+        words = pipeline.seed_streams(62)[0].generate_state(3, dtype=np.uint64)
+        assert seeds == [int(w) for w in words]
+
 
 class TestModelLabel:
     def test_dependence_model_without_a_kind_rejected(self, pipeline_run, small_cfg):
@@ -803,7 +823,9 @@ class TestConfigFailFast:
            {"var_alpha": 1.5}, {"var_alpha": 0.0}, {"pca_threshold": 0.0},
            {"pca_threshold": 1.5}, {"pca_k_min": 0}, {"bootstrap_n_bt": -1},
            {"horizon": 1}, {"n_pth": "many"}, {"n_pth": 10.5}, {"orders": 5},
-           {"orders": [1.5, 1, 1, 1]}, {"gmmn_hidden_dims": 5}]
+           {"orders": [1.5, 1, 1, 1]}, {"gmmn_hidden_dims": 5},
+           {"pca_enabled": "no"}, {"fix_mu_zero": "false"}, {"n_pth": True},
+           {"bootstrap_n_bt": True}, {"vs_order": True}, {"orders": [1, 1, True, 1]}]
 
     @pytest.mark.parametrize("bad", BAD)
     def test_bad_value_raises_config_error(self, bad):
@@ -817,19 +839,38 @@ class TestConfigFailFast:
         assert main(["fit", "--data", synthetic_csv, "--seed", "1", "--config", str(cfg),
                      "--out", str(tmp_path / "m.npz")]) == 2
 
-    def test_edge_values_accepted(self):
-        PipelineConfig(n_pth=1, n_rep=1, pca_threshold=1.0, pca_k_min=1,
-                       bootstrap_n_bt=0)
+    @pytest.mark.parametrize("bad", [{"vs_order": "x"}, {"var_alpha": None}, {"seed": -1}])
+    def test_bad_value_from_constructor(self, bad):
+        with pytest.raises(ConfigError):
+            PipelineConfig(**bad)
 
-    @pytest.mark.parametrize("bad", BAD)
-    def test_cli_exit_code(self, synthetic_csv, tmp_path, monkeypatch, bad):
+    @pytest.fixture
+    def no_margin_fits(self, monkeypatch):
         import mtsgen.pipeline as pipeline
-        from mtsgen.cli import main
 
         def fit_arma_garch(*args, **kw):
             raise AssertionError("margin MLE ran before the config check")
 
         monkeypatch.setattr(pipeline, "fit_arma_garch", fit_arma_garch)
+
+    @pytest.mark.parametrize("command", ["fit", "assess"])
+    def test_negative_seed_exit_code(self, synthetic_csv, tmp_path, capsys, no_margin_fits,
+                                     command):
+        # the seed is not in BAD: --seed overrides the config file's seed
+        from mtsgen.cli import main
+        out = tmp_path / "out"
+        assert main([command, "--data", synthetic_csv, "--seed", "-1", "--tau", "200",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: seed=-1 must be nonnegative")
+        assert not out.exists()
+
+    def test_edge_values_accepted(self):
+        PipelineConfig(n_pth=1, n_rep=1, pca_threshold=1.0, pca_k_min=1,
+                       bootstrap_n_bt=0)
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_cli_exit_code(self, synthetic_csv, tmp_path, no_margin_fits, bad):
+        from mtsgen.cli import main
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(bad))
         code = main(["assess", "--data", synthetic_csv, "--seed", "1", "--tau", "200",
