@@ -519,17 +519,33 @@ def _neg_loglik(trans: _Transform, thetas: np.ndarray, x: np.ndarray) -> np.ndar
 _MAXITER = 500   # L-BFGS-B iterations per start
 
 
+def _value_and_gradient(theta: np.ndarray, trans: _Transform, x: np.ndarray):
+    """-loglik at `theta` and its gradient, from one pass over n_free + 1 rows.
+
+    The gradient is bit for bit scipy's forward differences with absolute
+    step 1e-8, ``optimize.approx_fprime(theta, f, 1e-8)``, which L-BFGS-B
+    forms when it gets no `jac`; where ``theta + 1e-8 == theta`` the step
+    is ``sqrt(eps) * sign(theta) * max(1, |theta|)``.
+    """
+    sign = np.where(theta >= 0, 1.0, -1.0)
+    step = np.where((theta + 1e-8) - theta == 0,
+                    np.finfo(float).eps ** 0.5 * sign * np.maximum(1.0, np.abs(theta)), 1e-8)
+    points = np.tile(theta, (len(theta) + 1, 1))
+    points[1:][np.diag_indices(len(theta))] = theta + step
+    f = _neg_loglik(trans, points, x)
+    return f[0], (f[1:] - f[0]) / ((theta + step) - theta)
+
+
 def fit_arma_garch(x, orders=(1, 1, 1, 1), fix_mu_zero: bool = False) -> MarginalFitResult:
     """Fit by constrained maximum likelihood (scaled-t innovations).
 
     Quasi-Newton optimization (L-BFGS-B) in a transformed unconstrained
     space, restarted from 3 deterministic initial points; the best local
-    optimum wins.  L-BFGS-B forms each gradient by forward differences, one
-    perturbed point per parameter; it hands all of them to its `workers`
-    map at once, and the likelihood evaluates them in one pass over a
-    leading axis of parameter rows.  Each row gets the value a call on that
-    point alone would give, bit for bit, so the fit is the same as with one
-    call per point.
+    optimum wins.  Each point L-BFGS-B asks for costs one likelihood pass
+    over the point and its forward-difference points; each row gets the
+    value a call on that point alone would give, and the gradient is the
+    one L-BFGS-B would form from such calls, so the fit is bit for bit the
+    same as with one call per point.
     """
     x = np.asarray(x, dtype=float)
     if len(x) < 50:
@@ -541,20 +557,14 @@ def fit_arma_garch(x, orders=(1, 1, 1, 1), fix_mu_zero: bool = False) -> Margina
         raise NumericalError("series has zero sample variance")
 
     trans = _Transform(orders, fix_mu_zero)
-
-    def point(theta):
-        return _neg_loglik(trans, theta[None], x)[0]
-
-    def gradient_points(_, points):
-        # the map L-BFGS-B runs over the forward-difference points of a gradient
-        return _neg_loglik(trans, np.array(list(points)), x)
-
     best = None
     converged = False
     for theta0 in trans.starts(x, v):
-        res = optimize.minimize(point, theta0, method="L-BFGS-B",
+        # maxfun counts points; L-BFGS-B's default of 15000 counts n_free + 1 calls per point
+        res = optimize.minimize(_value_and_gradient, theta0, args=(trans, x),
+                                method="L-BFGS-B", jac=True,
                                 options={"maxiter": _MAXITER, "ftol": 1e-8,
-                                         "workers": gradient_points})
+                                         "maxfun": 15000 // (trans.n_free + 1)})
         if best is None or res.fun < best.fun:
             best = res
             converged = bool(res.success)

@@ -13,6 +13,7 @@ import csv
 import hashlib
 import json
 import logging
+import math
 import numbers
 from dataclasses import asdict, dataclass
 
@@ -194,6 +195,15 @@ class PipelineConfig:
         for key in ("pca_threshold", "gmmn_dropout", "vs_order", "var_alpha"):
             if not real(getattr(self, key)):
                 raise ConfigError(f"{key} must be a real number")
+        # NumPy scalars as Python numbers, which the canonical JSON can hold
+        for key in self.__dataclass_fields__:
+            v = getattr(self, key)
+            if isinstance(v, (tuple, list)):
+                object.__setattr__(self, key, tuple(int(h) for h in v))
+            elif integer(v):
+                object.__setattr__(self, key, int(v))
+            elif real(v):
+                object.__setattr__(self, key, float(v))
         if not 0.0 < self.pca_threshold <= 1.0:
             raise ConfigError(f"pca_threshold={self.pca_threshold} must lie in (0, 1]")
         if self.pca_k_min < 1:
@@ -203,8 +213,8 @@ class PipelineConfig:
                 raise ConfigError(f"{key}={getattr(self, key)} must be nonnegative")
         if self.n_pth < 1:
             raise ConfigError(f"n_pth={self.n_pth} must be at least 1")
-        if self.vs_order <= 0:
-            raise ConfigError(f"vs_order={self.vs_order} must be positive")
+        if not 0.0 < self.vs_order < math.inf:
+            raise ConfigError(f"vs_order={self.vs_order} must be positive and finite")
         if not 0.0 < self.var_alpha < 1.0:
             raise ConfigError(f"var_alpha={self.var_alpha} must lie in (0, 1)")
         self.assess_config()    # n_rep

@@ -12,8 +12,8 @@ from mtsgen import (ArmaGarchParams, InputError, LaggedState,
                     arma_garch_filter, arma_garch_simulate, fit_arma_garch,
                     scaled_t_quantile)
 from mtsgen.errors import NumericalError
-from mtsgen.margins import (_loglik, _neg_loglik, _Transform, scaled_t_cdf,
-                            scaled_t_logpdf)
+from mtsgen.margins import (_loglik, _neg_loglik, _Transform, _value_and_gradient,
+                            scaled_t_cdf, scaled_t_logpdf)
 
 
 def garch_params(**kw):
@@ -461,7 +461,7 @@ def scalar_neg_loglik(trans, theta, x):
 
 
 def per_point_fit(x, orders, fix_mu_zero):
-    """fit_arma_garch with one likelihood call per point: no `workers` batch."""
+    """fit_arma_garch with one likelihood call per point, and scipy's own gradient."""
     trans = _Transform(orders, fix_mu_zero)
     best = None
     for theta0 in trans.starts(x, float(np.var(x, ddof=1))):
@@ -513,3 +513,63 @@ class TestBatchedLikelihood:
         got = _neg_loglik(trans, thetas, x)
         want = [scalar_neg_loglik(trans, theta, x) for theta in thetas]
         assert np.array_equal(got, want, equal_nan=True)
+
+
+def point_value(trans, x):
+    """-loglik at one point, from a 1-row pass."""
+    return lambda theta: _neg_loglik(trans, theta[None], x)[0]
+
+
+class TestOnePassGradient:
+    """The value and gradient of one pass are those of scipy's forward differences."""
+
+    @pytest.mark.parametrize("orders", [(1, 1, 1, 1), (2, 1, 1, 2)])
+    @pytest.mark.parametrize("fix_mu_zero", [False, True])
+    def test_random_points_equal_approx_fprime(self, orders, fix_mu_zero):
+        trans = _Transform(orders, fix_mu_zero)
+        x = np.random.default_rng(11).standard_normal(300)
+        point = point_value(trans, x)
+        for theta in np.random.default_rng(12).normal(0.0, 1.5, (20, trans.n_free)):
+            f, g = _value_and_gradient(theta, trans, x)
+            assert f == point(theta)
+            assert np.array_equal(g, optimize.approx_fprime(theta, point, 1e-8))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(max_examples=100, deadline=None)
+    @given(batch=theta_batches())
+    def test_penalised_points_equal_approx_fprime(self, batch):
+        # EXTREME_THETAS put the point or its perturbed points at the 1e10 penalty
+        trans, thetas = batch
+        x = np.random.default_rng(8).standard_normal(60)
+        point = point_value(trans, x)
+        f, g = _value_and_gradient(thetas[0], trans, x)
+        assert f == point(thetas[0])
+        assert np.array_equal(g, optimize.approx_fprime(thetas[0], point, 1e-8))
+
+    @pytest.mark.parametrize("big", [1e9, -3e12, 7e15])
+    def test_step_fallback_for_large_entries(self, big):
+        # theta + 1e-8 rounds back to theta: the step scales with |theta|
+        trans = _Transform((1, 1, 1, 1), False)
+        x = np.random.default_rng(13).standard_normal(300)
+        theta = trans.starts(x, float(np.var(x, ddof=1)))[0]
+        theta[0] = big
+        assert (theta[0] + 1e-8) - theta[0] == 0
+        point = point_value(trans, x)
+        f, g = _value_and_gradient(theta, trans, x)
+        assert f == point(theta) < 1e10
+        assert np.array_equal(g, optimize.approx_fprime(theta, point, 1e-8))
+        assert g[0] != 0.0
+
+    @pytest.mark.parametrize("orders", [(1, 1, 1, 1), (2, 1, 1, 2)])
+    def test_every_pass_scores_n_free_plus_one_rows(self, orders, monkeypatch):
+        from mtsgen import margins
+        rows = []
+
+        def counting(trans, thetas, x):
+            rows.append(len(thetas))
+            return _neg_loglik(trans, thetas, x)
+
+        monkeypatch.setattr(margins, "_neg_loglik", counting)
+        x = np.random.default_rng(14).standard_normal(300)
+        fit_arma_garch(x, orders)
+        assert rows and set(rows) == {_Transform(orders, False).n_free + 1}

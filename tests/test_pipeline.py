@@ -110,6 +110,19 @@ class TestPipelineConfig:
         assert a.config_hash != c.config_hash
         assert len(a.config_hash) == 12
 
+    @pytest.mark.parametrize("numpy, plain", [
+        ({"n_pth": np.int64(50)}, {"n_pth": 50}),
+        ({"vs_order": np.float32(0.5)}, {"vs_order": 0.5}),
+        ({"pca_threshold": np.float64(0.9), "seed": np.uint8(3)},
+         {"pca_threshold": 0.9, "seed": 3}),
+        ({"orders": (np.int64(2), 1, np.int32(1), 1), "gmmn_hidden_dims": (np.int16(8),)},
+         {"orders": (2, 1, 1, 1), "gmmn_hidden_dims": (8,)}),
+    ])
+    def test_numpy_scalars_hash_as_python_numbers(self, numpy, plain):
+        cfg, twin = PipelineConfig(**numpy), PipelineConfig(**plain)
+        assert cfg.config_hash == twin.config_hash
+        assert cfg.canonical_json() == twin.canonical_json()
+
 
 @pytest.fixture(scope="module")
 def small_cfg():
@@ -825,7 +838,8 @@ class TestConfigFailFast:
            {"horizon": 1}, {"n_pth": "many"}, {"n_pth": 10.5}, {"orders": 5},
            {"orders": [1.5, 1, 1, 1]}, {"gmmn_hidden_dims": 5},
            {"pca_enabled": "no"}, {"fix_mu_zero": "false"}, {"n_pth": True},
-           {"bootstrap_n_bt": True}, {"vs_order": True}, {"orders": [1, 1, True, 1]}]
+           {"bootstrap_n_bt": True}, {"vs_order": True}, {"orders": [1, 1, True, 1]},
+           {"vs_order": float("nan")}, {"vs_order": float("inf")}]
 
     @pytest.mark.parametrize("bad", BAD)
     def test_bad_value_raises_config_error(self, bad):
