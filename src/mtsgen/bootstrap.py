@@ -29,6 +29,8 @@ class BootstrapMixture(DependenceModel):
     def __post_init__(self):
         if not self.components or len(self.component_quantiles) != len(self.components):
             raise InputError("mixture needs one or more components, each with its quantile maps")
+        if any(isinstance(c, BootstrapMixture) for c in self.components):
+            raise InputError("a mixture's components must be single dependence models")
         dims = {c.d for c in self.components}
         if len(dims) != 1:
             raise InputError("all mixture components must share one dimension")

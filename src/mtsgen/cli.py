@@ -52,7 +52,7 @@ def _build_config(args) -> PipelineConfig:
 
 def _load_data(args):
     return load_dataset(args.data, transform=args.transform, tau=args.tau,
-                        name=args.dataset_name or args.data)
+                        name=args.dataset_name)
 
 
 def cmd_fit(args) -> int:

@@ -12,7 +12,7 @@ from scipy import stats
 
 from .dependence import DependenceModel
 from .errors import InputError
-from .margins import LaggedState, arma_garch_simulate, scaled_t_quantile
+from .margins import arma_garch_simulate, scaled_t_quantile
 
 __all__ = ["GaussianCopulaSampler", "equicorrelation", "simulate_mts"]
 
@@ -57,5 +57,5 @@ def simulate_mts(margin_params: list, copula: DependenceModel, n: int,
     x = np.empty((total, d))
     for j, p in enumerate(margin_params):
         z = scaled_t_quantile(u[:, j], p.nu)
-        x[:, j] = arma_garch_simulate(p, z, LaggedState.presample(p))
+        x[:, j] = arma_garch_simulate(p, z)
     return x[_BURN_IN:]

@@ -116,6 +116,8 @@ class MtsModel:
     def __post_init__(self):
         from .bootstrap import BootstrapMixture   # bootstrap imports QuantileMaps from here
 
+        if type(self.tau) is bool or not isinstance(self.tau, (int, np.integer)) or self.tau < 1:
+            raise InputError(f"tau={self.tau!r} must be a positive integer")
         qm = self.quantile_maps
         if isinstance(self.dependence, BootstrapMixture) != (qm is None):
             raise InputError("a bootstrap mixture draws through its replicates' quantile "

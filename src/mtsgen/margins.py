@@ -239,8 +239,7 @@ def _lfilter_rows(tail: np.ndarray, u: np.ndarray, zi: np.ndarray | None = None)
     for i, row in enumerate(tail):
         groups.setdefault(row.tobytes(), []).append(i)
     out = np.empty_like(u)
-    # one group filters all rows without gathering them
-    for idx in map(np.array, groups.values()) if len(groups) != 1 else [slice(None)]:
+    for idx in map(np.array, groups.values()):
         den = np.concatenate([[1.0], tail[idx][0]])
         if zi is None:
             out[idx] = signal.lfilter([1.0], den, u[idx])
@@ -391,8 +390,8 @@ def arma_garch_simulate(params: ArmaGarchParams, z, state: LaggedState | None = 
 def _loglik_rows(rows: _Rows, x: np.ndarray):
     """Log-likelihood of `x` under each parameter row, from the stationary start.
 
-    Returns (loglik, ok): `ok` marks the rows whose conditional variance
-    stays positive and finite, and `loglik` holds one value per such row.
+    Returns (loglik, ok): `ok` marks the rows whose variance stays positive
+    and finite and whose loglik is finite; `loglik` has one value per such row.
     """
     e, s2, ok = _filter(rows, x)
     nu = rows.nu[:, None]
@@ -405,8 +404,9 @@ def _loglik_rows(rows: _Rows, x: np.ndarray):
     const = np.array([special.gammaln(0.5 * (v + 1.0)) - special.gammaln(0.5 * v)
                       - 0.5 * math.log(v * math.pi) + 0.5 * math.log(w)
                       for v, w in zip(nu[:, 0].tolist(), c2[:, 0].tolist())], dtype=float)[:, None]
-    ll = const - 0.5 * (nu + 1.0) * np.log1p(y2 / nu) - 0.5 * np.log(s2)
-    return ll.sum(axis=-1), ok
+    ll = (const - 0.5 * (nu + 1.0) * np.log1p(y2 / nu) - 0.5 * np.log(s2)).sum(axis=-1)
+    ok[ok] = np.isfinite(ll)   # a subnormal variance can overflow y2 and the likelihood
+    return ll[np.isfinite(ll)], ok
 
 
 def _loglik(params: ArmaGarchParams, x: np.ndarray) -> float:
@@ -504,7 +504,7 @@ def _neg_loglik(trans: _Transform, thetas: np.ndarray, x: np.ndarray) -> np.ndar
 
     A row gets 1e10 where ``_loglik(trans.to_params(theta), x)`` would
     raise: OverflowError, InputError for broken constraints, NumericalError
-    for a variance that is not positive and finite.
+    for a variance that is not positive and finite or a loglik that is not finite.
     """
     rows, invalid = trans.to_rows(thetas)
     for _, broken in _violations(rows):
@@ -558,7 +558,6 @@ def fit_arma_garch(x, orders=(1, 1, 1, 1), fix_mu_zero: bool = False) -> Margina
 
     trans = _Transform(orders, fix_mu_zero)
     best = None
-    converged = False
     for theta0 in trans.starts(x, v):
         # maxfun counts points; L-BFGS-B's default of 15000 counts n_free + 1 calls per point
         res = optimize.minimize(_value_and_gradient, theta0, args=(trans, x),
@@ -567,9 +566,8 @@ def fit_arma_garch(x, orders=(1, 1, 1, 1), fix_mu_zero: bool = False) -> Margina
                                          "maxfun": 15000 // (trans.n_free + 1)})
         if best is None or res.fun < best.fun:
             best = res
-            converged = bool(res.success)
 
     params = trans.to_params(best.x)
     filt = arma_garch_filter(params, x)
     return MarginalFitResult(params=params, filter=filt,
-                             loglik=-float(best.fun), converged=converged)
+                             loglik=-float(best.fun), converged=bool(best.success))

@@ -222,21 +222,14 @@ class PipelineConfig:
             self.train_config(self.seed)    # gmmn_* ranges
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["orders"] = list(self.orders)
-        d["gmmn_hidden_dims"] = list(self.gmmn_hidden_dims)
-        return d
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":
         unknown = set(d) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        d = dict(d)
         try:
-            for key in ("orders", "gmmn_hidden_dims"):
-                if key in d:
-                    d[key] = tuple(d[key])
             return cls(**d)
         except TypeError as exc:
             # a JSON value of the wrong type, such as "orders": 5
@@ -304,7 +297,7 @@ def fit_mts(cfg: PipelineConfig, dataset: Dataset) -> MtsModel:
 
     if cfg.pca_enabled:
         pca = fit_pca(z)
-        k = select_k(pca.lambdas, cfg.pca_threshold, min(cfg.pca_k_min, d))
+        k = select_k(pca.lambdas, cfg.pca_threshold, cfg.pca_k_min)
         pca = pca.with_k(k)
     else:
         pca = PcaTransform.identity(d)
@@ -372,9 +365,7 @@ class PipelineResult:
     paths: np.ndarray
     u_test: np.ndarray
     var_series: np.ndarray
-    s_actual: np.ndarray
     metrics: list
-    config_hash: str
 
 
 def run_pipeline(cfg: PipelineConfig, dataset: Dataset,
@@ -408,8 +399,7 @@ def run_pipeline(cfg: PipelineConfig, dataset: Dataset,
          "seed": cfg.seed, "config_hash": cfg.config_hash}
         for k, v in values.items()]
     return PipelineResult(model=model, paths=paths, u_test=u_test,
-                          var_series=var_series, s_actual=s_actual,
-                          metrics=metrics, config_hash=cfg.config_hash)
+                          var_series=var_series, metrics=metrics)
 
 
 def write_metrics(rows: list, path) -> None:

@@ -55,6 +55,13 @@ class TestBootstrapFit:
             bootstrap_fit(np.empty((0, 2)), 3, empirical_fitter,
                           np.random.default_rng(5))
 
+    def test_fitter_returning_a_mixture_rejected(self, y_train):
+        def mixture_fitter(ps):
+            return bootstrap_fit(y_train, 2, empirical_fitter, np.random.default_rng(6))
+
+        with pytest.raises(InputError, match="single dependence models"):
+            bootstrap_fit(y_train, 2, mixture_fitter, np.random.default_rng(7))
+
 
 class TestSampleMixture:
     def test_ids_in_range(self, y_train):
@@ -141,6 +148,13 @@ class TestApplyQuantiles:
     def test_empty_mixture_rejected(self):
         with pytest.raises(InputError, match="one or more components"):
             BootstrapMixture(components=[], component_quantiles=[])
+
+    def test_mixture_component_rejected(self):
+        inner = BootstrapMixture(components=[IndependenceCopula(1)],
+                                 component_quantiles=[tables(np.zeros(1))])
+        with pytest.raises(InputError, match="single dependence models"):
+            BootstrapMixture(components=[IndependenceCopula(1), inner],
+                             component_quantiles=[tables(np.zeros(1)), tables(np.zeros(1))])
 
     def test_table_count_must_match_dimension(self):
         with pytest.raises(InputError, match="2 quantile tables, one per dimension"):

@@ -5,8 +5,10 @@ import dataclasses
 import io
 import json
 import logging
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +21,10 @@ from mtsgen import (ArmaGarchParams, ConfigError, InputError, MarginalFitResult,
 from mtsgen.datagen import GaussianCopulaSampler, equicorrelation, simulate_mts
 from mtsgen.dependence import IndependenceCopula
 from mtsgen.pipeline import Dataset, fit_mts, rolling_forecasts, write_metrics
+
+# the CLI tests' child processes import the working tree's mtsgen, installed or not
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]))}
 
 
 def write_csv(path, values, times=None):
@@ -117,9 +123,12 @@ class TestPipelineConfig:
          {"pca_threshold": 0.9, "seed": 3}),
         ({"orders": (np.int64(2), 1, np.int32(1), 1), "gmmn_hidden_dims": (np.int16(8),)},
          {"orders": (2, 1, 1, 1), "gmmn_hidden_dims": (8,)}),
+        ({"orders": [2, 1, 1, 1], "gmmn_hidden_dims": [8]},
+         {"orders": (2, 1, 1, 1), "gmmn_hidden_dims": (8,)}),
     ])
     def test_numpy_scalars_hash_as_python_numbers(self, numpy, plain):
         cfg, twin = PipelineConfig(**numpy), PipelineConfig(**plain)
+        assert cfg == twin
         assert cfg.config_hash == twin.config_hash
         assert cfg.canonical_json() == twin.canonical_json()
 
@@ -274,7 +283,7 @@ class TestSerialization:
 class TestCli:
     def run_cli(self, *args):
         return subprocess.run([sys.executable, "-m", "mtsgen.cli", *args],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True, env=CHILD_ENV)
 
     def test_fit_assess_report(self, synthetic_csv, tmp_path):
         model_path = tmp_path / "m.npz"
@@ -531,6 +540,28 @@ DIMENSION_MISMATCHES = [
 MISMATCH_EDITS = [edit for edit, _ in DIMENSION_MISMATCHES]
 
 
+def nest_mixture(meta, data):
+    """Make replicate 0 a mixture of two copies of itself, with its own tables."""
+    meta["dep/c0"] = {"kind": "bootstrap_mixture", "n_bt": 2}
+    for b in range(2):
+        meta[f"dep/c0/c{b}"] = meta["dep/c1"]
+        data[f"dep/c0/c{b}/ranks"] = data["dep/c0/ranks"]
+        for j in range(2):
+            data[f"dep/c0/q{b}_{j}"] = data[f"dep/q0_{j}"]
+
+
+def set_tau(tau):
+    def edit(meta, data):
+        meta["tau"] = tau
+    return edit
+
+
+# values a model file may not hold, and the message that names each
+BAD_TAUS = ["abc", None, 0, -5, 2.5, True]
+BAD_MODEL_VALUES = ([(nest_mixture, "must be single dependence models")]
+                    + [(set_tau(t), "must be a positive integer") for t in BAD_TAUS])
+
+
 @pytest.fixture(scope="module")
 def bootstrap_model(synthetic_csv):
     cfg = PipelineConfig(dependence="empirical_beta", bootstrap_n_bt=2, seed=6)
@@ -660,6 +691,23 @@ class TestCorruptModelFile:
                      "--tau", "200", "--model", str(path),
                      "--out", str(tmp_path / "metrics.csv")])
         assert code == 2
+
+    @pytest.mark.parametrize("edit, message", BAD_MODEL_VALUES,
+                             ids=["nested_mixture"] + [f"tau_{t}" for t in BAD_TAUS])
+    def test_bad_value_named_without_traceback(self, bootstrap_model, synthetic_csv,
+                                               tmp_path, capsys, edit, message):
+        from mtsgen.cli import main
+        path, metrics = tmp_path / "model.npz", tmp_path / "metrics.csv"
+        self.corrupt(bootstrap_model, path, edit=edit)
+        with pytest.raises(InputError, match=message):
+            load_model(path)
+        code = main(["assess", "--data", synthetic_csv, "--seed", "7", "--tau", "200",
+                     "--model", str(path), "--out", str(metrics)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+        assert not metrics.exists()
 
 
 # GMMN values of the wrong type; their range checks would raise TypeError
@@ -810,7 +858,7 @@ class TestUnwritableOut:
     def test_no_traceback(self, synthetic_csv):
         r = subprocess.run([sys.executable, "-m", "mtsgen.cli", "fit", "--data", synthetic_csv,
                             "--seed", "1", "--out", "/nonexistent/x"],
-                           capture_output=True, text=True)
+                           capture_output=True, text=True, env=CHILD_ENV)
         assert r.returncode == 2
         assert r.stderr.startswith("error: cannot write --out /nonexistent/x")
         assert "Traceback" not in r.stderr
@@ -1159,7 +1207,8 @@ class TestNonConvergedFit:
             "             columns=['a', 'b'], transform='none', tau=60)\n"
             "model = fit_mts(PipelineConfig(), ds)\n"
             "print(sum(not m.converged for m in model.margins))\n")
-        r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                           env=CHILD_ENV)
         assert r.returncode == 0, r.stderr
         assert r.stdout == "2\n"
         assert r.stderr == ""
