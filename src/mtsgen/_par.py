@@ -4,6 +4,13 @@ numpy ufuncs, `cdist` and BLAS release the GIL, so threads over disjoint
 blocks of such work run in parallel.  Threads are started for each call and
 joined before it returns: no pool or thread outlives a call, and a forked
 child has no state to reset.
+
+Work that draws random numbers splits in two: the caller makes every RNG
+call first, in the sequential order, and only a pure map of the numbers
+drawn (a dependence model's ``from_noise``, AMMD's kernel terms) fans out.
+Tasks call only private helpers, never a public function or a ``sample``
+method, so that wrappers installed around those from outside see calls
+from the calling thread only.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ import numpy as np
 from . import _par
 from .dependence import DependenceModel
 from .errors import ConfigError, InputError
-from .gmmn import KernelSpec, _mix_mean, mmd
+from .gmmn import KernelSpec, _mix_buffers, _mix_mean, _mmd
 
 __all__ = [
     "AssessConfig",
@@ -23,6 +23,7 @@ __all__ = [
 
 
 KERNEL_TST = KernelSpec.for_assessment()   # the test kernel mixture every AMMD uses
+_REP_BLOCK = 10   # AMMD repetitions drawn before their kernel terms fan out
 
 
 @dataclass(frozen=True)
@@ -42,13 +43,25 @@ def ammd(u_test, sampler: DependenceModel, cfg: AssessConfig,
 
     Each repetition draws a fresh sample of the same size as the test set.
     The test-vs-test kernel term is computed once and shared by all of them.
+    The draws run in order on `rng`, a block of repetitions at a time, whose
+    kernel terms then fan out, each task in buffers made once per call.
     """
     u_test = np.asarray(u_test, dtype=float)
     m = u_test.shape[0]
     a = np.atleast_2d(u_test)
-    aa_term = _mix_mean(a, a, KERNEL_TST)
-    vals = [mmd(u_test, sampler.sample(m, rng), KERNEL_TST, aa_term=aa_term)
-            for _ in range(cfg.n_rep)]
+    bufs = [_mix_buffers(m * m) for _ in range(min(_par._WORKERS, _REP_BLOCK, cfg.n_rep))]
+    aa_term = _mix_mean(a, a, KERNEL_TST, bufs[0])
+    vals = np.empty(cfg.n_rep)
+    draws = []   # the draws of repetitions lo, lo + 1, ...
+
+    def run(w, n_tasks, buf):
+        for r in range(w, len(draws), n_tasks):
+            vals[lo + r] = _mmd(u_test, draws[r], KERNEL_TST, aa_term, buf)
+
+    for lo in range(0, cfg.n_rep, _REP_BLOCK):
+        draws.clear()   # before the next block's draws: memory holds one block
+        draws.extend(sampler.sample(m, rng) for _ in range(min(_REP_BLOCK, cfg.n_rep - lo)))
+        _par.fan_out(run, len(draws), iter(bufs).__next__)   # task w takes bufs[w]
     return float(np.mean(vals))
 
 

@@ -47,24 +47,31 @@ class BootstrapMixture(DependenceModel):
 
     def sample_components(self, n: int, rng: np.random.Generator):
         """Per row: pick a component uniformly, then draw one row from it."""
-        return self._mix(n, rng, lambda b, cnt: self.components[b].sample(cnt, rng))
+        noise = self.noise(n, rng)
+        return self.from_noise([noise])[0], noise[0]
 
     def innovations(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """n draws, each mapped through the quantile maps of its own replicate."""
-        y, _ = self._mix(n, rng, lambda b, cnt: self.components[b].sample_quantiles(
-            cnt, rng, self.component_quantiles[b]))
-        return y
+        return self.sample_quantiles(n, rng, self.component_quantiles)
 
-    def _mix(self, n: int, rng: np.random.Generator, draw):
-        """Component ids of n rows, and the rows `draw(b, count)` gives each component b."""
+    def noise(self, n: int, rng: np.random.Generator) -> tuple:
+        """The component ids of n rows, then each drawn component's noise for its rows."""
         ids = rng.integers(0, self.n_bt, size=n)
-        out = np.empty((n, self.d))
-        for b in range(self.n_bt):
-            sel = ids == b
-            cnt = int(sel.sum())
-            if cnt:
-                out[sel] = draw(b, cnt)
-        return out, ids
+        counts = np.bincount(ids, minlength=self.n_bt)
+        return ids, [c.noise(int(k), rng) if k else None for c, k in zip(self.components, counts)]
+
+    def from_noise(self, noises: list, quantile_maps=None) -> list:
+        """The draws of each noise, through `quantile_maps`, one QuantileMaps per replicate,
+        if given.  Each replicate maps its rows of all the noises in one call."""
+        outs = [np.empty((len(ids), self.d)) for ids, _ in noises]
+        for b, comp in enumerate(self.components):
+            drawn = [i for i, (_, parts) in enumerate(noises) if parts[b] is not None]
+            if drawn:
+                ys = comp.from_noise([noises[i][1][b] for i in drawn],
+                                     None if quantile_maps is None else quantile_maps[b])
+                for i, y in zip(drawn, ys):
+                    outs[i][noises[i][0] == b] = y
+        return outs
 
 
 def bootstrap_fit(y_hat, n_bt: int, fitter, rng: np.random.Generator) -> BootstrapMixture:

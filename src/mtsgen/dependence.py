@@ -3,19 +3,23 @@
 Every dependence model exposes the same contract: ``sample(n, rng)``
 returns an ``n x d`` matrix of values strictly inside (0, 1), and
 ``sample_quantiles(n, rng, quantile_maps)`` maps such a draw through the
-inverse margins.
+inverse margins.  Both compose two phases: ``noise(n, rng)`` makes every
+RNG call of n draws, in order, and the pure ``from_noise(noises,
+quantile_maps=None)`` maps a list of such noises to their draws.  So the
+noises of many generators can be drawn one after another and mapped
+together, with the bits of one ``sample_quantiles`` call per noise.
 
 Some draws lie on a rank grid: every value is k / (m + 1) for an integer
 rank k in 1..m.  The empirical copula resamples rows of its ranks
 (m = the sample size), and the GMMN copula re-ranks its n outputs (m = n).
 These models hand their integer ranks to
 ``quantile_maps.on_grid(ranks, m)``, which maps each grid point once
-instead of once per draw.  The ranks and the draws use the same RNG
-calls, and ``on_grid`` returns the bytes ``quantile_maps(ranks / (m + 1.0))``
-would, so the result equals ``quantile_maps(sample(n, rng))`` bit for bit.
+instead of once per draw.  ``on_grid`` returns the bytes
+``quantile_maps(ranks / (m + 1.0))`` would, so the result equals
+``quantile_maps(sample(n, rng))`` bit for bit.
 The empirical beta copula is the empirical copula with each picked rank
-drawn through a Beta law, off the grid; it and the other models keep the
-default.
+drawn through a Beta law, off the grid; it and the other models map their
+draws through ``quantile_maps`` itself.
 """
 
 from __future__ import annotations
@@ -62,6 +66,11 @@ def pseudo_observations(y) -> PseudoSample:
     Ties are broken by original row order (stable), a documented continuity
     assumption: the margins are assumed continuous, so ties are measure-zero.
     """
+    return PseudoSample(_ranks(y))
+
+
+def _ranks(y) -> np.ndarray:
+    """The integer column ranks of :func:`pseudo_observations`."""
     y = np.asarray(y, dtype=float)
     if y.ndim == 1:
         y = y[:, None]
@@ -74,20 +83,41 @@ def pseudo_observations(y) -> PseudoSample:
     ranks = np.empty_like(order)
     rows = np.arange(1, n + 1)[:, None]
     np.put_along_axis(ranks, order, np.broadcast_to(rows, y.shape), axis=0)
-    return PseudoSample(ranks)
+    return ranks
+
+
+def _on_grid(ranks: np.ndarray, m: int, quantile_maps) -> np.ndarray:
+    """Grid draws ranks / (m + 1), through `quantile_maps` by table lookup if given."""
+    return ranks / (m + 1.0) if quantile_maps is None else quantile_maps.on_grid(ranks, m)
 
 
 class DependenceModel:
-    """Common sampling contract for all dependence models."""
+    """Common sampling contract for all dependence models.
+
+    A model defines `noise` and a row-by-row `_map`, or its own `from_noise`;
+    one that defines only `sample` draws wholly in `noise`.
+    """
 
     d: int
 
+    def noise(self, n: int, rng: np.random.Generator):
+        """The numbers of every RNG call of n draws, in order, one row per draw."""
+        return self.sample(n, rng)
+
+    def _map(self, noise, quantile_maps) -> np.ndarray:
+        return noise if quantile_maps is None else quantile_maps(noise)
+
+    def from_noise(self, noises: list, quantile_maps=None) -> list:
+        """The draws of each noise, through `quantile_maps` if given: one `_map` call for all."""
+        rows = np.cumsum([len(z) for z in noises[:-1]], dtype=int)
+        return np.split(self._map(np.concatenate(noises), quantile_maps), rows)
+
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        raise NotImplementedError
+        return self.from_noise([self.noise(n, rng)])[0]
 
     def sample_quantiles(self, n: int, rng: np.random.Generator, quantile_maps) -> np.ndarray:
         """n draws mapped through the inverse margins: ``quantile_maps(sample(n, rng))``."""
-        return quantile_maps(self.sample(n, rng))
+        return self.from_noise([self.noise(n, rng)], quantile_maps)[0]
 
 
 class EmpiricalCopula(DependenceModel):
@@ -101,15 +131,12 @@ class EmpiricalCopula(DependenceModel):
         self.ps = ps
         self.d = ps.d
 
-    def _pick(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """The ranks of n rows picked uniformly with replacement."""
-        return self.ps.ranks[rng.integers(0, self.ps.n, size=n)]
+    def noise(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        """The rows of n picks, uniformly with replacement."""
+        return rng.integers(0, self.ps.n, size=n)
 
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return self._pick(n, rng) / (self.ps.n + 1.0)
-
-    def sample_quantiles(self, n: int, rng: np.random.Generator, quantile_maps) -> np.ndarray:
-        return quantile_maps.on_grid(self._pick(n, rng), self.ps.n)
+    def _map(self, noise, quantile_maps) -> np.ndarray:
+        return _on_grid(self.ps.ranks[noise], self.ps.n, quantile_maps)
 
 
 class EmpiricalBetaCopula(EmpiricalCopula):
@@ -120,14 +147,15 @@ class EmpiricalBetaCopula(EmpiricalCopula):
     the law of the R_{t,j}-th order statistic of n iid uniforms.
     """
 
-    sample_quantiles = DependenceModel.sample_quantiles   # the draws lie off the rank grid
+    def noise(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        """Per draw, the two gamma variates of each coordinate's Beta, shape (n, 2, d)."""
+        r = self.ps.ranks[super().noise(n, rng)].astype(float)
+        return np.stack((rng.standard_gamma(r), rng.standard_gamma(self.ps.n + 1.0 - r)), axis=1)
 
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        r = self._pick(n, rng).astype(float)
-        # Beta(a, b) via two gamma variates
-        g1 = rng.standard_gamma(r)
-        g2 = rng.standard_gamma(self.ps.n + 1.0 - r)
-        return g1 / (g1 + g2)
+    def _map(self, noise, quantile_maps) -> np.ndarray:
+        # the draws lie off the rank grid
+        g1, g2 = noise[:, 0], noise[:, 1]
+        return DependenceModel._map(self, g1 / (g1 + g2), quantile_maps)
 
 
 class IndependenceCopula(DependenceModel):
@@ -136,6 +164,9 @@ class IndependenceCopula(DependenceModel):
     def __init__(self, d: int):
         self.d = int(d)
 
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
+    def noise(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        return rng.random((n, self.d))
+
+    def _map(self, noise, quantile_maps) -> np.ndarray:
         # clamp away from 0 so samples are strictly inside (0, 1)
-        return np.clip(rng.random((n, self.d)), 1e-16, 1.0 - 1e-16)
+        return super()._map(np.clip(noise, 1e-16, 1.0 - 1e-16), quantile_maps)

@@ -12,10 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _par
 from .dependence import DependenceModel
 from .errors import InputError
-from .margins import (LaggedState, arma_garch_filter, arma_garch_simulate,
-                      scaled_t_quantile)
+from .margins import LaggedState, _simulate, arma_garch_filter, scaled_t_quantile
 from .pca import PcaTransform, lift
 
 __all__ = [
@@ -93,10 +93,11 @@ class QuantileMaps:
 
     def on_grid(self, ranks: np.ndarray, n: int) -> np.ndarray:
         """``self(ranks / (n + 1.0))`` for integer ranks in 1..n, bit for bit."""
-        if self._grid is None or self._grid[0] != n:
-            grid = np.arange(1, n + 1) / (n + 1.0)
-            self._grid = (n, self(np.repeat(grid[:, None], self.d, axis=1)))
-        return np.take_along_axis(self._grid[1], ranks - 1, axis=0)
+        grid = self._grid   # read once: another thread may replace it
+        if grid is None or grid[0] != n:
+            u = np.arange(1, n + 1) / (n + 1.0)
+            self._grid = grid = (n, self(np.repeat(u[:, None], self.d, axis=1)))
+        return np.take_along_axis(grid[1], ranks - 1, axis=0)
 
 
 @dataclass
@@ -136,14 +137,17 @@ class MtsModel:
     def d(self) -> int:
         return len(self.margins)
 
+    @property
+    def draw_maps(self):
+        """The maps the dependence draws go through; a mixture's replicates carry their own."""
+        return self.quantile_maps or self.dependence.component_quantiles
+
     def innovations(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """n joint draws of the components' innovations, through the inverse margins."""
-        if self.quantile_maps is None:
-            return self.dependence.innovations(n, rng)
-        return self.dependence.sample_quantiles(n, rng, self.quantile_maps)
+        return self.dependence.sample_quantiles(n, rng, self.draw_maps)
 
 
-_ORIGIN_BLOCK = 50
+_ORIGIN_BLOCK = 25
 
 
 def _filters(model: MtsModel, x: np.ndarray) -> list:
@@ -155,30 +159,45 @@ def _filters(model: MtsModel, x: np.ndarray) -> list:
 
 
 def _paths(model: MtsModel, x: np.ndarray, filters: list, origins, n_pth: int, h: int,
-           rngs) -> np.ndarray:
+           rngs: list) -> np.ndarray:
     """n_pth paths of h steps from each origin, shape (n_origins, n_pth, h, d).
 
     Origin t continues each margin from the lags after x[:t], read from that
     margin's filter pass `filters[j]` over all of `x`.  Its joint innovations
     (dependence draw, inverse margins, lift) come from its own entry of
-    `rngs`, a Generator or a SeedSequence.
+    `rngs`, a Generator or a SeedSequence.  The draws go by blocks of
+    origins: their `noise` one origin after another, then one `from_noise`,
+    and a lift per origin (a matrix product over more rows may round
+    differently).  The recursions fan out over (margin, block) slices.
     """
     origins = np.asarray(origins)
     lag = max(max(m.params.orders) for m in model.margins)
     if origins.min() < lag:
         raise InputError(f"history must cover at least {lag} steps")
+    dep = model.dependence
     values = np.empty((len(origins), n_pth, h, model.d))
-    for i, rng in enumerate(rngs):
-        y = model.innovations(n_pth * h, np.random.default_rng(rng))
-        values[i] = lift(model.pca, y).reshape(n_pth, h, model.d)
+    blocks = [slice(lo, lo + _ORIGIN_BLOCK) for lo in range(0, len(origins), _ORIGIN_BLOCK)]
+
+    def draw(block):   # nothing of a block outlives it
+        ys = dep.from_noise([dep.noise(n_pth * h, np.random.default_rng(rng))
+                             for rng in rngs[block]], model.draw_maps)
+        for v, y in zip(values[block], ys):
+            v[...] = lift(model.pca, y).reshape(n_pth, h, model.d)
+
+    for block in blocks:
+        draw(block)
     # each margin's innovations are overwritten by its paths, so memory
     # holds one array of paths; blocks of origins keep the simulator's
     # temporaries small, which keeps them from fragmenting the heap
-    for j, m in enumerate(model.margins):
-        for lo in range(0, len(origins), _ORIGIN_BLOCK):
-            block = slice(lo, lo + _ORIGIN_BLOCK)
-            state = LaggedState.at(m.params, x[:, j], filters[j], origins[block, None])
-            values[block, ..., j] = arma_garch_simulate(m.params, values[block, ..., j], state)
+    units = [(j, block) for j in range(model.d) for block in blocks]
+
+    def run(w, n_tasks, bufs):
+        for j, block in units[w::n_tasks]:
+            p = model.margins[j].params
+            state = LaggedState.at(p, x[:, j], filters[j], origins[block, None])
+            values[block, ..., j] = _simulate(p, values[block, ..., j], state)
+
+    _par.fan_out(run, len(units), lambda: None)
     return values
 
 

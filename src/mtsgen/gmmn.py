@@ -18,7 +18,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from . import _par
-from .dependence import DependenceModel, pseudo_observations
+from .dependence import DependenceModel, _on_grid, _ranks
 from .errors import ConfigError, InputError, NumericalError
 
 __all__ = [
@@ -100,18 +100,22 @@ class _GaussKernel:
         return k
 
 
-def _mix_from_sqdist(d2: np.ndarray, spec: KernelSpec) -> np.ndarray:
-    nd2 = np.negative(d2)
-    kern = _GaussKernel(d2.size)
-    out = np.zeros_like(d2)
+def _mix_buffers(n_pairs: int) -> tuple:
+    """Buffers of :func:`_mix_mean` for up to n_pairs pairs of rows."""
+    return np.empty(n_pairs), _GaussKernel(n_pairs), np.empty(n_pairs)
+
+
+def _mix_mean(a: np.ndarray, b: np.ndarray, spec: KernelSpec, bufs: tuple | None = None) -> float:
+    """Mean of the kernel-mixture matrix between the rows of a and b, in `bufs` if given."""
+    n_pairs = len(a) * len(b)
+    d2, kern, mix = bufs or _mix_buffers(n_pairs)
+    nd2 = cdist(a, b, "sqeuclidean", out=d2[:n_pairs].reshape(len(a), len(b)))
+    np.negative(nd2, out=nd2)
+    out = mix[:n_pairs].reshape(nd2.shape)
+    out[...] = 0.0
     for s in spec.bandwidths:
         out += kern(nd2, s)
-    return out
-
-
-def _mix_mean(a: np.ndarray, b: np.ndarray, spec: KernelSpec) -> float:
-    """Mean of the kernel-mixture matrix between the rows of a and b."""
-    return float(_mix_from_sqdist(cdist(a, b, "sqeuclidean"), spec).mean())
+    return float(out.mean())
 
 
 def kernel_mix(u, v, spec: KernelSpec) -> float:
@@ -131,6 +135,11 @@ def mmd(a, b, spec: KernelSpec, *, aa_term: float | None = None) -> float:
     is the mean kernel value over all pairs of rows of a, so a caller that
     scores many samples against the same a computes it only once.
     """
+    return _mmd(a, b, spec, aa_term)
+
+
+def _mmd(a, b, spec: KernelSpec, aa_term: float | None, bufs: tuple | None = None) -> float:
+    """:func:`mmd`, its kernel means in `bufs` if given."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
     if a.shape[0] < 1 or b.shape[0] < 1:
@@ -138,8 +147,8 @@ def mmd(a, b, spec: KernelSpec, *, aa_term: float | None = None) -> float:
     if a.shape[1] != b.shape[1]:
         raise InputError("samples must share the same dimension")
     if aa_term is None:
-        aa_term = _mix_mean(a, a, spec)
-    sq = aa_term - 2.0 * _mix_mean(a, b, spec) + _mix_mean(b, b, spec)
+        aa_term = _mix_mean(a, a, spec, bufs)
+    sq = aa_term - 2.0 * _mix_mean(a, b, spec, bufs) + _mix_mean(b, b, spec, bufs)
     return float(np.sqrt(max(sq, 0.0)))
 
 
@@ -266,7 +275,8 @@ def _forward(model: GmmnModel, v: np.ndarray, train: bool,
     n = v.shape[0]
     keep = 1.0 - model.dropout_rate
     for l in range(model.n_hidden):
-        s = a @ model.weights[l].T + model.biases[l]
+        s = a @ model.weights[l].T
+        s += model.biases[l]
         if train:
             mu_b = s.mean(axis=0)
             var_b = s.var(axis=0)
@@ -278,9 +288,12 @@ def _forward(model: GmmnModel, v: np.ndarray, train: bool,
             mu_b = model.bn_mean[l]
             var_b = model.bn_var[l]
         istd = 1.0 / np.sqrt(var_b + _BN_EPS)
-        xhat = (s - mu_b) * istd
-        y = model.bn_scale[l] * xhat + model.bn_shift[l]
-        r = np.maximum(y, 0.0)
+        work = None if want_cache else s   # without a cache, one array per layer
+        xhat = np.subtract(s, mu_b, out=work)
+        xhat *= istd
+        y = np.multiply(xhat, model.bn_scale[l], out=work)
+        y += model.bn_shift[l]
+        r = np.maximum(y, 0.0, out=work)
         if train and model.dropout_rate > 0.0:
             mask = (mask_rng.random(r.shape) < keep).astype(float) / keep
         else:
@@ -593,13 +606,23 @@ class GmmnCopula(DependenceModel):
         self.model = model
         self.d = model.d_out
 
-    def _ranks(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """Ranks of n outputs of the net on prior noise; each column permutes 1..n."""
-        v = rng.standard_normal((n, self.model.d_in))
-        return pseudo_observations(nn_forward(self.model, v, train=False)).ranks
+    def noise(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        """Prior noise of n draws."""
+        return rng.standard_normal((n, self.model.d_in))
 
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return self._ranks(n, rng) / (n + 1.0)
+    def from_noise(self, noises: list, quantile_maps=None) -> list:
+        """The net's outputs on each noise, ranked; one forward pass per noise,
+        as a larger matrix product may round differently, fanned out over them."""
+        draws = [None] * len(noises)
 
-    def sample_quantiles(self, n: int, rng: np.random.Generator, quantile_maps) -> np.ndarray:
-        return quantile_maps.on_grid(self._ranks(n, rng), n)
+        def run(w, n_tasks, bufs):
+            for i in range(w, len(noises), n_tasks):
+                out, _ = _forward(self.model, noises[i], train=False, mask_rng=None,
+                                  update_running=False, want_cache=False)
+                draws[i] = _ranks(out)
+
+        _par.fan_out(run, len(noises), lambda: None)
+        # the lookups, which may build the maps' grid table, run on this thread
+        for i, ranks in enumerate(draws):
+            draws[i] = _on_grid(ranks, len(ranks), quantile_maps)
+        return draws

@@ -336,12 +336,17 @@ def arma_garch_simulate(params: ArmaGarchParams, z, state: LaggedState | None = 
             raise InputError(f"state.{name} must supply at least {need} lags")
     if np.any(state.resid2 < 0.0) or np.any(state.sigma2 < 0.0):
         raise InputError("squared-residual and variance lags must be nonnegative")
+    return _simulate(params, z, state)
+
+
+def _simulate(params: ArmaGarchParams, z: np.ndarray, state: LaggedState) -> np.ndarray:
+    """:func:`arma_garch_simulate` of a float array `z` and a `state` whose lags it accepts."""
+    p1, q1, p2, q2 = params.orders
     fields = (state.x, state.resid, state.resid2, state.sigma2)
     try:
         lead = np.broadcast_shapes(z.shape[:-1], *(np.shape(f)[:-1] for f in fields))
     except ValueError as exc:
         raise InputError(f"state lags do not broadcast against z: {exc}") from None
-
     if lead == ():
         sqrt = math.sqrt
         steps = z.tolist()

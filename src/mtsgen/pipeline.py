@@ -67,9 +67,10 @@ class Dataset:
     tau: int
 
     def __post_init__(self):
-        if not 0 < self.tau < self.values.shape[0]:
+        if (type(self.tau) is bool or not isinstance(self.tau, (int, np.integer))
+                or not 0 < self.tau < self.values.shape[0]):
             raise InputError(
-                f"training cut tau={self.tau} must lie strictly inside "
+                f"training cut tau={self.tau!r} must be an integer strictly inside "
                 f"the {self.values.shape[0]} observations")
 
     @property

@@ -58,6 +58,38 @@ class TestAmmd:
                             for _ in range(cfg.n_rep)])
         assert ammd(u, cop, cfg, np.random.default_rng(6)) == float(expected)
 
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_independent_of_workers(self, workers, monkeypatch):
+        from mtsgen.gmmn import mmd
+        monkeypatch.setattr(_par, "_WORKERS", workers)
+        u = np.random.default_rng(7).random((40, 3))
+        cop = EmpiricalCopula(pseudo_observations(np.random.default_rng(8).random((60, 3))))
+        cfg = AssessConfig(n_rep=23)    # blocks of 10, 10 and 3 repetitions
+        rng = np.random.default_rng(9)
+        expected = np.mean([mmd(u, cop.sample(40, rng), KERNEL_TST)
+                            for _ in range(cfg.n_rep)])
+        assert ammd(u, cop, cfg, np.random.default_rng(9)) == float(expected)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_memory_does_not_grow_with_n_rep(self, workers, monkeypatch):
+        import tracemalloc
+        monkeypatch.setattr(_par, "_WORKERS", workers)
+        m, d = 200, 3
+        u = np.random.default_rng(24).random((m, d))
+        peaks = []
+        for n_rep in (10, 60):
+            tracemalloc.start()
+            try:
+                ammd(u, IndependenceCopula(d), AssessConfig(n_rep=n_rep),
+                     np.random.default_rng(25))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # 50 more repetitions add their 8-byte values, and less than one more draw
+        assert peaks[1] - peaks[0] < 8 * 50 + m * d * 8
+        # per worker, three m x m float buffers and one bool; one block of draws
+        assert peaks[1] < workers * 25 * m * m + 4 * 10 * m * d * 8
+
     def test_empirical_beats_independence(self):
         cop = GaussianCopulaSampler(equicorrelation(2, 0.8))
         rng = np.random.default_rng(4)

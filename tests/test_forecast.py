@@ -9,7 +9,7 @@ from mtsgen import (ArmaGarchParams, BootstrapMixture, EmpiricalBetaCopula,
                     MarginalFitResult, MtsModel, PcaTransform, QuantileMaps,
                     arma_garch_filter, forecast_paths, pseudo_observations,
                     scaled_t_quantile, var_forecast)
-from mtsgen.forecast import empirical_quantile, rolling_var
+from mtsgen.forecast import _ORIGIN_BLOCK, _filters, _paths, empirical_quantile, rolling_var
 from mtsgen.margins import scaled_t_cdf
 
 
@@ -171,6 +171,33 @@ class TestForecastPaths:
         a = forecast_paths(model, hist, 20, 3, np.random.default_rng(11))
         b = forecast_paths(model, hist[:, None], 20, 3, np.random.default_rng(11))
         assert np.array_equal(a, b)
+
+    def test_phase_one_holds_one_block_of_noise(self, monkeypatch):
+        import tracemalloc
+        n_origins, n_pth, d = 4 * _ORIGIN_BLOCK, 2000, 2
+        model = make_model([flat_params()] * d)
+        x = np.random.default_rng(12).standard_normal((n_origins + 1, d))
+        filters = _filters(model, x)
+        noise = IndependenceCopula.noise
+        held = []
+
+        def spy(self, n, rng):
+            out = noise(self, n, rng)
+            held.append(tracemalloc.get_traced_memory()[0] - base)
+            return out
+
+        monkeypatch.setattr(IndependenceCopula, "noise", spy)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            _paths(model, x, filters, np.arange(1, n_origins + 1), n_pth, 1,
+                   np.random.SeedSequence(13).spawn(n_origins))
+        finally:
+            tracemalloc.stop()
+        assert len(held) == n_origins
+        # besides the paths, one block of noise: no earlier block's noise or draws
+        paths, block = n_origins * n_pth * d * 8, _ORIGIN_BLOCK * n_pth * d * 8
+        assert max(held) - paths < block + 64 * 1024
 
     def test_wrong_width_rejected(self):
         model = make_model([flat_params(), flat_params()])

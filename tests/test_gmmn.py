@@ -13,7 +13,7 @@ from scipy.spatial.distance import cdist
 
 from mtsgen import _par, gmmn
 from mtsgen.errors import ConfigError, NumericalError
-from mtsgen.gmmn import (TrainConfig, _mix_from_sqdist, _mix_mean,
+from mtsgen.gmmn import (TrainConfig, _GaussKernel, _mix_mean,
                          _mmd_grad_wrt_output, flatten_theta, glorot_init,
                          set_theta)
 
@@ -499,10 +499,11 @@ class TestKernelOracle:
         assert np.any(k == 0.0) and np.any((k > 0.0) & (k < 1e-307))
         spec = KernelSpec((s,))
         self.assert_grad_equal(u, g, spec)
-        d2 = cdist(g, g, "sqeuclidean")
-        assert np.array_equal(_mix_from_sqdist(d2, spec), oracle_mix_from_sqdist(d2, spec))
-        d2 = cdist(u, g, "sqeuclidean")
-        assert np.array_equal(_mix_from_sqdist(d2, spec), oracle_mix_from_sqdist(d2, spec))
+        for a, b in ((g, g), (u, g)):
+            d2 = cdist(a, b, "sqeuclidean")
+            want = oracle_mix_from_sqdist(d2, spec)
+            assert np.array_equal(_GaussKernel(d2.size)(-d2, s), want)
+            assert _mix_mean(a, b, spec) == float(want.mean())
 
     def test_non_finite_rows_propagate(self):
         rng = np.random.default_rng(31)

@@ -1,22 +1,50 @@
-"""The fan-out helper: threads per call, errors, and its two call sites."""
+"""The fan-out helper: threads per call, errors, and its call sites."""
 
+import ast
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mtsgen import _par, avs
-from mtsgen.gmmn import KernelSpec, _TILE, _mmd_grad_wrt_output
+import mtsgen
+from mtsgen import (_par, ArmaGarchParams, AssessConfig, GmmnCopula, IndependenceCopula,
+                    MarginalFitResult, MtsModel, PcaTransform, QuantileMaps, ammd, avs,
+                    forecast_paths)
+from mtsgen.gmmn import KernelSpec, _TILE, _mmd_grad_wrt_output, glorot_init
 
 _RNG = np.random.default_rng(70)
 _PATHS, _X = _RNG.standard_normal((5, 40, 4)), _RNG.standard_normal((5, 4))
 _STEP = (*_RNG.random((2, 400, 3)), KernelSpec.for_training())
 assert len(range(0, 400, _TILE // 400)) >= 3    # the step has at least 3 tiles
+_U = _RNG.random((30, 3))
+_GMMN = GmmnCopula(glorot_init((3, 8, 3), _RNG))
+_NOISE = [_RNG.standard_normal((20, 3)) for _ in range(3)]
+_MARGIN = MarginalFitResult(ArmaGarchParams(mu=0.0, phi=[0.2], gamma=[0.1], omega=0.05,
+                                            alpha=[0.1], beta=[0.8], nu=6.0),
+                            filter=None, loglik=0.0, converged=True)
+_MODEL = MtsModel(margins=[_MARGIN] * 3, pca=PcaTransform.identity(3),
+                  dependence=IndependenceCopula(3),
+                  quantile_maps=QuantileMaps.scaled_t([6.0] * 3), tau=50)
 
+# Each call makes one fan-out of at least 3 blocks.
 CALLS = {
     "avs": lambda: avs(_PATHS, _X),
     "gmmn_step": lambda: _mmd_grad_wrt_output(*_STEP),
+    "ammd": lambda: ammd(_U, IndependenceCopula(3), AssessConfig(n_rep=3),
+                         np.random.default_rng(71)),
+    "paths": lambda: forecast_paths(_MODEL, _X[:, :3], 10, 2, np.random.default_rng(72)),
+    "gmmn_draws": lambda: _GMMN.from_noise(_NOISE),
 }
+# Where each fan-out is called: module and enclosing function, and its entry in CALLS.
+SITES = {
+    "assess.vs_per_step": "avs",
+    "gmmn._mmd_grad_wrt_output": "gmmn_step",
+    "assess.ammd": "ammd",
+    "forecast._paths": "paths",
+    "gmmn.GmmnCopula.from_noise": "gmmn_draws",
+}
+SOURCES = sorted(Path(mtsgen.__file__).parent.glob("*.py"))
 
 
 def threads_of(call, monkeypatch) -> set:
@@ -93,3 +121,44 @@ def test_first_error_reraised_after_join(failing, monkeypatch):
         _par.fan_out(task, 3, lambda: None)
     assert sorted(done) == list(range(failing))
     assert set(threading.enumerate()) == before
+
+
+def fan_out_sites(tree: ast.Module, module: str) -> list:
+    """module.qualname of the function that encloses each `_par.fan_out(` call."""
+    sites = []
+
+    def visit(node, names):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, names + [child.name])
+                continue
+            func = getattr(child, "func", None)
+            if (isinstance(func, ast.Attribute) and func.attr == "fan_out"
+                    and isinstance(func.value, ast.Name) and func.value.id == "_par"):
+                sites.append(".".join([module, *names]))
+            visit(child, names)
+
+    visit(tree, [])
+    return sites
+
+
+def test_every_fan_out_site_has_a_call():
+    sites = [site for path in SOURCES
+             for site in fan_out_sites(ast.parse(path.read_text()), path.stem)]
+    assert sorted(sites) == sorted(SITES)
+    assert sorted(SITES.values()) == sorted(CALLS)
+
+
+def test_only_par_imports_threads():
+    importers = set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m.split(".")[0] in ("threading", "concurrent") for m in modules):
+                importers.add(path.name)
+    assert importers == {"_par.py"}

@@ -94,6 +94,17 @@ class TestLoadDataset:
             Dataset(name="x", times=[0, 1], values=np.ones((2, 1)),
                     columns=["a"], transform="none", tau=2)
 
+    @pytest.mark.parametrize("tau", [60.0, True], ids=["float", "bool"])
+    def test_tau_must_be_an_integer(self, tau):
+        with pytest.raises(InputError, match="must be an integer"):
+            Dataset(name="x", times=list(range(80)), values=np.ones((80, 1)),
+                    columns=["a"], transform="none", tau=tau)
+
+    def test_numpy_integer_tau_accepted(self):
+        ds = Dataset(name="x", times=list(range(80)), values=np.ones((80, 1)),
+                     columns=["a"], transform="none", tau=np.int64(60))
+        assert ds.values[:ds.tau].shape == (60, 1)
+
 
 class TestPipelineConfig:
     def test_round_trip_dict(self):

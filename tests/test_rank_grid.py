@@ -1,21 +1,22 @@
 """Inverse margins by lookup on the rank grid equal the per-draw quantiles, bit for bit."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
-from mtsgen import (ArmaGarchParams, EmpiricalBetaCopula, EmpiricalCopula, GmmnCopula,
-                    InputError, PipelineConfig, PseudoSample, forecast_paths,
-                    load_model, save_model)
+from mtsgen import (ArmaGarchParams, EmpiricalBetaCopula, EmpiricalCopula,
+                    InputError, PipelineConfig, PseudoSample, QuantileMaps,
+                    forecast_paths, load_model, save_model)
 from mtsgen import forecast as forecast_module
 from mtsgen.datagen import GaussianCopulaSampler, equicorrelation, simulate_mts
-from mtsgen.dependence import DependenceModel
 from mtsgen.pipeline import Dataset, fit_mts, rolling_forecasts
 
 KINDS = {
     "gmmn": {"dependence": "gmmn", "gmmn_n_epo": 3, "gmmn_hidden_dims": (8,)},
     "empirical": {"dependence": "empirical"},
 }
-ON_GRID = (GmmnCopula, EmpiricalCopula)
 
 
 def dataset(n_test=20):
@@ -43,10 +44,9 @@ def model(request, data):
 
 @pytest.fixture
 def per_draw(monkeypatch):
-    """Switches the rank-grid models back to the default `quantile_maps(sample(n, rng))`."""
+    """Switches the rank-grid lookup back to the per-draw `quantile_maps(ranks / (n + 1))`."""
     def switch():
-        for cls in ON_GRID:
-            monkeypatch.setattr(cls, "sample_quantiles", DependenceModel.sample_quantiles)
+        monkeypatch.setattr(QuantileMaps, "on_grid", lambda self, ranks, n: self(ranks / (n + 1.0)))
     return switch
 
 
@@ -111,6 +111,38 @@ class TestGridTable:
             n, table = qm._grid
             assert n == 80 and table.shape == (80, qm.d)
             assert np.array_equal(table, qm(np.arange(1, 81)[:, None] / 81.0 + np.zeros(qm.d)))
+
+
+    def test_concurrent_calls_equal_sequential(self):
+        nus = [6.0, 9.0]
+        rng = np.random.default_rng(88)
+        # thread w asks for grid size sizes[w] only, so the threads keep
+        # replacing each other's table
+        sizes = (30, 45, 60)
+        calls = [(n, rng.integers(1, n + 1, size=(40, 2))) for n in sizes * 30]
+        seq = QuantileMaps.scaled_t(nus)
+        want = [seq.on_grid(ranks, n) for n, ranks in calls]
+        shared = QuantileMaps.scaled_t(nus)
+        got = [None] * len(calls)
+        start = threading.Barrier(len(sizes))
+
+        def run(w):
+            start.wait(timeout=60)
+            for i in range(w, len(calls), len(sizes)):
+                got[i] = shared.on_grid(calls[i][1], calls[i][0])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)     # switch threads as often as possible
+        try:
+            threads = [threading.Thread(target=run, args=(w,)) for w in range(len(sizes))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert all(g is not None and np.array_equal(g, x) for g, x in zip(got, want))
 
 
 class TestEmpiricalPseudoSample:
