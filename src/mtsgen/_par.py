@@ -23,23 +23,27 @@ _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
 
 
-def fan_out(task, blocks: int, buffers) -> None:
-    """Run task(w, n_tasks, buffers()) for w in range(n_tasks).
+def fan_out(fn, items, buffers=lambda: None) -> list:
+    """``[fn(item, buf) for item in items]``, item i in the buffers of task i % n_tasks.
 
-    n_tasks = min(_WORKERS, blocks), at least 1.  Each task's buffers are
-    made here, on the calling thread, before any task starts.  Task 0 runs
-    on the calling thread and the others on threads started for this call;
-    all are joined before the call returns.  The first exception, in task
-    order, is re-raised.  Tasks must write disjoint parts of any shared
-    output, so that the result does not depend on n_tasks.
+    n_tasks = min(_WORKERS, len(items)); no task, and no thread, for no
+    items.  Each task's buffers are made here, on the calling thread, before
+    any task starts.  Task 0 runs on the calling thread and the others on
+    threads started for this call; all are joined before the call returns.
+    The first exception, in task order, is re-raised.  Calls of `fn` must
+    write disjoint parts of any shared output, so that the result does not
+    depend on n_tasks.
     """
-    n_tasks = max(1, min(_WORKERS, blocks))
+    items = list(items)
+    n_tasks = min(_WORKERS, len(items))
     bufs = [buffers() for _ in range(n_tasks)]
+    out = [None] * len(items)
     errors = [None] * n_tasks
 
     def run(w):
         try:
-            task(w, n_tasks, bufs[w])
+            for i in range(w, len(items), n_tasks):
+                out[i] = fn(items[i], bufs[w])
         except Exception as exc:  # re-raised on the calling thread
             errors[w] = exc
 
@@ -49,10 +53,12 @@ def fan_out(task, blocks: int, buffers) -> None:
             t = threading.Thread(target=run, args=(w,), name=f"mtsgen-par-{w}")
             t.start()
             threads.append(t)
-        task(0, n_tasks, bufs[0])
+        if n_tasks:
+            run(0)
     finally:
         for t in threads:
             t.join()
     for exc in errors:
         if exc is not None:
             raise exc
+    return out

@@ -44,24 +44,17 @@ def ammd(u_test, sampler: DependenceModel, cfg: AssessConfig,
     Each repetition draws a fresh sample of the same size as the test set.
     The test-vs-test kernel term is computed once and shared by all of them.
     The draws run in order on `rng`, a block of repetitions at a time, whose
-    kernel terms then fan out, each task in buffers made once per call.
+    kernel terms then fan out, each task in buffers of its own.
     """
     u_test = np.asarray(u_test, dtype=float)
     m = u_test.shape[0]
     a = np.atleast_2d(u_test)
-    bufs = [_mix_buffers(m * m) for _ in range(min(_par._WORKERS, _REP_BLOCK, cfg.n_rep))]
-    aa_term = _mix_mean(a, a, KERNEL_TST, bufs[0])
-    vals = np.empty(cfg.n_rep)
-    draws = []   # the draws of repetitions lo, lo + 1, ...
-
-    def run(w, n_tasks, buf):
-        for r in range(w, len(draws), n_tasks):
-            vals[lo + r] = _mmd(u_test, draws[r], KERNEL_TST, aa_term, buf)
-
-    for lo in range(0, cfg.n_rep, _REP_BLOCK):
-        draws.clear()   # before the next block's draws: memory holds one block
-        draws.extend(sampler.sample(m, rng) for _ in range(min(_REP_BLOCK, cfg.n_rep - lo)))
-        _par.fan_out(run, len(draws), iter(bufs).__next__)   # task w takes bufs[w]
+    aa_term = _mix_mean(a, a, KERNEL_TST)
+    vals = []
+    for lo in range(0, cfg.n_rep, _REP_BLOCK):   # memory holds one block of draws
+        vals += _par.fan_out(lambda b, bufs: _mmd(u_test, b, KERNEL_TST, aa_term, bufs),
+                             [sampler.sample(m, rng) for _ in range(min(_REP_BLOCK, cfg.n_rep - lo))],
+                             lambda: _mix_buffers(m * m))
     return float(np.mean(vals))
 
 
@@ -98,33 +91,31 @@ def vs_per_step(forecasts, x_test, r: float = 0.25) -> np.ndarray:
 
     Sums over all ordered component pairs the squared gap between the
     realized pairwise distance (to power r) and its predictive mean.  The
-    power is taken once per unordered pair.  `_par.fan_out` hands each task
-    a contiguous block of steps, which it scores one at a time in its own
-    (n_pth, d (d - 1) / 2) block, so memory stays at one such block per
-    worker and each step's score does not depend on the number of workers.
+    power is taken once per unordered pair.  `_par.fan_out` scores the
+    steps one at a time, each in its task's own (n_pth, d (d - 1) / 2)
+    block, so memory stays at one such block per worker and each step's
+    score does not depend on the number of workers.
     """
     paths, x = _paths_and_values(forecasts, x_test)
     n_t, n_pth, d = paths.shape
     iu, ju = np.triu_indices(d, k=1)
     # column block i of `gaps` holds the pairs (i, j > i), in triu order
     starts = np.concatenate(([0], np.cumsum(np.arange(d - 1, 0, -1))))
-    out = np.empty(n_t)
 
-    def run(w, n_tasks, bufs):
+    def score(t, bufs):
         gaps, sim = bufs
-        for t in range(w * n_t // n_tasks, (w + 1) * n_t // n_tasks):
-            p, xt = paths[t], x[t]
-            obs = np.abs(xt[:, None] - xt[None, :]) ** r                     # (d, d)
-            for i in range(d - 1):
-                np.subtract(p[:, i:i + 1], p[:, i + 1:], out=gaps[:, starts[i]:starts[i + 1]])
-            np.abs(gaps, out=gaps)
-            gaps **= r
-            sim[iu, ju] = sim[ju, iu] = gaps.mean(axis=0)
-            out[t] = ((obs - sim) ** 2).sum()
+        p, xt = paths[t], x[t]
+        obs = np.abs(xt[:, None] - xt[None, :]) ** r                     # (d, d)
+        for i in range(d - 1):
+            np.subtract(p[:, i:i + 1], p[:, i + 1:], out=gaps[:, starts[i]:starts[i + 1]])
+        np.abs(gaps, out=gaps)
+        gaps **= r
+        sim[iu, ju] = sim[ju, iu] = gaps.mean(axis=0)
+        return ((obs - sim) ** 2).sum()
 
     # C order keeps the axis-0 mean a row-by-row sum, as over (n_pth, d, d)
-    _par.fan_out(run, n_t, lambda: (np.empty((n_pth, iu.size)), np.zeros((d, d))))
-    return out
+    return np.array(_par.fan_out(score, range(n_t),
+                                 lambda: (np.empty((n_pth, iu.size)), np.zeros((d, d)))))
 
 
 def avs(forecasts, x_test, r: float = 0.25) -> float:

@@ -42,18 +42,6 @@ class BootstrapMixture(DependenceModel):
     def n_bt(self) -> int:
         return len(self.components)
 
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return self.sample_components(n, rng)[0]
-
-    def sample_components(self, n: int, rng: np.random.Generator):
-        """Per row: pick a component uniformly, then draw one row from it."""
-        noise = self.noise(n, rng)
-        return self.from_noise([noise])[0], noise[0]
-
-    def innovations(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """n draws, each mapped through the quantile maps of its own replicate."""
-        return self.sample_quantiles(n, rng, self.component_quantiles)
-
     def noise(self, n: int, rng: np.random.Generator) -> tuple:
         """The component ids of n rows, then each drawn component's noise for its rows."""
         ids = rng.integers(0, self.n_bt, size=n)

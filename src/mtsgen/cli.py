@@ -31,7 +31,7 @@ def _build_config(args) -> PipelineConfig:
         try:
             with open(args.config) as fh:
                 cfg_dict = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise InputError(f"cannot read config {args.config}: {exc}") from exc
         if not isinstance(cfg_dict, dict):
             raise ConfigError(f"config {args.config} must hold a JSON object")
@@ -104,7 +104,7 @@ def cmd_report(args) -> int:
         try:
             with open(path, newline="") as fh:
                 rows.extend(list(csv.DictReader(fh)))
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError, csv.Error) as exc:
             raise InputError(f"cannot read {path}: {exc}") from exc
     missing = [r for r in rows if set(METRICS_HEADER) - set(r)]
     if missing:
@@ -128,7 +128,7 @@ def cmd_report(args) -> int:
     return 0
 
 
-def _add_common(p, need_model=False):
+def _add_common(p):
     p.add_argument("--data", required=True, help="CSV input (time label + numeric columns)")
     p.add_argument("--config", help="JSON configuration file")
     p.add_argument("--seed", type=int, required=True, help="master seed")
@@ -140,8 +140,6 @@ def _add_common(p, need_model=False):
     p.add_argument("--n-pth", type=int, dest="n_pth")
     p.add_argument("--n-rep", type=int, dest="n_rep")
     p.add_argument("--epochs", type=int)
-    if need_model:
-        p.add_argument("--model", help="fitted model container (.npz)")
     p.add_argument("--out", required=True)
     _add_verbose(p)
 
@@ -167,11 +165,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("forecast", help="rolling one-step predictive paths")
-    _add_common(p, need_model=True)
+    _add_common(p)
+    p.add_argument("--model", required=True, help="fitted model container (.npz)")
     p.set_defaults(func=cmd_forecast)
 
     p = sub.add_parser("assess", help="run forecasts and emit the metrics table")
-    _add_common(p, need_model=True)
+    _add_common(p)
+    p.add_argument("--model", help="fitted model container (.npz); fitted here if not given")
     p.set_defaults(func=cmd_assess)
 
     p = sub.add_parser("report", help="merge metrics tables into one report")

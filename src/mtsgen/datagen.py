@@ -20,10 +20,10 @@ _BURN_IN = 200   # steps simulated and discarded before the returned series
 
 
 def equicorrelation(d: int, rho: float) -> np.ndarray:
-    """Exchangeable correlation matrix with off-diagonal rho."""
-    if not -1.0 / (d - 1) < rho < 1.0:
+    """Exchangeable correlation matrix with off-diagonal rho; [[1.0]] for d = 1."""
+    if d < 1 or not (-1.0 / (d - 1) if d > 1 else -np.inf) < rho < 1.0:
         raise InputError(f"rho={rho} is not a valid equicorrelation for d={d}")
-    return np.full((d, d), rho) + (1.0 - rho) * np.eye(d)
+    return np.ones((1, 1)) if d == 1 else np.full((d, d), rho) + (1.0 - rho) * np.eye(d)
 
 
 class GaussianCopulaSampler(DependenceModel):
@@ -37,9 +37,12 @@ class GaussianCopulaSampler(DependenceModel):
         self.d = corr.shape[0]
         self._chol = np.linalg.cholesky(corr)
 
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        z = rng.standard_normal((n, self.d)) @ self._chol.T
-        return stats.norm.cdf(z)
+    def noise(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        return rng.standard_normal((n, self.d))
+
+    def from_noise(self, noises: list, quantile_maps=None) -> list:
+        """Per noise, as a matrix product over more rows may round differently."""
+        return [self._map(stats.norm.cdf(z @ self._chol.T), quantile_maps) for z in noises]
 
 
 def simulate_mts(margin_params: list, copula: DependenceModel, n: int,

@@ -1,13 +1,12 @@
 """Pseudo-observations and nonparametric/independence dependence samplers.
 
-Every dependence model exposes the same contract: ``sample(n, rng)``
-returns an ``n x d`` matrix of values strictly inside (0, 1), and
-``sample_quantiles(n, rng, quantile_maps)`` maps such a draw through the
-inverse margins.  Both compose two phases: ``noise(n, rng)`` makes every
-RNG call of n draws, in order, and the pure ``from_noise(noises,
-quantile_maps=None)`` maps a list of such noises to their draws.  So the
-noises of many generators can be drawn one after another and mapped
-together, with the bits of one ``sample_quantiles`` call per noise.
+Every dependence model draws the same way, in two phases: ``noise(n, rng)``
+makes every RNG call of n draws, in order, and the pure ``from_noise(noises,
+quantile_maps=None)`` maps a list of such noises to their draws, each an
+``n x d`` matrix of values strictly inside (0, 1), or mapped through the
+inverse margins if `quantile_maps` are given.  ``sample(n, rng)`` is the
+two composed for one noise.  So the noises of many generators can be drawn
+one after another and mapped together, with the bits of one map per noise.
 
 Some draws lie on a rank grid: every value is k / (m + 1) for an integer
 rank k in 1..m.  The empirical copula resamples rows of its ranks
@@ -15,8 +14,8 @@ rank k in 1..m.  The empirical copula resamples rows of its ranks
 These models hand their integer ranks to
 ``quantile_maps.on_grid(ranks, m)``, which maps each grid point once
 instead of once per draw.  ``on_grid`` returns the bytes
-``quantile_maps(ranks / (m + 1.0))`` would, so the result equals
-``quantile_maps(sample(n, rng))`` bit for bit.
+``quantile_maps(ranks / (m + 1.0))`` would, so a draw through the maps
+equals ``quantile_maps`` of the same draw without them, bit for bit.
 The empirical beta copula is the empirical copula with each picked rank
 drawn through a Beta law, off the grid; it and the other models map their
 draws through ``quantile_maps`` itself.
@@ -92,17 +91,14 @@ def _on_grid(ranks: np.ndarray, m: int, quantile_maps) -> np.ndarray:
 
 
 class DependenceModel:
-    """Common sampling contract for all dependence models.
+    """The one draw contract of all dependence models.
 
-    A model defines `noise` and a row-by-row `_map`, or its own `from_noise`;
-    one that defines only `sample` draws wholly in `noise`.
+    A model has a dimension `d` and defines ``noise(n, rng)``, the numbers of
+    every RNG call of n draws, in order, one row per draw; and either a
+    row-by-row `_map` of noise rows to draws or its own `from_noise`.
     """
 
     d: int
-
-    def noise(self, n: int, rng: np.random.Generator):
-        """The numbers of every RNG call of n draws, in order, one row per draw."""
-        return self.sample(n, rng)
 
     def _map(self, noise, quantile_maps) -> np.ndarray:
         return noise if quantile_maps is None else quantile_maps(noise)
@@ -113,11 +109,8 @@ class DependenceModel:
         return np.split(self._map(np.concatenate(noises), quantile_maps), rows)
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        """n draws in (0, 1): ``from_noise([noise(n, rng)])[0]``."""
         return self.from_noise([self.noise(n, rng)])[0]
-
-    def sample_quantiles(self, n: int, rng: np.random.Generator, quantile_maps) -> np.ndarray:
-        """n draws mapped through the inverse margins: ``quantile_maps(sample(n, rng))``."""
-        return self.from_noise([self.noise(n, rng)], quantile_maps)[0]
 
 
 class EmpiricalCopula(DependenceModel):

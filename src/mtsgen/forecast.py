@@ -142,10 +142,6 @@ class MtsModel:
         """The maps the dependence draws go through; a mixture's replicates carry their own."""
         return self.quantile_maps or self.dependence.component_quantiles
 
-    def innovations(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """n joint draws of the components' innovations, through the inverse margins."""
-        return self.dependence.sample_quantiles(n, rng, self.draw_maps)
-
 
 _ORIGIN_BLOCK = 25
 
@@ -189,15 +185,13 @@ def _paths(model: MtsModel, x: np.ndarray, filters: list, origins, n_pth: int, h
     # each margin's innovations are overwritten by its paths, so memory
     # holds one array of paths; blocks of origins keep the simulator's
     # temporaries small, which keeps them from fragmenting the heap
-    units = [(j, block) for j in range(model.d) for block in blocks]
+    def run(unit, _):
+        j, block = unit
+        p = model.margins[j].params
+        state = LaggedState.at(p, x[:, j], filters[j], origins[block, None])
+        values[block, ..., j] = _simulate(p, values[block, ..., j], state)
 
-    def run(w, n_tasks, bufs):
-        for j, block in units[w::n_tasks]:
-            p = model.margins[j].params
-            state = LaggedState.at(p, x[:, j], filters[j], origins[block, None])
-            values[block, ..., j] = _simulate(p, values[block, ..., j], state)
-
-    _par.fan_out(run, len(units), lambda: None)
+    _par.fan_out(run, [(j, block) for j in range(model.d) for block in blocks])
     return values
 
 

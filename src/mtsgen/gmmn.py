@@ -342,16 +342,17 @@ _TILE = 2**16
 
 
 def _mmd_tile(u: np.ndarray, g: np.ndarray, i0: int, i1: int, spec: KernelSpec,
-              bufs: tuple, grad: np.ndarray, sums: np.ndarray) -> None:
-    """Gradient rows i0:i1 into grad, and this tile's kernel sums into sums.
+              bufs: tuple, grad: np.ndarray) -> np.ndarray:
+    """Gradient rows i0:i1 into grad, and this tile's (2, n_bandwidths) kernel sums.
 
-    sums[0, j] and sums[1, j] receive the sums of the generated-vs-generated
-    and of the target-vs-generated kernel block at bandwidth j.
+    Entries [0, j] and [1, j] are the sums of the generated-vs-generated and
+    of the target-vs-generated kernel block at bandwidth j.
     """
     n, m = u.shape[0], g.shape[0]
     kern, d_vv, d_uv = bufs
     g_b = g[i0:i1]
     b = i1 - i0
+    sums = np.empty((2, len(spec.bandwidths)))
     nd2_vv = cdist(g_b, g, "sqeuclidean", out=d_vv[:b * m].reshape(b, m))
     nd2_uv = cdist(u, g_b, "sqeuclidean", out=d_uv[:n * b].reshape(n, b))
     np.negative(nd2_vv, out=nd2_vv)
@@ -367,6 +368,7 @@ def _mmd_tile(u: np.ndarray, g: np.ndarray, i0: int, i1: int, spec: KernelSpec,
         k_uv = kern(nd2_uv, s)
         sums[1, j] = k_uv.sum()
         grad_b += (2.0 / (n * m)) * inv * (k_uv.sum(axis=0)[:, None] * g_b - k_uv.T @ u)
+    return sums
 
 
 def _mmd_grad_wrt_output(u: np.ndarray, g: np.ndarray, spec: KernelSpec,
@@ -374,10 +376,9 @@ def _mmd_grad_wrt_output(u: np.ndarray, g: np.ndarray, spec: KernelSpec,
     """Squared-MMD value and its gradient with respect to the generated rows g.
 
     The work runs over tiles of b = _TILE // max(n, m) generated rows, at
-    most m, dealt round-robin to the tasks of `_par.fan_out`, which runs
-    one task per CPU, no more than there are tiles.  A tile holds one block
-    of each kernel matrix, so the step needs O(workers * _TILE) memory
-    besides its inputs and output.  Each task owns its kernel and distance
+    most m, mapped by `_par.fan_out`, which runs one task per CPU, no more
+    than there are tiles.  A tile holds one block of each kernel matrix, so
+    the step needs O(workers * _TILE) memory besides its inputs and output.  Each task owns its kernel and distance
     buffers, which `fan_out` allocates on the calling thread.  The kernel
     sums are reduced here, in tile order, so the result depends on n,
     m and _TILE but not on the number of workers.  With a single tile the
@@ -389,16 +390,10 @@ def _mmd_grad_wrt_output(u: np.ndarray, g: np.ndarray, spec: KernelSpec,
     if uu_term is None:
         uu_term = _mix_mean(u, u, spec)
     b = max(1, min(m, _TILE // max(n, m)))
-    tiles = [(i0, min(i0 + b, m)) for i0 in range(0, m, b)]
-    sums = np.empty((len(tiles), 2, len(spec.bandwidths)))
     grad = np.zeros_like(g)
-
-    def run(w, n_tasks, bufs):
-        for t in range(w, len(tiles), n_tasks):
-            _mmd_tile(u, g, *tiles[t], spec, bufs, grad, sums[t])
-
-    _par.fan_out(run, len(tiles),
-                 lambda: (_GaussKernel(max(n, m) * b), np.empty(b * m), np.empty(n * b)))
+    sums = _par.fan_out(lambda tile, bufs: _mmd_tile(u, g, *tile, spec, bufs, grad),
+                        [(i0, min(i0 + b, m)) for i0 in range(0, m, b)],
+                        lambda: (_GaussKernel(max(n, m) * b), np.empty(b * m), np.empty(n * b)))
     vv_mean = 0.0
     uv_mean = 0.0
     for vv, uv in sums:
@@ -613,16 +608,9 @@ class GmmnCopula(DependenceModel):
     def from_noise(self, noises: list, quantile_maps=None) -> list:
         """The net's outputs on each noise, ranked; one forward pass per noise,
         as a larger matrix product may round differently, fanned out over them."""
-        draws = [None] * len(noises)
+        def ranks(z, _):
+            return _ranks(_forward(self.model, z, train=False, mask_rng=None,
+                                   update_running=False, want_cache=False)[0])
 
-        def run(w, n_tasks, bufs):
-            for i in range(w, len(noises), n_tasks):
-                out, _ = _forward(self.model, noises[i], train=False, mask_rng=None,
-                                  update_running=False, want_cache=False)
-                draws[i] = _ranks(out)
-
-        _par.fan_out(run, len(noises), lambda: None)
         # the lookups, which may build the maps' grid table, run on this thread
-        for i, ranks in enumerate(draws):
-            draws[i] = _on_grid(ranks, len(ranks), quantile_maps)
-        return draws
+        return [_on_grid(r, len(r), quantile_maps) for r in _par.fan_out(ranks, noises)]

@@ -460,7 +460,7 @@ class _Transform:
         gamma = np.tanh(theta[:, i:i + self.q1]); i += self.q1
         i_nu = i + 1 + self.p2 + self.q2
         logits = theta[:, i + 1:i_nu]
-        top = logits.max(axis=1, keepdims=True)
+        top = logits.max(axis=1, keepdims=True, initial=-np.inf)
         # omega, the logits' normalising term and nu - 2
         (omega, scale, exp_nu), overflow = _exp(np.stack([theta[:, i], -top[:, 0], theta[:, i_nu]]))
         expl = np.exp(logits - top)

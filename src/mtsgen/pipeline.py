@@ -108,7 +108,7 @@ def load_dataset(path, transform: str = "none", tau: int | None = None,
     try:
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     if len(rows) < 3:
         raise InputError(f"{path}: need a header and at least two data rows")

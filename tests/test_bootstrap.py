@@ -27,8 +27,8 @@ class TestBootstrapFit:
     def test_single_component_matches_direct_sampling(self, y_train):
         mix = bootstrap_fit(y_train, 1, empirical_fitter, np.random.default_rng(1))
         assert mix.n_bt == 1
-        u, ids = mix.sample_components(100, np.random.default_rng(2))
-        assert np.all(ids == 0)
+        u = mix.sample(100, np.random.default_rng(2))
+        assert np.all(mix.noise(100, np.random.default_rng(2))[0] == 0)
         rows = {tuple(r) for r in mix.components[0].ps.u}
         assert all(tuple(r) in rows for r in u)
 
@@ -66,7 +66,7 @@ class TestBootstrapFit:
 class TestSampleMixture:
     def test_ids_in_range(self, y_train):
         mix = bootstrap_fit(y_train, 4, empirical_fitter, np.random.default_rng(6))
-        _, ids = mix.sample_components(500, np.random.default_rng(7))
+        ids = mix.noise(500, np.random.default_rng(7))[0]
         assert ids.min() >= 0 and ids.max() <= 3
 
     def test_selection_frequencies_uniform(self, y_train):
@@ -76,7 +76,7 @@ class TestSampleMixture:
             return IndependenceCopula(ps.d)
 
         mix = bootstrap_fit(y_train, n_bt, counting_fitter, np.random.default_rng(8))
-        _, ids = mix.sample_components(10**5, np.random.default_rng(9))
+        ids = mix.noise(10**5, np.random.default_rng(9))[0]
         counts = np.bincount(ids, minlength=n_bt)
         expect = 10**5 / n_bt
         sigma = np.sqrt(10**5 * (1 / n_bt) * (1 - 1 / n_bt))
@@ -86,16 +86,17 @@ class TestSampleMixture:
         mix = BootstrapMixture(
             components=[IndependenceCopula(2), IndependenceCopula(2)],
             component_quantiles=[tables(np.zeros(1), np.zeros(1))] * 2)
-        u, _ = mix.sample_components(10**4, np.random.default_rng(10))
+        u = mix.sample(10**4, np.random.default_rng(10))
         for j in range(2):
             assert stats.kstest(u[:, j], "uniform").pvalue > 0.01
 
     def test_deterministic(self, y_train):
         mix = bootstrap_fit(y_train, 3, empirical_fitter, np.random.default_rng(11))
-        a = mix.sample_components(50, np.random.default_rng(12))
-        b = mix.sample_components(50, np.random.default_rng(12))
-        np.testing.assert_array_equal(a[0], b[0])
-        np.testing.assert_array_equal(a[1], b[1])
+        a = mix.sample(50, np.random.default_rng(12))
+        b = mix.sample(50, np.random.default_rng(12))
+        np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(mix.noise(50, np.random.default_rng(12))[0],
+                                      mix.noise(50, np.random.default_rng(12))[0])
 
 
 class ConstantCopula(DependenceModel):
@@ -103,7 +104,7 @@ class ConstantCopula(DependenceModel):
 
     d = 1
 
-    def sample(self, n, rng):
+    def noise(self, n, rng):
         return np.full((n, 1), 0.4)
 
 
@@ -114,7 +115,8 @@ class TestApplyQuantiles:
         mix = BootstrapMixture(
             components=[ConstantCopula(), ConstantCopula()],
             component_quantiles=[tables_a, tables_b])
-        y = mix.innovations(50, np.random.default_rng(4))
+        y = mix.from_noise([mix.noise(50, np.random.default_rng(4))],
+                           mix.component_quantiles)[0]
         ids = np.random.default_rng(4).integers(0, 2, size=50)
         assert set(ids) == {0, 1}
         # ceil(0.4 * 2) = 1 -> first order statistic of each table
@@ -126,8 +128,9 @@ class TestApplyQuantiles:
             components=[IndependenceCopula(1), IndependenceCopula(1)],
             component_quantiles=[tables(np.array([0.0, 10.0])),
                                  tables(np.array([100.0, 110.0]))])
-        y = mix.innovations(200, np.random.default_rng(3))
-        u, ids = mix.sample_components(200, np.random.default_rng(3))
+        noise = mix.noise(200, np.random.default_rng(3))
+        y = mix.from_noise([noise], mix.component_quantiles)[0]
+        u, ids = mix.sample(200, np.random.default_rng(3)), noise[0]
         want = np.empty_like(u)
         for b in range(2):
             want[ids == b] = mix.component_quantiles[b](u[ids == b])

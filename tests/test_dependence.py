@@ -11,6 +11,7 @@ from scipy import stats
 
 from mtsgen import (EmpiricalBetaCopula, EmpiricalCopula, IndependenceCopula,
                     InputError, PseudoSample, QuantileMaps, pseudo_observations)
+from mtsgen.datagen import GaussianCopulaSampler, equicorrelation
 
 
 class TestPseudoObservations:
@@ -150,5 +151,32 @@ def test_common_contract(make):
     assert out.shape == (64, 3)
     assert np.all((out > 0.0) & (out < 1.0))
     qmaps = QuantileMaps.scaled_t([5.0, 6.0, 7.0])
-    assert np.array_equal(make(ps).sample_quantiles(64, np.random.default_rng(14), qmaps),
+    dep = make(ps)
+    assert np.array_equal(dep.from_noise([dep.noise(64, np.random.default_rng(14))], qmaps)[0],
                           qmaps(out))
+
+
+class TestGaussianCopulaSampler:
+    def test_sample_is_the_cdf_of_correlated_normals(self):
+        cop = GaussianCopulaSampler(equicorrelation(3, 0.4))
+        z = np.random.default_rng(15).standard_normal((50, 3))
+        want = stats.norm.cdf(z @ np.linalg.cholesky(equicorrelation(3, 0.4)).T)
+        assert np.array_equal(cop.sample(50, np.random.default_rng(15)), want)
+
+    def test_each_noise_maps_as_its_own_sample(self):
+        cop = GaussianCopulaSampler(equicorrelation(2, -0.3))
+        qmaps = QuantileMaps.scaled_t([5.0, 6.0])
+        noises = [cop.noise(n, np.random.default_rng(n)) for n in (7, 40)]
+        for n, y in zip((7, 40), cop.from_noise(noises, qmaps)):
+            assert np.array_equal(y, qmaps(cop.sample(n, np.random.default_rng(n))))
+
+
+class TestEquicorrelation:
+    @pytest.mark.parametrize("rho", [-5.0, 0.0, 0.95])
+    def test_one_dimension(self, rho):
+        assert np.array_equal(equicorrelation(1, rho), [[1.0]])
+
+    @pytest.mark.parametrize("d, rho", [(0, 0.5), (1, 1.0), (1, float("nan"))])
+    def test_invalid_rejected(self, d, rho):
+        with pytest.raises(InputError):
+            equicorrelation(d, rho)

@@ -102,8 +102,10 @@ class TestModelMaps:
         margins = make_model([flat_params()]).margins
         model = MtsModel(margins=margins, pca=PcaTransform.identity(1),
                          dependence=self.mixture(), quantile_maps=None, tau=100)
-        y = model.innovations(100, np.random.default_rng(0))
-        assert np.array_equal(y, model.dependence.innovations(100, np.random.default_rng(0)))
+        dep = model.dependence
+        y = dep.from_noise([dep.noise(100, np.random.default_rng(0))], model.draw_maps)[0]
+        assert np.array_equal(y, dep.from_noise([dep.noise(100, np.random.default_rng(0))],
+                                                dep.component_quantiles)[0])
         assert set(np.unique(y)) == {0.0, 1.0, 5.0, 6.0}
 
 

@@ -433,6 +433,16 @@ class TestFit:
         res = fit_arma_garch(x, fix_mu_zero=True)
         assert res.params.mu == 0.0
 
+    @pytest.mark.parametrize("orders", [(1, 1, 0, 0), (0, 0, 0, 0)])
+    def test_zero_garch_orders(self, orders):
+        # no logits for (alpha, beta): a constant variance omega
+        x = np.random.default_rng(6).standard_normal(300)
+        res = fit_arma_garch(x, orders)
+        assert res.params.orders == orders
+        assert res.converged and np.isfinite(res.loglik)
+        assert res.params.alpha.size == res.params.beta.size == 0
+        assert res.params.omega == pytest.approx(np.var(x), rel=0.2)
+
 
 def scalar_to_params(trans, theta):
     """The transform of one point in scalar operations: the reference for the row form."""

@@ -52,11 +52,11 @@ def threads_of(call, monkeypatch) -> set:
     ran_on = set()
     fan_out = _par.fan_out
 
-    def spy(task, blocks, buffers):
-        def traced(w, n_tasks, bufs):
+    def spy(fn, items, buffers=lambda: None):
+        def traced(item, buf):
             ran_on.add(threading.current_thread())
-            task(w, n_tasks, bufs)
-        fan_out(traced, blocks, buffers)
+            return fn(item, buf)
+        return fan_out(traced, items, buffers)
 
     monkeypatch.setattr(_par, "fan_out", spy)
     CALLS[call]()
@@ -87,23 +87,51 @@ def test_buffers_made_on_the_calling_thread(monkeypatch):
 
     def buffers():
         made_on.append(threading.current_thread())
-        return np.zeros(1)
+        return len(made_on) - 1   # the task the buffers are for
 
-    out = np.zeros(4)
-
-    def task(w, n_tasks, buf):
-        out[w] = n_tasks + buf[0]
-
-    _par.fan_out(task, 10, buffers)
+    out = _par.fan_out(lambda item, buf: (item, buf), range(10), buffers)
     assert made_on == [threading.current_thread()] * 3
-    assert np.array_equal(out, [3, 3, 3, 0])
+    assert out == [(i, i % 3) for i in range(10)]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_results_in_item_order_in_task_buffers(workers, monkeypatch):
+    monkeypatch.setattr(_par, "_WORKERS", workers)
+    made = []
+
+    def buffers():
+        made.append([])
+        return made[-1]
+
+    def fn(item, buf):
+        buf.append(item)
+        return item * item, threading.current_thread()
+
+    out = _par.fan_out(fn, range(7), buffers)
+    assert [sq for sq, _ in out] == [i * i for i in range(7)]
+    # item i ran in task i % n_tasks's buffers, on one thread per task
+    assert made == [list(range(w, 7, workers)) for w in range(workers)]
+    assert len({t for _, t in out}) == workers
+    assert {t for i, (_, t) in enumerate(out) if i % workers == 0} == {threading.current_thread()}
+
+
+def test_no_items_start_no_thread(monkeypatch):
+    monkeypatch.setattr(_par, "_WORKERS", 3)
+    started = []
+    monkeypatch.setattr(_par.threading, "Thread", lambda *a, **kw: started.append(a))
+
+    def buffers():
+        raise AssertionError("buffers made for no items")
+
+    assert _par.fan_out(lambda item, buf: item, [], buffers) == []
+    assert started == []
 
 
 def test_one_task_for_one_block(monkeypatch):
     monkeypatch.setattr(_par, "_WORKERS", 3)
     seen = []
-    _par.fan_out(lambda w, n, buf: seen.append((w, n)), 1, lambda: None)
-    assert seen == [(0, 1)]
+    assert _par.fan_out(lambda item, buf: seen.append(threading.current_thread()), [7]) == [None]
+    assert seen == [threading.current_thread()]
 
 
 @pytest.mark.parametrize("failing", [0, 1, 2])
@@ -112,13 +140,13 @@ def test_first_error_reraised_after_join(failing, monkeypatch):
     before = set(threading.enumerate())
     done = []
 
-    def task(w, n_tasks, buf):
-        if w >= failing:
-            raise ValueError(f"task {w}")
-        done.append(w)
+    def fn(item, buf):
+        if item >= failing:
+            raise ValueError(f"task {item}")
+        done.append(item)
 
     with pytest.raises(ValueError, match=f"task {failing}"):
-        _par.fan_out(task, 3, lambda: None)
+        _par.fan_out(fn, range(3))
     assert sorted(done) == list(range(failing))
     assert set(threading.enumerate()) == before
 

@@ -839,6 +839,73 @@ class TestFitCommand:
         assert load_model(out).dependence is not None
 
 
+class TestUnreadableInput:
+    """A text input that cannot be decoded or parsed exits 2, with no traceback."""
+
+    @pytest.fixture
+    def binary(self, tmp_path):
+        path = tmp_path / "model.npz"
+        path.write_bytes(bytes(range(256)) * 4)   # not UTF-8
+        return str(path)
+
+    @pytest.fixture
+    def long_field(self, tmp_path):
+        path = tmp_path / "long.csv"
+        path.write_text("t,s0\n0," + "9" * 200_000 + "\n1,1.0\n2,2.0\n")
+        return str(path)
+
+    @pytest.mark.parametrize("which", ["binary", "long_field"])
+    def test_data(self, tmp_path, capsys, request, which):
+        from mtsgen.cli import main
+        path = request.getfixturevalue(which)
+        code = main(["fit", "--data", path, "--seed", "1", "--out", str(tmp_path / "m.npz")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot read {path}: ")
+
+    def test_config(self, synthetic_csv, binary, tmp_path, capsys):
+        from mtsgen.cli import main
+        code = main(["fit", "--data", synthetic_csv, "--seed", "1", "--config", binary,
+                     "--out", str(tmp_path / "m.npz")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot read config {binary}: ")
+
+    @pytest.mark.parametrize("which", ["binary", "long_field"])
+    def test_report(self, capsys, request, which):
+        from mtsgen.cli import main
+        path = request.getfixturevalue(which)
+        assert main(["report", path]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot read {path}: ")
+
+    def test_no_traceback(self, synthetic_csv, binary, tmp_path):
+        r = subprocess.run([sys.executable, "-m", "mtsgen.cli", "fit", "--data", binary,
+                            "--seed", "1", "--out", str(tmp_path / "m.npz")],
+                           capture_output=True, text=True, env=CHILD_ENV)
+        assert r.returncode == 2
+        assert "Traceback" not in r.stderr
+
+    def test_forecast_needs_a_model(self, synthetic_csv, tmp_path, capsys):
+        from mtsgen.cli import main
+        with pytest.raises(SystemExit) as exit_:
+            main(["forecast", "--data", synthetic_csv, "--seed", "1",
+                  "--out", str(tmp_path / "fc.npz")])
+        assert exit_.value.code == 2
+        assert "the following arguments are required: --model" in capsys.readouterr().err
+
+
+class TestZeroGarchOrders:
+    def test_cli_assess(self, synthetic_csv, tmp_path):
+        # no GARCH terms: each margin has a constant variance
+        from mtsgen.cli import main
+        config, out = tmp_path / "c.json", tmp_path / "metrics.csv"
+        config.write_text(json.dumps({"orders": [1, 1, 0, 0]}))
+        code = main(["assess", "--data", synthetic_csv, "--seed", "1", "--tau", "200",
+                     "--config", str(config), "--n-pth", "20", "--n-rep", "2",
+                     "--out", str(out)])
+        assert code == 0
+        with open(out, newline="") as fh:
+            assert all(np.isfinite(float(row["value"])) for row in csv.DictReader(fh))
+
+
 class TestUnwritableOut:
     """An `--out` that cannot be written exits 2 before any work, naming the path."""
 
@@ -1267,7 +1334,7 @@ class TestVerbose:
         parser = cli.build_parser()
         for args in (["fit", "--data", "x", "--seed", "1", "--out", "o"],
                      ["bootstrap", "--data", "x", "--seed", "1", "--n-bt", "2", "--out", "o"],
-                     ["forecast", "--data", "x", "--seed", "1", "--out", "o"],
+                     ["forecast", "--data", "x", "--seed", "1", "--model", "m", "--out", "o"],
                      ["assess", "--data", "x", "--seed", "1", "--out", "o"],
                      ["report", "m.csv"]):
             assert parser.parse_args(args + ["-vv"]).verbose == 2

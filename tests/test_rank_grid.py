@@ -54,7 +54,7 @@ class TestSampleQuantiles:
     @pytest.mark.parametrize("n", [1, 57, 57, 200])
     def test_equals_quantiles_of_sample(self, model, n):
         dep, qm = model.dependence, model.quantile_maps
-        got = dep.sample_quantiles(n, np.random.default_rng(n), qm)
+        got = dep.from_noise([dep.noise(n, np.random.default_rng(n))], qm)[0]
         want = qm(dep.sample(n, np.random.default_rng(n)))
         assert np.array_equal(got, want)
 
@@ -107,7 +107,7 @@ class TestGridTable:
                                            **KINDS["gmmn"]), data)
             dep, qm = model.dependence, model.quantile_maps
             for n in (50, 80):
-                dep.sample_quantiles(n, np.random.default_rng(n), qm)
+                dep.from_noise([dep.noise(n, np.random.default_rng(n))], qm)
             n, table = qm._grid
             assert n == 80 and table.shape == (80, qm.d)
             assert np.array_equal(table, qm(np.arange(1, 81)[:, None] / 81.0 + np.zeros(qm.d)))
