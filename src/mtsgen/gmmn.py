@@ -13,6 +13,7 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass, field
+from itertools import zip_longest
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -212,6 +213,15 @@ class GmmnModel:
             for a, v in zip(part, dst):
                 v[...] = a
         self.weights, self.biases, self.bn_scale, self.bn_shift = views
+        # a model file's running statistics must fit the hidden layers before any forecast
+        hidden = [(h,) for h in self.layer_dims[1:-1]]
+        for name in ("bn_mean", "bn_var"):
+            for l, (a, shape) in enumerate(zip_longest(getattr(self, name), hidden)):
+                if np.shape(a) != shape:
+                    raise InputError(f"{name}{l} has shape {np.shape(a)}, not {shape}")
+        for l, var in enumerate(self.bn_var):
+            if not np.all(np.isfinite(var) & (np.asarray(var) > 0.0)):
+                raise InputError(f"bn_var{l} must be finite and positive")
 
     @property
     def n_hidden(self) -> int:

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import assess
+from . import _par, assess
 from .bootstrap import BootstrapMixture, bootstrap_fit
 from .dependence import (EmpiricalBetaCopula, EmpiricalCopula,
                          IndependenceCopula, pseudo_observations)
@@ -288,8 +288,8 @@ def fit_mts(cfg: PipelineConfig, dataset: Dataset) -> MtsModel:
         raise ConfigError(f"gmmn_n_bat={n_bat} must divide tau={dataset.tau}")
     x_train = dataset.values[:dataset.tau]
     d = dataset.d
-    margins = [fit_arma_garch(x_train[:, j], orders=cfg.orders,
-                              fix_mu_zero=cfg.fix_mu_zero) for j in range(d)]
+    margins = _par.fork_map(lambda j: fit_arma_garch(x_train[:, j], orders=cfg.orders,
+                                                     fix_mu_zero=cfg.fix_mu_zero), range(d))
     for j, m in enumerate(margins):
         if not m.converged:
             _log.warning("margin %d (%s): the best start of the MLE did not converge",

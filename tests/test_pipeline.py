@@ -1241,6 +1241,48 @@ class TestLoaderFuzz:
             pass
 
 
+@pytest.fixture(scope="module")
+def gmmn_file(small_dataset, tmp_path_factory):
+    """A directory with a saved GMMN model of `small_dataset` and the data as CSV."""
+    base = tmp_path_factory.mktemp("gmmn")
+    save_model(fit_mts(PipelineConfig(seed=71, **ROUND_TRIP_KINDS["gmmn"]), small_dataset),
+               base / "m.npz")
+    write_csv(base / "x.csv", small_dataset.values)
+    return base
+
+
+class TestBnStatistics:
+    """A GMMN file whose BN running statistics do not fit the net exits 2 at load."""
+
+    @pytest.mark.parametrize("entry, bad", [
+        (None, None),
+        ("bn_mean0", np.zeros(0)), ("bn_mean0", np.zeros((8, 1))),
+        ("bn_var0", np.ones(0)), ("bn_var0", np.ones((1, 8))),
+        ("bn_var0", np.full(8, np.nan)), ("bn_var0", np.full(8, np.inf)),
+        ("bn_var0", -np.ones(8)), ("bn_var0", np.zeros(8)),
+    ], ids=["valid", "mean_empty", "mean_2d", "var_empty", "var_2d", "var_nan", "var_inf",
+            "var_negative", "var_zero"])
+    def test_forecast_exit_code(self, gmmn_file, small_dataset, tmp_path, capsys, entry, bad):
+        from mtsgen.cli import main
+        with np.load(gmmn_file / "m.npz") as data:
+            arrays = {k: data[k] for k in data.files}
+        if entry is not None:
+            assert arrays[f"dep/net/{entry}"].shape == (8,)
+            arrays[f"dep/net/{entry}"] = bad
+        np.savez(tmp_path / "m.npz", **arrays)
+        out = tmp_path / "fc.npz"
+        code = main(["forecast", "--data", str(gmmn_file / "x.csv"), "--seed", "1",
+                     "--tau", str(small_dataset.tau), "--n-pth", "20",
+                     "--model", str(tmp_path / "m.npz"), "--out", str(out)])
+        err = capsys.readouterr().err
+        if entry is None:
+            assert code == 0 and out.exists()
+            return
+        assert code == 2
+        assert err.startswith("error: ") and entry in err and "Traceback" not in err
+        assert not out.exists()
+
+
 class TestNonConvergedFit:
     """A margin whose best start did not converge is kept, with one logged warning."""
 
