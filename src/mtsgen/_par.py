@@ -31,27 +31,25 @@ _BLAS_SETTERS = ("openblas_set_num_threads", "openblas_set_num_threads64_",
                  "scipy_openblas_set_num_threads", "scipy_openblas_set_num_threads64_")
 
 
-def fan_out(fn, items, buffers=lambda: None) -> list:
-    """``[fn(item, buf) for item in items]``, item i in the buffers of task i % n_tasks.
+def fan_out(fn, items) -> list:
+    """``[fn(item) for item in items]``, item i in task i % n_tasks.
 
     n_tasks = min(_WORKERS, len(items)); no task, and no thread, for no
-    items.  Each task's buffers are made here, on the calling thread, before
-    any task starts.  Task 0 runs on the calling thread and the others on
-    threads started for this call; all are joined before the call returns.
-    The first exception, in task order, is re-raised.  Calls of `fn` must
-    write disjoint parts of any shared output, so that the result does not
-    depend on n_tasks.
+    items.  Task 0 runs on the calling thread and the others on threads
+    started for this call; all are joined before the call returns.  The
+    first exception, in task order, is re-raised.  Calls of `fn` must write
+    disjoint parts of any shared output, so that the result does not depend
+    on n_tasks.
     """
     items = list(items)
     n_tasks = min(_WORKERS, len(items))
-    bufs = [buffers() for _ in range(n_tasks)]
     out = [None] * len(items)
     errors = [None] * n_tasks
 
     def run(w):
         try:
             for i in range(w, len(items), n_tasks):
-                out[i] = fn(items[i], bufs[w])
+                out[i] = fn(items[i])
         except Exception as exc:  # re-raised on the calling thread
             errors[w] = exc
 

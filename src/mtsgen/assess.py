@@ -9,7 +9,7 @@ import numpy as np
 from . import _par
 from .dependence import DependenceModel
 from .errors import ConfigError, InputError
-from .gmmn import KernelSpec, _mix_buffers, _mix_mean, _mmd
+from .gmmn import KernelSpec, _mix_mean, _mmd
 
 __all__ = [
     "AssessConfig",
@@ -44,7 +44,7 @@ def ammd(u_test, sampler: DependenceModel, cfg: AssessConfig,
     Each repetition draws a fresh sample of the same size as the test set.
     The test-vs-test kernel term is computed once and shared by all of them.
     The draws run in order on `rng`, a block of repetitions at a time, whose
-    kernel terms then fan out, each task in buffers of its own.
+    kernel terms then fan out.
     """
     u_test = np.asarray(u_test, dtype=float)
     m = u_test.shape[0]
@@ -52,9 +52,8 @@ def ammd(u_test, sampler: DependenceModel, cfg: AssessConfig,
     aa_term = _mix_mean(a, a, KERNEL_TST)
     vals = []
     for lo in range(0, cfg.n_rep, _REP_BLOCK):   # memory holds one block of draws
-        vals += _par.fan_out(lambda b, bufs: _mmd(u_test, b, KERNEL_TST, aa_term, bufs),
-                             [sampler.sample(m, rng) for _ in range(min(_REP_BLOCK, cfg.n_rep - lo))],
-                             lambda: _mix_buffers(m * m))
+        vals += _par.fan_out(lambda b: _mmd(u_test, b, KERNEL_TST, aa_term),
+                             [sampler.sample(m, rng) for _ in range(min(_REP_BLOCK, cfg.n_rep - lo))])
     return float(np.mean(vals))
 
 
@@ -92,9 +91,9 @@ def vs_per_step(forecasts, x_test, r: float = 0.25) -> np.ndarray:
     Sums over all ordered component pairs the squared gap between the
     realized pairwise distance (to power r) and its predictive mean.  The
     power is taken once per unordered pair.  `_par.fan_out` scores the
-    steps one at a time, each in its task's own (n_pth, d (d - 1) / 2)
-    block, so memory stays at one such block per worker and each step's
-    score does not depend on the number of workers.
+    steps one at a time, each in a (n_pth, d (d - 1) / 2) block of its own,
+    so memory stays at one such block per worker and each step's score
+    does not depend on the number of workers.
     """
     paths, x = _paths_and_values(forecasts, x_test)
     n_t, n_pth, d = paths.shape
@@ -102,8 +101,8 @@ def vs_per_step(forecasts, x_test, r: float = 0.25) -> np.ndarray:
     # column block i of `gaps` holds the pairs (i, j > i), in triu order
     starts = np.concatenate(([0], np.cumsum(np.arange(d - 1, 0, -1))))
 
-    def score(t, bufs):
-        gaps, sim = bufs
+    def score(t):
+        gaps, sim = np.empty((n_pth, iu.size)), np.zeros((d, d))
         p, xt = paths[t], x[t]
         obs = np.abs(xt[:, None] - xt[None, :]) ** r                     # (d, d)
         for i in range(d - 1):
@@ -114,8 +113,7 @@ def vs_per_step(forecasts, x_test, r: float = 0.25) -> np.ndarray:
         return ((obs - sim) ** 2).sum()
 
     # C order keeps the axis-0 mean a row-by-row sum, as over (n_pth, d, d)
-    return np.array(_par.fan_out(score, range(n_t),
-                                 lambda: (np.empty((n_pth, iu.size)), np.zeros((d, d)))))
+    return np.array(_par.fan_out(score, range(n_t)))
 
 
 def avs(forecasts, x_test, r: float = 0.25) -> float:

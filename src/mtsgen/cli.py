@@ -103,12 +103,16 @@ def cmd_report(args) -> int:
     for path in args.metrics:
         try:
             with open(path, newline="") as fh:
-                rows.extend(list(csv.DictReader(fh)))
+                reader = csv.DictReader(fh)
+                fields, file_rows = reader.fieldnames, list(reader)
         except (OSError, UnicodeDecodeError, csv.Error) as exc:
             raise InputError(f"cannot read {path}: {exc}") from exc
-    missing = [r for r in rows if set(METRICS_HEADER) - set(r)]
-    if missing:
-        raise InputError("metrics file missing required columns")
+        if set(METRICS_HEADER) - set(fields or ()):
+            raise InputError(f"metrics file {path} is missing required columns")
+        # DictReader fills a short row with None and keys a long row's extra cells by None
+        if any(None in r or None in r.values() for r in file_rows):
+            raise InputError(f"metrics file {path} has a row with a missing or extra cell")
+        rows += file_rows
 
     # one wide table: a row per (dataset, model), a column per metric
     by_model: dict = {}

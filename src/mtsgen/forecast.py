@@ -185,7 +185,7 @@ def _paths(model: MtsModel, x: np.ndarray, filters: list, origins, n_pth: int, h
     # each margin's innovations are overwritten by its paths, so memory
     # holds one array of paths; blocks of origins keep the simulator's
     # temporaries small, which keeps them from fragmenting the heap
-    def run(unit, _):
+    def run(unit):
         j, block = unit
         p = model.margins[j].params
         state = LaggedState.at(p, x[:, j], filters[j], origins[block, None])

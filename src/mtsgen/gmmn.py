@@ -75,48 +75,31 @@ class KernelSpec:
 _EXP_ZERO_BELOW = -746.0
 
 
-class _GaussKernel:
-    """exp(-d2 / (2 s^2)) for one bandwidth at a time, in one reused buffer.
+def _gauss(nd2: np.ndarray, s: float, out: np.ndarray) -> np.ndarray:
+    """exp(-d2 / (2 s^2)) into out, from the negated squared distances nd2.
 
-    Called with the negated squared distances nd2; the returned matrix is a
-    view into the buffer, valid until the next call.  The result is bit for
-    bit that of np.exp(-d2 / (2.0 * s * s)).
+    The result is bit for bit that of np.exp(-d2 / (2.0 * s * s)).
     """
-
-    def __init__(self, size: int):
-        self._buf = np.empty(size)
-        self._keep = np.empty(size, dtype=bool)
-
-    def __call__(self, nd2: np.ndarray, s: float) -> np.ndarray:
-        k = self._buf[:nd2.size].reshape(nd2.shape)
-        np.divide(nd2, 2.0 * s * s, out=k)
-        if k.min() < _EXP_ZERO_BELOW:
-            keep = self._keep[:nd2.size].reshape(nd2.shape)
-            np.greater_equal(k, _EXP_ZERO_BELOW, out=keep)
-            np.exp(k, out=k, where=keep)
-            np.logical_not(keep, out=keep)
-            k[keep] = 0.0
-        else:
-            np.exp(k, out=k)
-        return k
+    np.divide(nd2, 2.0 * s * s, out=out)
+    if out.min() < _EXP_ZERO_BELOW:
+        keep = out >= _EXP_ZERO_BELOW
+        np.exp(out, out=out, where=keep)
+        np.logical_not(keep, out=keep)
+        out[keep] = 0.0
+    else:
+        np.exp(out, out=out)
+    return out
 
 
-def _mix_buffers(n_pairs: int) -> tuple:
-    """Buffers of :func:`_mix_mean` for up to n_pairs pairs of rows."""
-    return np.empty(n_pairs), _GaussKernel(n_pairs), np.empty(n_pairs)
-
-
-def _mix_mean(a: np.ndarray, b: np.ndarray, spec: KernelSpec, bufs: tuple | None = None) -> float:
-    """Mean of the kernel-mixture matrix between the rows of a and b, in `bufs` if given."""
-    n_pairs = len(a) * len(b)
-    d2, kern, mix = bufs or _mix_buffers(n_pairs)
-    nd2 = cdist(a, b, "sqeuclidean", out=d2[:n_pairs].reshape(len(a), len(b)))
+def _mix_mean(a: np.ndarray, b: np.ndarray, spec: KernelSpec) -> float:
+    """Mean of the kernel-mixture matrix between the rows of a and b."""
+    nd2, kern, mix = np.empty((3, len(a), len(b)))
+    cdist(a, b, "sqeuclidean", out=nd2)
     np.negative(nd2, out=nd2)
-    out = mix[:n_pairs].reshape(nd2.shape)
-    out[...] = 0.0
+    mix[...] = 0.0
     for s in spec.bandwidths:
-        out += kern(nd2, s)
-    return float(out.mean())
+        mix += _gauss(nd2, s, kern)
+    return float(mix.mean())
 
 
 def kernel_mix(u, v, spec: KernelSpec) -> float:
@@ -139,8 +122,8 @@ def mmd(a, b, spec: KernelSpec, *, aa_term: float | None = None) -> float:
     return _mmd(a, b, spec, aa_term)
 
 
-def _mmd(a, b, spec: KernelSpec, aa_term: float | None, bufs: tuple | None = None) -> float:
-    """:func:`mmd`, its kernel means in `bufs` if given."""
+def _mmd(a, b, spec: KernelSpec, aa_term: float | None) -> float:
+    """:func:`mmd` under a private name, for fan-out tasks."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
     if a.shape[0] < 1 or b.shape[0] < 1:
@@ -148,8 +131,8 @@ def _mmd(a, b, spec: KernelSpec, aa_term: float | None, bufs: tuple | None = Non
     if a.shape[1] != b.shape[1]:
         raise InputError("samples must share the same dimension")
     if aa_term is None:
-        aa_term = _mix_mean(a, a, spec, bufs)
-    sq = aa_term - 2.0 * _mix_mean(a, b, spec, bufs) + _mix_mean(b, b, spec, bufs)
+        aa_term = _mix_mean(a, a, spec)
+    sq = aa_term - 2.0 * _mix_mean(a, b, spec) + _mix_mean(b, b, spec)
     return float(np.sqrt(max(sq, 0.0)))
 
 
@@ -346,36 +329,38 @@ def nn_forward(model: GmmnModel, v, train: bool = False,
 # ---------------------------------------------------------------------------
 
 # Kernel entries per tile of the MMD step.  A tile of b generated rows holds
-# b x max(n, m) kernel entries, so one worker's buffers stay in cache and the
+# b x max(n, m) kernel entries, so a task's arrays stay in cache and the
 # step's memory does not grow with the square of the sample size.
 _TILE = 2**16
 
 
 def _mmd_tile(u: np.ndarray, g: np.ndarray, i0: int, i1: int, spec: KernelSpec,
-              bufs: tuple, grad: np.ndarray) -> np.ndarray:
+              grad: np.ndarray) -> np.ndarray:
     """Gradient rows i0:i1 into grad, and this tile's (2, n_bandwidths) kernel sums.
 
     Entries [0, j] and [1, j] are the sums of the generated-vs-generated and
     of the target-vs-generated kernel block at bandwidth j.
     """
     n, m = u.shape[0], g.shape[0]
-    kern, d_vv, d_uv = bufs
     g_b = g[i0:i1]
     b = i1 - i0
     sums = np.empty((2, len(spec.bandwidths)))
-    nd2_vv = cdist(g_b, g, "sqeuclidean", out=d_vv[:b * m].reshape(b, m))
-    nd2_uv = cdist(u, g_b, "sqeuclidean", out=d_uv[:n * b].reshape(n, b))
+    # the two distance blocks and one kernel block for either, in one array
+    block = np.empty(b * (m + n + max(n, m)))
+    nd2_vv = cdist(g_b, g, "sqeuclidean", out=block[:b * m].reshape(b, m))
+    nd2_uv = cdist(u, g_b, "sqeuclidean", out=block[b * m:b * (m + n)].reshape(n, b))
+    kern = block[b * (m + n):]
     np.negative(nd2_vv, out=nd2_vv)
     np.negative(nd2_uv, out=nd2_uv)
     grad_b = grad[i0:i1]
     for j, s in enumerate(spec.bandwidths):
         inv = 1.0 / (s * s)
         # d/dg of the generated-vs-generated double sum
-        k_vv = kern(nd2_vv, s)
+        k_vv = _gauss(nd2_vv, s, kern[:b * m].reshape(b, m))
         sums[0, j] = k_vv.sum()
         grad_b -= (2.0 / (m * m)) * inv * (k_vv.sum(axis=1)[:, None] * g_b - k_vv @ g)
         # d/dg of the cross double sum (enters the loss with factor -2)
-        k_uv = kern(nd2_uv, s)
+        k_uv = _gauss(nd2_uv, s, kern[:n * b].reshape(n, b))
         sums[1, j] = k_uv.sum()
         grad_b += (2.0 / (n * m)) * inv * (k_uv.sum(axis=0)[:, None] * g_b - k_uv.T @ u)
     return sums
@@ -388,9 +373,9 @@ def _mmd_grad_wrt_output(u: np.ndarray, g: np.ndarray, spec: KernelSpec,
     The work runs over tiles of b = _TILE // max(n, m) generated rows, at
     most m, mapped by `_par.fan_out`, which runs one task per CPU, no more
     than there are tiles.  A tile holds one block of each kernel matrix, so
-    the step needs O(workers * _TILE) memory besides its inputs and output.  Each task owns its kernel and distance
-    buffers, which `fan_out` allocates on the calling thread.  The kernel
-    sums are reduced here, in tile order, so the result depends on n,
+    the step needs O(workers * _TILE) memory besides its inputs and output.
+    Each tile's distance and kernel blocks are allocated by its task.  The
+    kernel sums are reduced here, in tile order, so the result depends on n,
     m and _TILE but not on the number of workers.  With a single tile the
     result is bit for bit that of the full kernel matrices, one bandwidth
     at a time.  Kernel entries whose exponent lies below -746 are set to
@@ -401,9 +386,8 @@ def _mmd_grad_wrt_output(u: np.ndarray, g: np.ndarray, spec: KernelSpec,
         uu_term = _mix_mean(u, u, spec)
     b = max(1, min(m, _TILE // max(n, m)))
     grad = np.zeros_like(g)
-    sums = _par.fan_out(lambda tile, bufs: _mmd_tile(u, g, *tile, spec, bufs, grad),
-                        [(i0, min(i0 + b, m)) for i0 in range(0, m, b)],
-                        lambda: (_GaussKernel(max(n, m) * b), np.empty(b * m), np.empty(n * b)))
+    sums = _par.fan_out(lambda tile: _mmd_tile(u, g, *tile, spec, grad),
+                        [(i0, min(i0 + b, m)) for i0 in range(0, m, b)])
     vv_mean = 0.0
     uv_mean = 0.0
     for vv, uv in sums:
@@ -618,7 +602,7 @@ class GmmnCopula(DependenceModel):
     def from_noise(self, noises: list, quantile_maps=None) -> list:
         """The net's outputs on each noise, ranked; one forward pass per noise,
         as a larger matrix product may round differently, fanned out over them."""
-        def ranks(z, _):
+        def ranks(z):
             return _ranks(_forward(self.model, z, train=False, mask_rng=None,
                                    update_running=False, want_cache=False)[0])
 

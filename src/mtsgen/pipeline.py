@@ -23,7 +23,7 @@ from . import _par, assess
 from .bootstrap import BootstrapMixture, bootstrap_fit
 from .dependence import (EmpiricalBetaCopula, EmpiricalCopula,
                          IndependenceCopula, pseudo_observations)
-from .errors import ConfigError, InputError
+from .errors import ConfigError, InputError, NumericalError
 from .forecast import MtsModel, QuantileMaps, _filters, _paths, rolling_var
 from .gmmn import GmmnCopula, TrainConfig, train_gmmn
 from .margins import fit_arma_garch
@@ -371,7 +371,10 @@ class PipelineResult:
 
 def run_pipeline(cfg: PipelineConfig, dataset: Dataset,
                  model: MtsModel | None = None) -> PipelineResult:
-    """Full fit -> forecast -> assess run; pass `model` to skip refitting; it names the metrics."""
+    """Full fit -> forecast -> assess run; pass `model` to skip refitting; it names the metrics.
+
+    A metric that is not finite raises NumericalError.
+    """
     if model is None:
         model = fit_mts(cfg, dataset)
     model_name = _model_name(model.dependence)
@@ -394,6 +397,9 @@ def run_pipeline(cfg: PipelineConfig, dataset: Dataset,
         f"AVS^{cfg.vs_order:g}": assess.avs(paths, x_test, cfg.vs_order),
         f"VEAR_{cfg.var_alpha:g}": assess.vear(s_actual, var_series, cfg.var_alpha),
     }
+    for k, v in values.items():
+        if not np.isfinite(v):
+            raise NumericalError(f"metric {k} is {v!r}, not finite")
     metrics = [
         {"dataset": dataset.name, "model": model_name, "metric": k,
          "value": repr(v), "n_pth": cfg.n_pth, "n_rep": cfg.n_rep,

@@ -61,11 +61,11 @@ def threads_of(call, monkeypatch) -> set:
     ran_on = set()
     fan_out = _par.fan_out
 
-    def spy(fn, items, buffers=lambda: None):
-        def traced(item, buf):
+    def spy(fn, items):
+        def traced(item):
             ran_on.add(threading.current_thread())
-            return fn(item, buf)
-        return fan_out(traced, items, buffers)
+            return fn(item)
+        return fan_out(traced, items)
 
     monkeypatch.setattr(_par, "fan_out", spy)
     CALLS[call]()
@@ -90,56 +90,30 @@ def test_no_thread_outlives_avs(monkeypatch):
     assert not [t for t in ran_on if t.is_alive() and t is not threading.current_thread()]
 
 
-def test_buffers_made_on_the_calling_thread(monkeypatch):
-    monkeypatch.setattr(_par, "_WORKERS", 3)
-    made_on = []
-
-    def buffers():
-        made_on.append(threading.current_thread())
-        return len(made_on) - 1   # the task the buffers are for
-
-    out = _par.fan_out(lambda item, buf: (item, buf), range(10), buffers)
-    assert made_on == [threading.current_thread()] * 3
-    assert out == [(i, i % 3) for i in range(10)]
-
-
 @pytest.mark.parametrize("workers", [1, 2, 3])
-def test_results_in_item_order_in_task_buffers(workers, monkeypatch):
+def test_results_in_item_order(workers, monkeypatch):
     monkeypatch.setattr(_par, "_WORKERS", workers)
-    made = []
-
-    def buffers():
-        made.append([])
-        return made[-1]
-
-    def fn(item, buf):
-        buf.append(item)
-        return item * item, threading.current_thread()
-
-    out = _par.fan_out(fn, range(7), buffers)
+    out = _par.fan_out(lambda item: (item * item, threading.current_thread()), range(7))
     assert [sq for sq, _ in out] == [i * i for i in range(7)]
-    # item i ran in task i % n_tasks's buffers, on one thread per task
-    assert made == [list(range(w, 7, workers)) for w in range(workers)]
-    assert len({t for _, t in out}) == workers
-    assert {t for i, (_, t) in enumerate(out) if i % workers == 0} == {threading.current_thread()}
+    # item i ran in task i % n_tasks, on one thread per task, task 0 on the caller
+    tasks = [{t for i, (_, t) in enumerate(out) if i % workers == w} for w in range(workers)]
+    assert [len(ts) for ts in tasks] == [1] * workers
+    assert len(set.union(*tasks)) == workers
+    assert tasks[0] == {threading.current_thread()}
 
 
 def test_no_items_start_no_thread(monkeypatch):
     monkeypatch.setattr(_par, "_WORKERS", 3)
     started = []
     monkeypatch.setattr(_par.threading, "Thread", lambda *a, **kw: started.append(a))
-
-    def buffers():
-        raise AssertionError("buffers made for no items")
-
-    assert _par.fan_out(lambda item, buf: item, [], buffers) == []
+    assert _par.fan_out(lambda item: item, []) == []
     assert started == []
 
 
 def test_one_task_for_one_block(monkeypatch):
     monkeypatch.setattr(_par, "_WORKERS", 3)
     seen = []
-    assert _par.fan_out(lambda item, buf: seen.append(threading.current_thread()), [7]) == [None]
+    assert _par.fan_out(lambda item: seen.append(threading.current_thread()), [7]) == [None]
     assert seen == [threading.current_thread()]
 
 
@@ -149,7 +123,7 @@ def test_first_error_reraised_after_join(failing, monkeypatch):
     before = set(threading.enumerate())
     done = []
 
-    def fn(item, buf):
+    def fn(item):
         if item >= failing:
             raise ValueError(f"task {item}")
         done.append(item)

@@ -20,7 +20,8 @@ from mtsgen import (ArmaGarchParams, ConfigError, InputError, MarginalFitResult,
                     forecast_paths, load_dataset, load_model, run_pipeline, save_model)
 from mtsgen.datagen import GaussianCopulaSampler, equicorrelation, simulate_mts
 from mtsgen.dependence import IndependenceCopula
-from mtsgen.pipeline import Dataset, fit_mts, rolling_forecasts, write_metrics
+from mtsgen.pipeline import (METRICS_HEADER, Dataset, fit_mts, rolling_forecasts,
+                             write_metrics)
 
 # the CLI tests' child processes import the working tree's mtsgen, installed or not
 CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -904,6 +905,69 @@ class TestZeroGarchOrders:
         assert code == 0
         with open(out, newline="") as fh:
             assert all(np.isfinite(float(row["value"])) for row in csv.DictReader(fh))
+
+
+class TestNonFiniteMetric:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_cli_assess_exits_3_and_writes_nothing(self, tmp_path, capsys):
+        # an AVS order of 1e6 overflows the powered gaps, and AVS comes out NaN
+        from mtsgen.cli import main
+        params = [ArmaGarchParams(mu=0.0, phi=[0.2], gamma=[0.1], omega=0.05,
+                                  alpha=[0.1], beta=[0.8], nu=6.0)] * 3
+        data, config, out = tmp_path / "x.csv", tmp_path / "c.json", tmp_path / "metrics.csv"
+        write_csv(data, simulate_mts(params, GaussianCopulaSampler(equicorrelation(3, 0.5)),
+                                     300, np.random.default_rng(0)))
+        config.write_text(json.dumps({"vs_order": 1e6, "n_pth": 50, "n_rep": 2}))
+        code = main(["assess", "--data", str(data), "--seed", "0", "--config", str(config),
+                     "--out", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err == "numerical failure: metric AVS^1e+06 is nan, not finite\n"
+        assert not out.exists()
+
+
+def metrics_row(dataset, model, metric, value) -> dict:
+    return {"dataset": dataset, "model": model, "metric": metric, "value": value,
+            "n_pth": 10, "n_rep": 2, "seed": 1, "config_hash": "h"}
+
+
+class TestReport:
+    def test_merge(self, tmp_path, capsys):
+        from mtsgen.cli import main
+        first, second, out = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "report.csv"
+        write_metrics([metrics_row("B", "gmmn", "AMSE", "4.0"),
+                       metrics_row("B", "gmmn", "AMMD", "3.0"),
+                       metrics_row("A", "gmmn", "AMMD", "1.0"),
+                       metrics_row("A", "gmmn", "AMSE", "2.0")], first)
+        # the empirical model has no AMSE
+        write_metrics([metrics_row("A", "empirical", "AMMD", "5.0")], second)
+        assert main(["report", str(first), str(second), "--out", str(out)]) == 0
+        want = [["dataset", "model", "AMMD", "AMSE"],
+                ["A", "empirical", "5.0", ""],
+                ["A", "gmmn", "1.0", "2.0"],
+                ["B", "gmmn", "3.0", "4.0"]]
+        printed = capsys.readouterr().out.splitlines()
+        assert printed == ["\t".join(row) for row in want] + [f"report table written to {out}"]
+        with open(out, newline="") as fh:
+            assert list(csv.reader(fh)) == want
+
+    @pytest.mark.parametrize("row", ["A,gmmn,AMMD", "A,gmmn,AMMD,1.0,10,2,1,h,extra"],
+                             ids=["short", "long"])
+    def test_row_with_missing_or_extra_cell(self, tmp_path, capsys, row):
+        from mtsgen.cli import main
+        path = tmp_path / "m.csv"
+        path.write_text(",".join(METRICS_HEADER) + "\n" + row + "\n")
+        assert main(["report", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: metrics file {path} has a row with a missing or extra cell\n")
+
+    def test_empty_file(self, tmp_path, capsys):
+        from mtsgen.cli import main
+        path = tmp_path / "m.csv"
+        path.write_text("")
+        assert main(["report", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: metrics file {path} is missing required columns\n"
 
 
 class TestUnwritableOut:
