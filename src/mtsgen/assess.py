@@ -8,7 +8,7 @@ import numpy as np
 
 from . import _par
 from .dependence import DependenceModel
-from .errors import ConfigError, InputError
+from .errors import ConfigError, InputError, is_integer
 from .gmmn import KernelSpec, _mix_mean, _mmd
 
 __all__ = [
@@ -33,8 +33,8 @@ class AssessConfig:
     n_rep: int = 100
 
     def __post_init__(self):
-        if self.n_rep < 1:
-            raise ConfigError("n_rep must be >= 1")
+        if not is_integer(self.n_rep) or self.n_rep < 1:
+            raise ConfigError(f"n_rep={self.n_rep!r} must be an integer of at least 1")
 
 
 def ammd(u_test, sampler: DependenceModel, cfg: AssessConfig,
@@ -104,13 +104,16 @@ def vs_per_step(forecasts, x_test, r: float = 0.25) -> np.ndarray:
     def score(t):
         gaps, sim = np.empty((n_pth, iu.size)), np.zeros((d, d))
         p, xt = paths[t], x[t]
-        obs = np.abs(xt[:, None] - xt[None, :]) ** r                     # (d, d)
-        for i in range(d - 1):
-            np.subtract(p[:, i:i + 1], p[:, i + 1:], out=gaps[:, starts[i]:starts[i + 1]])
-        np.abs(gaps, out=gaps)
-        gaps **= r
-        sim[iu, ju] = sim[ju, iu] = gaps.mean(axis=0)
-        return ((obs - sim) ** 2).sum()
+        # a large r may overflow to a NaN score, which the caller reports; errstate is
+        # per thread, so each task sets its own
+        with np.errstate(over="ignore", invalid="ignore"):
+            obs = np.abs(xt[:, None] - xt[None, :]) ** r                 # (d, d)
+            for i in range(d - 1):
+                np.subtract(p[:, i:i + 1], p[:, i + 1:], out=gaps[:, starts[i]:starts[i + 1]])
+            np.abs(gaps, out=gaps)
+            gaps **= r
+            sim[iu, ju] = sim[ju, iu] = gaps.mean(axis=0)
+            return ((obs - sim) ** 2).sum()
 
     # C order keeps the axis-0 mean a row-by-row sum, as over (n_pth, d, d)
     return np.array(_par.fan_out(score, range(n_t)))

@@ -1,4 +1,6 @@
-"""Shared exception types."""
+"""Shared exception types, and the integer rule that configs and models check."""
+
+import numpy as np
 
 
 class MtsgenError(Exception):
@@ -15,3 +17,11 @@ class NumericalError(MtsgenError):
 
 class ConfigError(InputError):
     """Invalid configuration."""
+
+
+def is_integer(v) -> bool:
+    """Whether `v` is an int or NumPy integer and not a bool.
+
+    JSON `true` loads as a Python int, but it is no count.
+    """
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import _par
 from .dependence import DependenceModel
-from .errors import InputError
+from .errors import InputError, is_integer
 from .margins import LaggedState, _simulate, arma_garch_filter, scaled_t_quantile
 from .pca import PcaTransform, lift
 
@@ -117,7 +117,7 @@ class MtsModel:
     def __post_init__(self):
         from .bootstrap import BootstrapMixture   # bootstrap imports QuantileMaps from here
 
-        if type(self.tau) is bool or not isinstance(self.tau, (int, np.integer)) or self.tau < 1:
+        if not is_integer(self.tau) or self.tau < 1:
             raise InputError(f"tau={self.tau!r} must be a positive integer")
         qm = self.quantile_maps
         if isinstance(self.dependence, BootstrapMixture) != (qm is None):

@@ -20,7 +20,7 @@ from scipy.spatial.distance import cdist
 
 from . import _par
 from .dependence import DependenceModel, _on_grid, _ranks
-from .errors import ConfigError, InputError, NumericalError
+from .errors import ConfigError, InputError, NumericalError, is_integer
 
 __all__ = [
     "KernelSpec",
@@ -498,12 +498,16 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_epo < 1:
-            raise ConfigError(f"n_epo={self.n_epo} must be at least 1")
-        if self.n_bat is not None and self.n_bat < 2:
-            raise ConfigError(f"n_bat={self.n_bat} must be at least 2")
-        if len(self.hidden_dims) == 0 or any(h < 1 for h in self.hidden_dims):
-            raise ConfigError("hidden_dims must be a nonempty list of positive sizes")
+        if not is_integer(self.n_epo) or self.n_epo < 1:
+            raise ConfigError(f"n_epo={self.n_epo!r} must be an integer of at least 1")
+        if self.n_bat is not None and (not is_integer(self.n_bat) or self.n_bat < 2):
+            raise ConfigError(f"n_bat={self.n_bat!r} must be null or an integer of at least 2")
+        dims = self.hidden_dims
+        if (not isinstance(dims, (tuple, list, np.ndarray)) or len(dims) == 0
+                or any(not is_integer(h) or h < 1 for h in dims)):
+            raise ConfigError("hidden_dims must be a nonempty list of positive integer sizes")
+        if not is_integer(self.seed) or self.seed < 0:
+            raise ConfigError(f"seed={self.seed!r} must be a nonnegative integer")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError(f"dropout_rate={self.dropout_rate} must lie in [0, 1)")
 

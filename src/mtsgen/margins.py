@@ -478,30 +478,18 @@ class _Transform:
                                beta=rows.beta[0], nu=float(rows.nu[0]))
 
     def starts(self, x: np.ndarray, v: float) -> list[np.ndarray]:
-        """The 3 deterministic initial points for series `x` with sample variance `v`."""
-        p1, q1, p2, q2 = self.p1, self.q1, self.p2, self.q2
-        m0 = 0.0 if self.fix_mu_zero else float(np.mean(x))
+        """The 3 deterministic initial points for series `x` with sample variance `v`,
+        written in the optimiser's coordinates, the inverse of :meth:`to_rows`."""
+        head = [] if self.fix_mu_zero else [float(np.mean(x))]
 
         def start(total_ab, arch_share, phi0, nu0):
-            alpha = np.full(p2, total_ab * arch_share / max(p2, 1))
-            beta = np.full(q2, total_ab * (1 - arch_share) / max(q2, 1))
-            return self.from_params(ArmaGarchParams(
-                mu=m0, phi=np.full(p1, phi0), gamma=np.zeros(q1),
-                omega=v * (1.0 - total_ab), alpha=alpha, beta=beta, nu=nu0))
+            frac = np.concatenate([np.full(self.p2, total_ab * arch_share / max(self.p2, 1)),
+                                   np.full(self.q2, total_ab * (1 - arch_share) / max(self.q2, 1))])
+            return np.concatenate([head, np.arctanh(np.full(self.p1, phi0)), np.zeros(self.q1),
+                                   [math.log(v * (1.0 - total_ab))],
+                                   np.log(frac / (1.0 - frac.sum())), [math.log(nu0 - 2.0)]])
 
         return [start(0.9, 0.10, 0.1, 6.0), start(0.5, 0.30, 0.0, 10.0), start(0.2, 0.50, 0.3, 4.0)]
-
-    def from_params(self, p: ArmaGarchParams) -> np.ndarray:
-        out = [] if self.fix_mu_zero else [p.mu]
-        out.extend(np.arctanh(np.clip(p.phi, -0.999, 0.999)))
-        out.extend(np.arctanh(np.clip(p.gamma, -0.999, 0.999)))
-        out.append(math.log(p.omega))
-        frac = np.concatenate([p.alpha, p.beta])
-        frac = np.clip(frac, 1e-8, None)
-        rest = max(1.0 - frac.sum(), 1e-8)
-        out.extend(np.log(frac / rest))
-        out.append(math.log(max(p.nu - 2.0, 1e-8)))
-        return np.array(out)
 
 
 def _neg_loglik(trans: _Transform, thetas: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -557,9 +545,12 @@ def fit_arma_garch(x, orders=(1, 1, 1, 1), fix_mu_zero: bool = False) -> Margina
         raise InputError(f"need at least 50 observations to fit, got {len(x)}")
     if not np.all(np.isfinite(x)):
         raise InputError("x contains non-finite values")
-    v = float(np.var(x, ddof=1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = float(np.var(x, ddof=1))
     if v <= 0.0:
         raise NumericalError("series has zero sample variance")
+    if not np.finfo(float).tiny <= v < math.inf:   # the starts take log(v / 10)
+        raise NumericalError(f"series sample variance {v!r} is subnormal or overflows")
 
     trans = _Transform(orders, fix_mu_zero)
     best = None

@@ -23,7 +23,7 @@ from . import _par, assess
 from .bootstrap import BootstrapMixture, bootstrap_fit
 from .dependence import (EmpiricalBetaCopula, EmpiricalCopula,
                          IndependenceCopula, pseudo_observations)
-from .errors import ConfigError, InputError, NumericalError
+from .errors import ConfigError, InputError, NumericalError, is_integer
 from .forecast import MtsModel, QuantileMaps, _filters, _paths, rolling_var
 from .gmmn import GmmnCopula, TrainConfig, train_gmmn
 from .margins import fit_arma_garch
@@ -67,11 +67,20 @@ class Dataset:
     tau: int
 
     def __post_init__(self):
-        if (type(self.tau) is bool or not isinstance(self.tau, (int, np.integer))
-                or not 0 < self.tau < self.values.shape[0]):
+        x = self.values
+        if not (isinstance(x, np.ndarray) and x.dtype.kind in "fiu" and x.ndim == 2
+                and x.shape[1] >= 1):
+            raise InputError("values must be a real (observations, series) array "
+                             "with at least one series")
+        if not np.isfinite(x).all():
+            row, col = np.argwhere(~np.isfinite(x))[0]
+            raise InputError(f"non-finite value at observation {row}, series {col}")
+        if len(self.columns) != x.shape[1]:
+            raise InputError(f"{len(self.columns)} column names for {x.shape[1]} series")
+        if not is_integer(self.tau) or not 0 < self.tau < x.shape[0]:
             raise InputError(
                 f"training cut tau={self.tau!r} must be an integer strictly inside "
-                f"the {self.values.shape[0]} observations")
+                f"the {x.shape[0]} observations")
 
     @property
     def d(self) -> int:
@@ -86,7 +95,8 @@ def _apply_transform(raw: np.ndarray, transform: str) -> np.ndarray:
     if transform == "none":
         return raw
     if transform == "difference":
-        return np.diff(raw, axis=0)
+        with np.errstate(over="ignore"):   # Dataset refuses the infinite differences
+            return np.diff(raw, axis=0)
     if transform == "log_returns":
         if np.any(raw <= 0.0):
             bad = np.argwhere(raw <= 0.0)[0]
@@ -173,25 +183,22 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self):
-        def integer(v):   # JSON true is a Python int, but no count
-            return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-
         def real(v):
             return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
         if self.dependence not in DEPENDENCE_KINDS:
             raise ConfigError(f"dependence must be one of {DEPENDENCE_KINDS}")
-        if len(self.orders) != 4 or any(not integer(o) or o < 0 for o in self.orders):
+        if len(self.orders) != 4 or any(not is_integer(o) or o < 0 for o in self.orders):
             raise ConfigError("orders must be four nonnegative integers")
         for key in ("fix_mu_zero", "pca_enabled"):
             if not isinstance(getattr(self, key), bool):
                 raise ConfigError(f"{key} must be true or false")
         for key in ("n_pth", "n_rep", "pca_k_min", "bootstrap_n_bt", "gmmn_n_epo", "seed"):
-            if not integer(getattr(self, key)):
+            if not is_integer(getattr(self, key)):
                 raise ConfigError(f"{key} must be an integer")
-        if not (self.gmmn_n_bat is None or integer(self.gmmn_n_bat)):
+        if not (self.gmmn_n_bat is None or is_integer(self.gmmn_n_bat)):
             raise ConfigError("gmmn_n_bat must be an integer or null")
-        if not all(integer(h) for h in self.gmmn_hidden_dims):
+        if not all(is_integer(h) for h in self.gmmn_hidden_dims):
             raise ConfigError("gmmn_hidden_dims must hold integers")
         for key in ("pca_threshold", "gmmn_dropout", "vs_order", "var_alpha"):
             if not real(getattr(self, key)):
@@ -201,7 +208,7 @@ class PipelineConfig:
             v = getattr(self, key)
             if isinstance(v, (tuple, list)):
                 object.__setattr__(self, key, tuple(int(h) for h in v))
-            elif integer(v):
+            elif is_integer(v):
                 object.__setattr__(self, key, int(v))
             elif real(v):
                 object.__setattr__(self, key, float(v))

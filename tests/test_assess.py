@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mtsgen import (_par, AssessConfig, EmpiricalCopula, IndependenceCopula,
+from mtsgen import (_par, AssessConfig, ConfigError, EmpiricalCopula, IndependenceCopula,
                     InputError, ammd, amse, avs, vear, pseudo_observations)
 from mtsgen.assess import KERNEL_TST, mse_per_step, vs_per_step
 from mtsgen.datagen import GaussianCopulaSampler, equicorrelation
@@ -30,6 +30,14 @@ class TestAssessConfig:
     def test_validation(self):
         with pytest.raises(InputError):
             AssessConfig(n_rep=0)
+
+    @pytest.mark.parametrize("n_rep", [2.5, 2.0, True, "3"])
+    def test_n_rep_must_be_an_integer(self, n_rep):
+        with pytest.raises(ConfigError, match="integer"):
+            AssessConfig(n_rep=n_rep)
+
+    def test_numpy_integer_n_rep_accepted(self):
+        assert AssessConfig(n_rep=np.int64(3)).n_rep == 3
 
 
 class TestAmmd:

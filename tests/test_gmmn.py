@@ -208,6 +208,19 @@ class TestTrainConfig:
         with pytest.raises(ConfigError):
             TrainConfig(**bad)
 
+    @pytest.mark.parametrize("bad", [
+        {"n_epo": 2.5}, {"n_epo": True}, {"n_bat": 5.0}, {"n_bat": True},
+        {"hidden_dims": (2.5,)}, {"hidden_dims": (True,)}, {"hidden_dims": 4},
+        {"seed": 1.0}, {"seed": -1}])
+    def test_non_integer_counts_rejected(self, bad):
+        with pytest.raises(ConfigError, match="integer"):
+            TrainConfig(**bad)
+
+    def test_numpy_integers_accepted(self):
+        cfg = TrainConfig(n_epo=np.int64(2), n_bat=np.int32(4), hidden_dims=(np.int16(3),),
+                          seed=np.uint64(7))
+        assert (cfg.n_epo, cfg.n_bat, cfg.hidden_dims, cfg.seed) == (2, 4, (3,), 7)
+
     @pytest.mark.parametrize("rows", [0, 1])
     def test_fewer_than_two_rows_rejected(self, rows):
         with pytest.raises(InputError):

@@ -525,6 +525,52 @@ class TestBatchedLikelihood:
         assert np.array_equal(got, want, equal_nan=True)
 
 
+# the starts for x = 0.7 N(0, 1) + 0.1 (default_rng(0), n = 300), with mu = mean(x) first
+START_PINS = {
+    (1, 1, 1, 1): [
+        [0.07492815498802556, 0.10033534773107558, 0.0, -2.9772707019657547,
+         -0.1053605156578259, 2.0918640616783937, 1.3862943611198906],
+        [0.07492815498802556, 0.0, 0.0, -1.367832789531654,
+         -1.2039728043259361, -0.35667494393873245, 2.0794415416798357],
+        [0.07492815498802556, 0.3095196042031117, 0.0, -0.8978291602859184,
+         -2.0794415416798357, -2.0794415416798357, 0.6931471805599453]],
+    (2, 1, 1, 2): [
+        [0.07492815498802556, 0.10033534773107558, 0.10033534773107558, 0.0,
+         -2.9772707019657547, -0.1053605156578248, 1.3987168811184492, 1.3987168811184492,
+         1.3862943611198906],
+        [0.07492815498802556, 0.0, 0.0, 0.0, -1.367832789531654, -1.2039728043259361,
+         -1.0498221244986778, -1.0498221244986778, 2.0794415416798357],
+        [0.07492815498802556, 0.3095196042031117, 0.3095196042031117, 0.0,
+         -0.8978291602859184, -2.0794415416798357, -2.772588722239781, -2.772588722239781,
+         0.6931471805599453]],
+    (0, 0, 0, 0): [
+        [0.07492815498802556, -2.9772707019657547, 1.3862943611198906],
+        [0.07492815498802556, -1.367832789531654, 2.0794415416798357],
+        [0.07492815498802556, -0.8978291602859184, 0.6931471805599453]],
+}
+
+
+class TestStarts:
+    @pytest.mark.parametrize("orders", sorted(START_PINS))
+    @pytest.mark.parametrize("fix_mu_zero", [False, True])
+    def test_pinned(self, orders, fix_mu_zero):
+        # with mu fixed at 0 a start drops its mu entry, and nothing else changes
+        x = np.random.default_rng(0).standard_normal(300) * 0.7 + 0.1
+        got = _Transform(orders, fix_mu_zero).starts(x, float(np.var(x, ddof=1)))
+        want = [np.array(s[1:] if fix_mu_zero else s) for s in START_PINS[orders]]
+        assert len(got) == 3
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype == np.float64
+            assert np.array_equal(g, w)
+
+    @pytest.mark.parametrize("scale, what", [(1e200, "overflows"), (3e-162, "subnormal")])
+    def test_variance_outside_the_normal_range_raises(self, scale, what):
+        # log(v / 10) of such a variance is not finite; the fit refuses it, without a warning
+        x = np.random.default_rng(0).standard_normal(100) * scale
+        with pytest.raises(NumericalError, match=what):
+            fit_arma_garch(x)
+
+
 def point_value(trans, x):
     """-loglik at one point, from a 1-row pass."""
     return lambda theta: _neg_loglik(trans, theta[None], x)[0]

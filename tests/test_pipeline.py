@@ -106,6 +106,37 @@ class TestLoadDataset:
                      columns=["a"], transform="none", tau=np.int64(60))
         assert ds.values[:ds.tau].shape == (60, 1)
 
+    @pytest.mark.parametrize("values, columns, match", [
+        (np.ones(80), ["a"], "with at least one series"),
+        (np.ones((80, 0)), [], "with at least one series"),
+        (np.ones((80, 1), dtype=bool), ["a"], "real"),
+        (np.ones((80, 1)).tolist(), ["a"], "real"),
+        (np.where(np.arange(80) == 70, np.nan, 1.0)[:, None], ["a"], "observation 70, series 0"),
+        (np.where(np.arange(80) == 5, -np.inf, 1.0)[:, None], ["a"], "observation 5, series 0"),
+        (np.ones((80, 2)), ["a"], "1 column names for 2 series"),
+        (np.ones((80, 1)), ["a", "b"], "2 column names for 1 series"),
+    ], ids=["1d", "no_series", "bool", "list", "nan_test_row", "inf_train_row",
+            "short_columns", "long_columns"])
+    def test_bad_series_rejected(self, values, columns, match):
+        with pytest.raises(InputError, match=match):
+            Dataset(name="x", times=list(range(80)), values=values,
+                    columns=columns, transform="none", tau=60)
+
+    def test_overflowing_test_row_refused_before_any_fit(self, tmp_path, monkeypatch, capsys):
+        # the differenced last row overflows to -inf, in the test period that no margin fit reads
+        from mtsgen import _par, pipeline
+        from mtsgen.cli import main
+        monkeypatch.setattr(_par, "_WORKERS", 1)   # the fits run, if at all, in this process
+        fits = []
+        monkeypatch.setattr(pipeline, "fit_arma_garch", lambda *a, **kw: fits.append(a))
+        x = np.random.default_rng(0).standard_normal((120, 2))
+        x[-2:, 1] = [1e308, -1e308]
+        write_csv(tmp_path / "x.csv", x)
+        code = main(["fit", "--data", str(tmp_path / "x.csv"), "--seed", "0",
+                     "--transform", "difference", "--out", str(tmp_path / "m.npz")])
+        assert code == 2 and fits == []
+        assert "non-finite value at observation 118, series 1" in capsys.readouterr().err
+
 
 class TestPipelineConfig:
     def test_round_trip_dict(self):
@@ -908,7 +939,6 @@ class TestZeroGarchOrders:
 
 
 class TestNonFiniteMetric:
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_cli_assess_exits_3_and_writes_nothing(self, tmp_path, capsys):
         # an AVS order of 1e6 overflows the powered gaps, and AVS comes out NaN
         from mtsgen.cli import main
