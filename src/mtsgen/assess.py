@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,6 +96,8 @@ def vs_per_step(forecasts, x_test, r: float = 0.25) -> np.ndarray:
     so memory stays at one such block per worker and each step's score
     does not depend on the number of workers.
     """
+    if not 0.0 < r < math.inf:
+        raise InputError(f"variogram order r={r!r} must be positive and finite")
     paths, x = _paths_and_values(forecasts, x_test)
     n_t, n_pth, d = paths.shape
     iu, ju = np.triu_indices(d, k=1)

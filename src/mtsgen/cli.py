@@ -35,18 +35,10 @@ def _build_config(args) -> PipelineConfig:
             raise InputError(f"cannot read config {args.config}: {exc}") from exc
         if not isinstance(cfg_dict, dict):
             raise ConfigError(f"config {args.config} must hold a JSON object")
-    overrides = {
-        "dependence": getattr(args, "dependence", None),
-        "pca_enabled": getattr(args, "pca", None),
-        "n_pth": getattr(args, "n_pth", None),
-        "n_rep": getattr(args, "n_rep", None),
-        "bootstrap_n_bt": getattr(args, "n_bt", None),
-        "gmmn_n_epo": getattr(args, "epochs", None),
-    }
-    for key, val in overrides.items():
-        if val is not None:
-            cfg_dict[key] = val
-    cfg_dict["seed"] = args.seed
+    # each override flag stores under its config key; an unset one is None
+    for key in PipelineConfig.__dataclass_fields__:
+        if getattr(args, key, None) is not None:
+            cfg_dict[key] = getattr(args, key)
     return PipelineConfig.from_dict(cfg_dict)
 
 
@@ -140,10 +132,10 @@ def _add_common(p):
     p.add_argument("--tau", type=int, help="training cut (default: 70%% of rows)")
     p.add_argument("--dataset-name", help="label used in the metrics table")
     p.add_argument("--dependence", choices=DEPENDENCE_KINDS)
-    p.add_argument("--pca", action="store_const", const=True, default=None)
+    p.add_argument("--pca", action="store_const", const=True, dest="pca_enabled")
     p.add_argument("--n-pth", type=int, dest="n_pth")
     p.add_argument("--n-rep", type=int, dest="n_rep")
-    p.add_argument("--epochs", type=int)
+    p.add_argument("--epochs", type=int, dest="gmmn_n_epo", metavar="EPOCHS")
     p.add_argument("--out", required=True)
     _add_verbose(p)
 
@@ -165,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bootstrap", help="fit a bootstrap mixture of dependence models")
     _add_common(p)
-    p.add_argument("--n-bt", type=int, dest="n_bt", required=True)
+    p.add_argument("--n-bt", type=int, dest="bootstrap_n_bt", metavar="N_BT", required=True)
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("forecast", help="rolling one-step predictive paths")

@@ -166,6 +166,9 @@ def _paths(model: MtsModel, x: np.ndarray, filters: list, origins, n_pth: int, h
     and a lift per origin (a matrix product over more rows may round
     differently).  The recursions fan out over (margin, block) slices.
     """
+    for name, v in (("n_pth", n_pth), ("h", h)):
+        if not is_integer(v) or v < 1:
+            raise InputError(f"{name}={v!r} must be an integer of at least 1")
     origins = np.asarray(origins)
     lag = max(max(m.params.orders) for m in model.margins)
     if origins.min() < lag:
@@ -213,6 +216,8 @@ def forecast_paths(model: MtsModel, history, n_pth: int, h: int,
 def var_forecast(aggregates, alpha: float) -> float:
     """Empirical alpha-quantile of the aggregate predictive sample (lower convention)."""
     agg = np.sort(np.asarray(aggregates, dtype=float))
+    if agg.ndim != 1 or agg.size == 0:
+        raise InputError("the aggregate sample must be a nonempty 1-d array")
     if not 0.0 < alpha < 1.0:
         raise InputError("alpha must lie in (0, 1)")
     return float(empirical_quantile(agg, alpha))
@@ -220,4 +225,7 @@ def var_forecast(aggregates, alpha: float) -> float:
 
 def rolling_var(paths, alpha: float) -> np.ndarray:
     """VaR forecast at each origin of (n_t, n_pth, d) one-step paths."""
+    paths = np.asarray(paths)
+    if paths.ndim != 3:
+        raise InputError(f"paths must have shape (n_t, n_pth, d), not {paths.shape}")
     return np.array([var_forecast(p.sum(axis=1), alpha) for p in paths])

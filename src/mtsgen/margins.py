@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy import optimize, signal, special, stats
 
-from .errors import InputError, NumericalError
+from .errors import InputError, NumericalError, is_integer
 
 __all__ = [
     "ArmaGarchParams",
@@ -529,6 +529,12 @@ def _value_and_gradient(theta: np.ndarray, trans: _Transform, x: np.ndarray):
     return f[0], (f[1:] - f[0]) / ((theta + step) - theta)
 
 
+def valid_orders(orders) -> bool:
+    """Whether `orders` is a sequence of four nonnegative integers (p1, q1, p2, q2)."""
+    return (isinstance(orders, (tuple, list, np.ndarray)) and len(orders) == 4
+            and all(is_integer(o) and o >= 0 for o in orders))
+
+
 def fit_arma_garch(x, orders=(1, 1, 1, 1), fix_mu_zero: bool = False) -> MarginalFitResult:
     """Fit by constrained maximum likelihood (scaled-t innovations).
 
@@ -541,6 +547,10 @@ def fit_arma_garch(x, orders=(1, 1, 1, 1), fix_mu_zero: bool = False) -> Margina
     same as with one call per point.
     """
     x = np.asarray(x, dtype=float)
+    if x.ndim != 1:
+        raise InputError(f"x must be a 1-d series, not of shape {x.shape}")
+    if not valid_orders(orders):
+        raise InputError(f"orders={orders!r} must be four nonnegative integers")
     if len(x) < 50:
         raise InputError(f"need at least 50 observations to fit, got {len(x)}")
     if not np.all(np.isfinite(x)):

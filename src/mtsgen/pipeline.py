@@ -26,7 +26,7 @@ from .dependence import (EmpiricalBetaCopula, EmpiricalCopula,
 from .errors import ConfigError, InputError, NumericalError, is_integer
 from .forecast import MtsModel, QuantileMaps, _filters, _paths, rolling_var
 from .gmmn import GmmnCopula, TrainConfig, train_gmmn
-from .margins import fit_arma_garch
+from .margins import fit_arma_garch, valid_orders
 from .pca import PcaTransform, fit_pca, project, select_k
 
 __all__ = [
@@ -188,7 +188,7 @@ class PipelineConfig:
 
         if self.dependence not in DEPENDENCE_KINDS:
             raise ConfigError(f"dependence must be one of {DEPENDENCE_KINDS}")
-        if len(self.orders) != 4 or any(not is_integer(o) or o < 0 for o in self.orders):
+        if not valid_orders(self.orders):
             raise ConfigError("orders must be four nonnegative integers")
         for key in ("fix_mu_zero", "pca_enabled"):
             if not isinstance(getattr(self, key), bool):
@@ -206,7 +206,7 @@ class PipelineConfig:
         # NumPy scalars as Python numbers, which the canonical JSON can hold
         for key in self.__dataclass_fields__:
             v = getattr(self, key)
-            if isinstance(v, (tuple, list)):
+            if isinstance(v, (tuple, list, np.ndarray)):
                 object.__setattr__(self, key, tuple(int(h) for h in v))
             elif is_integer(v):
                 object.__setattr__(self, key, int(v))

@@ -27,75 +27,75 @@ from .pca import PcaTransform
 __all__ = ["save_model", "load_model", "FORMAT_VERSION"]
 
 FORMAT_VERSION = "mtsgen-model-v1"
-# the rank copulas, each stored as its integer ranks
-_RANK_COPULA = {"empirical": EmpiricalCopula, "empirical_beta": EmpiricalBetaCopula}
-_RANK_KIND = {cls: kind for kind, cls in _RANK_COPULA.items()}
+# each dependence kind of the file and the class it stores, matched exactly
+# both ways: a beta copula is an EmpiricalCopula too, and a subclass would
+# load back as its parent
+_KINDS = {"independence": IndependenceCopula, "empirical": EmpiricalCopula,
+          "empirical_beta": EmpiricalBetaCopula, "gmmn_copula": GmmnCopula,
+          "bootstrap_mixture": BootstrapMixture}
+_KIND_OF = {cls: kind for kind, cls in _KINDS.items()}
+# the net's per-layer arrays: GmmnModel field, key stem, and whether only
+# the hidden layers (batch norm) carry it
+_NET = (("weights", "w", False), ("biases", "b", False),
+        ("bn_scale", "bn_scale", True), ("bn_shift", "bn_shift", True),
+        ("bn_mean", "bn_mean", True), ("bn_var", "bn_var", True))
+# a margin's lag coefficients are arrays, its other parameters metadata
+_LAGS = ("phi", "gamma", "alpha", "beta")
+_SCALARS = ("mu", "omega", "nu")
 
 
-def _pack_gmmn(prefix: str, model: GmmnModel, arrays: dict, meta: dict) -> None:
-    meta[prefix] = {"layer_dims": list(model.layer_dims),
-                    "dropout_rate": model.dropout_rate}
-    for l, (w, b) in enumerate(zip(model.weights, model.biases)):
-        arrays[f"{prefix}/w{l}"] = w
-        arrays[f"{prefix}/b{l}"] = b
-    for l in range(model.n_hidden):
-        arrays[f"{prefix}/bn_scale{l}"] = model.bn_scale[l]
-        arrays[f"{prefix}/bn_shift{l}"] = model.bn_shift[l]
-        arrays[f"{prefix}/bn_mean{l}"] = model.bn_mean[l]
-        arrays[f"{prefix}/bn_var{l}"] = model.bn_var[l]
+def _put(arrays: dict, stem: str, tables) -> None:
+    """Store a numbered family of tables as stem0, stem1, ..."""
+    for j, table in enumerate(tables):
+        arrays[f"{stem}{j}"] = table
 
 
-def _unpack_gmmn(prefix: str, arrays, meta: dict) -> GmmnModel:
-    m = meta[prefix]
-    dims = tuple(m["layer_dims"])
-    n_layers = len(dims) - 1
-    return GmmnModel(
-        layer_dims=dims,
-        weights=[arrays[f"{prefix}/w{l}"] for l in range(n_layers)],
-        biases=[arrays[f"{prefix}/b{l}"] for l in range(n_layers)],
-        bn_scale=[arrays[f"{prefix}/bn_scale{l}"] for l in range(n_layers - 1)],
-        bn_shift=[arrays[f"{prefix}/bn_shift{l}"] for l in range(n_layers - 1)],
-        bn_mean=[arrays[f"{prefix}/bn_mean{l}"] for l in range(n_layers - 1)],
-        bn_var=[arrays[f"{prefix}/bn_var{l}"] for l in range(n_layers - 1)],
-        dropout_rate=m["dropout_rate"],
-    )
+def _get(arrays, stem: str, n: int) -> list:
+    """The n tables of a numbered family stored by `_put`."""
+    return [arrays[f"{stem}{j}"] for j in range(n)]
 
 
 def _pack_dependence(prefix: str, dep, arrays: dict, meta: dict) -> None:
-    if isinstance(dep, IndependenceCopula):
-        meta[prefix] = {"kind": "independence"}
-    elif type(dep) in _RANK_KIND:   # exact class: a beta copula is an EmpiricalCopula too
-        meta[prefix] = {"kind": _RANK_KIND[type(dep)]}
+    if type(dep) not in _KIND_OF:
+        raise InputError(f"cannot serialize dependence model {type(dep).__name__}")
+    meta[prefix] = {"kind": _KIND_OF[type(dep)]}
+    if isinstance(dep, EmpiricalCopula):
         arrays[f"{prefix}/ranks"] = dep.ps.ranks
     elif isinstance(dep, GmmnCopula):
-        meta[prefix] = {"kind": "gmmn_copula"}
-        _pack_gmmn(f"{prefix}/net", dep.model, arrays, meta)
+        net = dep.model
+        meta[f"{prefix}/net"] = {"layer_dims": list(net.layer_dims),
+                                 "dropout_rate": net.dropout_rate}
+        for field, stem, _ in _NET:
+            _put(arrays, f"{prefix}/net/{stem}", getattr(net, field))
     elif isinstance(dep, BootstrapMixture):
-        meta[prefix] = {"kind": "bootstrap_mixture", "n_bt": dep.n_bt}
-        for b, comp in enumerate(dep.components):
+        meta[prefix]["n_bt"] = dep.n_bt
+        for b, (comp, maps) in enumerate(zip(dep.components, dep.component_quantiles)):
             _pack_dependence(f"{prefix}/c{b}", comp, arrays, meta)
-            for j, table in enumerate(dep.component_quantiles[b].tables):
-                arrays[f"{prefix}/q{b}_{j}"] = table
-    else:
-        raise InputError(f"cannot serialize dependence model {type(dep).__name__}")
+            _put(arrays, f"{prefix}/q{b}_", maps.tables)
 
 
 def _unpack_dependence(prefix: str, arrays, meta: dict):
-    m = meta[prefix]
-    kind = m["kind"]
-    if kind == "independence":
-        return IndependenceCopula(meta["pca_k"])
-    if kind in _RANK_COPULA:
-        return _RANK_COPULA[kind](PseudoSample(arrays[f"{prefix}/ranks"]))
-    if kind == "gmmn_copula":
-        return GmmnCopula(_unpack_gmmn(f"{prefix}/net", arrays, meta))
-    if kind == "bootstrap_mixture":
-        comps = [_unpack_dependence(f"{prefix}/c{b}", arrays, meta)
-                 for b in range(m["n_bt"])]
-        quantiles = [QuantileMaps(tables=[arrays[f"{prefix}/q{b}_{j}"] for j in range(comp.d)])
-                     for b, comp in enumerate(comps)]
-        return BootstrapMixture(components=comps, component_quantiles=quantiles)
-    raise InputError(f"unknown dependence kind {kind!r} in model file")
+    kind = meta[prefix]["kind"]
+    if kind not in _KINDS:
+        raise InputError(f"unknown dependence kind {kind!r} in model file")
+    cls = _KINDS[kind]
+    if cls is IndependenceCopula:
+        return cls(meta["pca_k"])
+    if issubclass(cls, EmpiricalCopula):
+        return cls(PseudoSample(arrays[f"{prefix}/ranks"]))
+    if cls is GmmnCopula:
+        net = meta[f"{prefix}/net"]
+        dims = tuple(net["layer_dims"])
+        n_layers = len(dims) - 1
+        return cls(GmmnModel(
+            layer_dims=dims, dropout_rate=net["dropout_rate"],
+            **{field: _get(arrays, f"{prefix}/net/{stem}", n_layers - hidden_only)
+               for field, stem, hidden_only in _NET}))
+    comps = [_unpack_dependence(f"{prefix}/c{b}", arrays, meta)
+             for b in range(meta[prefix]["n_bt"])]
+    quantiles = [QuantileMaps(tables=_get(arrays, f"{prefix}/q{b}_", comp.d))
+                 for b, comp in enumerate(comps)]
+    return cls(components=comps, component_quantiles=quantiles)
 
 
 def save_model(model: MtsModel, path) -> None:
@@ -104,12 +104,9 @@ def save_model(model: MtsModel, path) -> None:
 
     margins_meta = []
     for j, fit in enumerate(model.margins):
-        p = fit.params
-        arrays[f"margin{j}/phi"] = p.phi
-        arrays[f"margin{j}/gamma"] = p.gamma
-        arrays[f"margin{j}/alpha"] = p.alpha
-        arrays[f"margin{j}/beta"] = p.beta
-        margins_meta.append({"mu": p.mu, "omega": p.omega, "nu": p.nu,
+        for name in _LAGS:
+            arrays[f"margin{j}/{name}"] = getattr(fit.params, name)
+        margins_meta.append({**{name: getattr(fit.params, name) for name in _SCALARS},
                              "loglik": fit.loglik, "converged": fit.converged})
     meta["margins"] = margins_meta
 
@@ -124,8 +121,7 @@ def save_model(model: MtsModel, path) -> None:
         # scaled-t maps take the margins' nu; empirical ones hold pca_k tables
         meta["qmap_mode"] = qm.mode
         if qm.mode == "empirical":
-            for j, table in enumerate(qm.tables):
-                arrays[f"qmap/t{j}"] = table
+            _put(arrays, "qmap/t", qm.tables)
 
     arrays["__meta__"] = np.frombuffer(
         json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8)
@@ -165,10 +161,8 @@ def load_model(path) -> MtsModel:
 def _unpack_model(arrays: dict, meta: dict) -> MtsModel:
     margins = []
     for j, mm in enumerate(meta["margins"]):
-        params = ArmaGarchParams(
-            mu=mm["mu"], phi=arrays[f"margin{j}/phi"], gamma=arrays[f"margin{j}/gamma"],
-            omega=mm["omega"], alpha=arrays[f"margin{j}/alpha"],
-            beta=arrays[f"margin{j}/beta"], nu=mm["nu"])
+        params = ArmaGarchParams(**{name: mm[name] for name in _SCALARS},
+                                 **{name: arrays[f"margin{j}/{name}"] for name in _LAGS})
         margins.append(MarginalFitResult(params=params, filter=None,
                                          loglik=mm["loglik"],
                                          converged=mm["converged"]))
@@ -183,7 +177,7 @@ def _unpack_model(arrays: dict, meta: dict) -> MtsModel:
     elif meta["qmap_mode"] == "scaled_t":
         qmaps = QuantileMaps.scaled_t([m.params.nu for m in margins])
     else:
-        qmaps = QuantileMaps(tables=[arrays[f"qmap/t{j}"] for j in range(pca.k)])
+        qmaps = QuantileMaps(tables=_get(arrays, "qmap/t", pca.k))
 
     return MtsModel(margins=margins, pca=pca, dependence=dep,
                     quantile_maps=qmaps, tau=meta["tau"])

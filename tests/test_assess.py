@@ -202,6 +202,14 @@ class TestAvs:
         assert avs(paths[:, :, perm], x[:, perm], 0.25) == pytest.approx(
             avs(paths, x, 0.25))
 
+    @pytest.mark.parametrize("r", [0.0, -1.0, np.inf, np.nan])
+    def test_order_must_be_positive_and_finite(self, r):
+        # r = 0 scored 2.0, and r = -1 inf with a divide-by-zero warning
+        paths = np.array([[[0.0, 0.0]]])
+        x = np.array([[0.0, 1.0]])
+        with pytest.raises(InputError, match="positive and finite"):
+            avs(paths, x, r)
+
     def test_per_step_decomposition(self):
         rng = np.random.default_rng(15)
         paths = rng.standard_normal((5, 9, 2))

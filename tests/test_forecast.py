@@ -206,6 +206,15 @@ class TestForecastPaths:
         with pytest.raises(InputError):
             forecast_paths(model, np.zeros((50, 3)), 5, 1, np.random.default_rng(9))
 
+    @pytest.mark.parametrize("n_pth, h", [(0, 1), (1, 0), (-1, 1), (1, -1), (2.5, 1),
+                                          (True, 1), (1, 2.0), (1, True)])
+    def test_counts_must_be_positive_integers(self, n_pth, h):
+        # an empty ensemble used to come back, and a float or bool failed untyped
+        u = pseudo_observations(np.random.default_rng(15).standard_normal((100, 3)))
+        model = make_model([flat_params()] * 3, EmpiricalCopula(u))
+        with pytest.raises(InputError, match="must be an integer of at least 1"):
+            forecast_paths(model, np.zeros((50, 3)), n_pth, h, np.random.default_rng(16))
+
 
 class TestVarForecast:
     def test_fifth_order_statistic(self):
@@ -223,9 +232,23 @@ class TestVarForecast:
         with pytest.raises(InputError):
             var_forecast(np.ones(10), 0.0)
 
+    @pytest.mark.parametrize("sample", [[], np.empty(0), np.ones((4, 5))])
+    def test_sample_must_be_nonempty_and_1d(self, sample):
+        with pytest.raises(InputError, match="nonempty 1-d"):
+            var_forecast(sample, 0.05)
+
 
 class TestRollingVar:
     def test_one_var_per_origin(self):
         paths = np.random.default_rng(13).standard_normal((4, 50, 3))
         expected = [var_forecast(paths[i].sum(axis=1), 0.1) for i in range(4)]
         np.testing.assert_array_equal(rolling_var(paths, 0.1), expected)
+
+    @pytest.mark.parametrize("paths", [np.zeros((3, 4)), np.zeros(5), np.zeros((2, 3, 4, 5))])
+    def test_paths_must_be_3d(self, paths):
+        with pytest.raises(InputError, match=r"shape \(n_t, n_pth, d\)"):
+            rolling_var(paths, 0.05)
+
+    def test_no_paths_rejected(self):
+        with pytest.raises(InputError):
+            rolling_var(np.zeros((3, 0, 2)), 0.05)

@@ -428,6 +428,27 @@ class TestFit:
         with pytest.raises(NumericalError):
             fit_arma_garch(np.ones(100))
 
+    @pytest.mark.parametrize("shape", [(100, 2), (100, 1), ()])
+    def test_series_must_be_1d(self, shape):
+        with pytest.raises(InputError, match="1-d series"):
+            fit_arma_garch(np.random.default_rng(7).standard_normal(shape))
+
+    @pytest.mark.parametrize("orders", [(1, 1, 1), (1, 1, 1, 1, 1), (1, -1, 1, 1),
+                                        (1, 1.0, 1, 1), (1, True, 1, 1), 4, "1111"])
+    def test_orders_must_be_four_nonnegative_integers(self, orders):
+        with pytest.raises(InputError, match="four nonnegative integers"):
+            fit_arma_garch(np.random.default_rng(8).standard_normal(100), orders)
+
+    def test_checks_come_before_the_sample_variance(self, monkeypatch):
+        # a bad series or orders is refused before any work on the values
+        def var(*args, **kw):
+            raise AssertionError("sample variance computed")
+
+        monkeypatch.setattr(np, "var", var)
+        for x, orders in [(np.ones((100, 2)), (1, 1, 1, 1)), (np.ones(100), (1, 1, 1))]:
+            with pytest.raises(InputError):
+                fit_arma_garch(x, orders)
+
     def test_fix_mu_zero(self):
         x = np.random.default_rng(5).standard_normal(400) + 3.0
         res = fit_arma_garch(x, fix_mu_zero=True)

@@ -15,11 +15,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from mtsgen import (ArmaGarchParams, ConfigError, InputError, MarginalFitResult,
-                    MtsgenError, MtsModel, PcaTransform, PipelineConfig, QuantileMaps,
-                    forecast_paths, load_dataset, load_model, run_pipeline, save_model)
+from mtsgen import (ArmaGarchParams, BootstrapMixture, ConfigError, InputError,
+                    MarginalFitResult, MtsgenError, MtsModel, PcaTransform, PipelineConfig,
+                    QuantileMaps, forecast_paths, load_dataset, load_model, run_pipeline,
+                    save_model)
 from mtsgen.datagen import GaussianCopulaSampler, equicorrelation, simulate_mts
-from mtsgen.dependence import IndependenceCopula
+from mtsgen.dependence import EmpiricalCopula, IndependenceCopula, pseudo_observations
 from mtsgen.pipeline import (METRICS_HEADER, Dataset, fit_mts, rolling_forecasts,
                              write_metrics)
 
@@ -81,6 +82,33 @@ class TestLoadDataset:
         with pytest.raises(InputError, match="strictly increasing"):
             load_dataset(p, tau=1)
 
+    def test_iso_dates_compare_as_text(self, tmp_path):
+        # dated labels, as of FX or yield data, are ordered lexicographically
+        times = [f"2020-{m:02d}-{d:02d}" for m in (1, 2) for d in range(1, 21)]
+        p = tmp_path / "dates.csv"
+        write_csv(p, np.random.default_rng(1).standard_normal((40, 2)), times=times)
+        ds = load_dataset(p, transform="difference")
+        assert ds.times == times[1:] and ds.tau == 27
+
+    def test_out_of_order_dates_rejected(self, tmp_path):
+        times = ["2020-01-01", "2020-01-03", "2020-01-02", "2020-01-04"]
+        p = tmp_path / "dates.csv"
+        write_csv(p, np.ones((4, 1)), times=times)
+        with pytest.raises(InputError, match="strictly increasing"):
+            load_dataset(p, tau=1)
+
+    @pytest.mark.parametrize("text, match", [
+        ("t,a,b\n0,1.0,2.0\n1,1.5\n2,2.0,3.0\n", "row 3 has 2 cells, expected 3"),
+        ("t,a\n0,1.0\n1,inf\n2,2.0\n", "non-finite value at row 3, column 2"),
+        ("t,a\n0,1.0\n1,2.0\n2,nan\n", "non-finite value at row 4, column 2"),
+        ("t,a\n", "need a header and at least two data rows"),
+    ], ids=["ragged_row", "inf_cell", "nan_cell", "header_only"])
+    def test_malformed_table_rejected(self, tmp_path, text, match):
+        p = tmp_path / "bad.csv"
+        p.write_text(text)
+        with pytest.raises(InputError, match=match):
+            load_dataset(p, tau=1)
+
     def test_default_train_fraction(self, tmp_path):
         p = tmp_path / "tf.csv"
         write_csv(p, np.arange(10, dtype=float)[:, None] ** 1.5)
@@ -138,6 +166,19 @@ class TestLoadDataset:
         assert "non-finite value at observation 118, series 1" in capsys.readouterr().err
 
 
+def model_of(dependence, tau=100):
+    """A model of `dependence` over identical GARCH margins, with scaled-t maps unless
+    `dependence` is a bootstrap mixture."""
+    params = ArmaGarchParams(mu=0.0, phi=[0.2], gamma=[0.0], omega=0.05,
+                             alpha=[0.1], beta=[0.8], nu=6.0)
+    fit = MarginalFitResult(params=params, filter=None, loglik=0.0, converged=True)
+    d = dependence.d
+    maps = (None if isinstance(dependence, BootstrapMixture)
+            else QuantileMaps.scaled_t([params.nu] * d))
+    return MtsModel(margins=[fit] * d, pca=PcaTransform.identity(d), dependence=dependence,
+                    quantile_maps=maps, tau=tau)
+
+
 class TestPipelineConfig:
     def test_round_trip_dict(self):
         cfg = PipelineConfig(dependence="empirical", seed=9)
@@ -167,6 +208,8 @@ class TestPipelineConfig:
         ({"orders": (np.int64(2), 1, np.int32(1), 1), "gmmn_hidden_dims": (np.int16(8),)},
          {"orders": (2, 1, 1, 1), "gmmn_hidden_dims": (8,)}),
         ({"orders": [2, 1, 1, 1], "gmmn_hidden_dims": [8]},
+         {"orders": (2, 1, 1, 1), "gmmn_hidden_dims": (8,)}),
+        ({"orders": np.array([2, 1, 1, 1]), "gmmn_hidden_dims": np.array([8])},
          {"orders": (2, 1, 1, 1), "gmmn_hidden_dims": (8,)}),
     ])
     def test_numpy_scalars_hash_as_python_numbers(self, numpy, plain):
@@ -408,6 +451,44 @@ class TestCli:
         with open(metrics_path, newline="") as fh:
             assert {row["model"] for row in csv.DictReader(fh)} == {label}
 
+    # each override flag, the config key it sets, its value, and the file's value
+    OVERRIDES = [(["--dependence", "gmmn"], "dependence", "gmmn", "empirical"),
+                 (["--pca"], "pca_enabled", True, False),
+                 (["--n-pth", "7"], "n_pth", 7, 9),
+                 (["--n-rep", "3"], "n_rep", 3, 5),
+                 (["--epochs", "4"], "gmmn_n_epo", 4, 6),
+                 (["--n-bt", "2"], "bootstrap_n_bt", 2, 5),
+                 (["--seed", "8"], "seed", 8, 1)]
+
+    @staticmethod
+    def bootstrap_args(*flags):
+        """`mtsgen bootstrap` args with `flags`, and its required flags where not given."""
+        from mtsgen.cli import build_parser
+        argv = ["bootstrap", "--data", "x.csv", "--out", "m.npz", *flags]
+        for flag, value in (("--seed", "1"), ("--n-bt", "1")):
+            if flag not in flags:
+                argv += [flag, value]
+        return build_parser().parse_args(argv)
+
+    @pytest.mark.parametrize("flag, key, value, in_file", OVERRIDES,
+                             ids=[o[1] for o in OVERRIDES])
+    def test_flag_sets_its_config_key(self, tmp_path, flag, key, value, in_file):
+        from mtsgen.cli import _build_config
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: in_file}))
+        assert getattr(_build_config(self.bootstrap_args(*flag)), key) == value
+        assert getattr(_build_config(self.bootstrap_args(*flag, "--config", str(cfg))),
+                       key) == value
+
+    def test_only_override_flags_store_config_keys(self):
+        args = self.bootstrap_args()
+        assert (set(vars(args)) & set(PipelineConfig.__dataclass_fields__)
+                == {key for _, key, _, _ in self.OVERRIDES})
+        # an unset override leaves the file's value, or the default
+        assert {key: getattr(args, key) for _, key, _, _ in self.OVERRIDES} == {
+            "dependence": None, "pca_enabled": None, "n_pth": None, "n_rep": None,
+            "gmmn_n_epo": None, "bootstrap_n_bt": 1, "seed": 1}
+
     def test_missing_data_exit_code(self, tmp_path):
         r = self.run_cli("fit", "--data", "/no/such.csv", "--seed", "1",
                          "--out", str(tmp_path / "m.npz"))
@@ -455,6 +536,15 @@ class TestRollingForecasts:
             for t, rng in zip(range(ds.tau, ds.n_obs), rngs)])
         assert paths.shape == (30, n_pth, 3)
         assert np.array_equal(paths, expected)
+
+    @pytest.mark.parametrize("n_pth", [0, -1, 2.5, True])
+    def test_path_count_must_be_a_positive_integer(self, n_pth):
+        x = np.random.default_rng(15).standard_normal((200, 3))
+        ds = Dataset(name="s", times=list(range(200)), values=x,
+                     columns=["a", "b", "c"], transform="none", tau=150)
+        model = model_of(EmpiricalCopula(pseudo_observations(x[:150])), tau=150)
+        with pytest.raises(InputError, match="must be an integer of at least 1"):
+            rolling_forecasts(model, ds, n_pth, np.random.SeedSequence(0))
 
     def test_history_shorter_than_lags_rejected(self):
         x = np.random.default_rng(14).standard_normal((140, 2))
@@ -662,6 +752,25 @@ class TestCorruptModelFile:
         with open(path, "wb") as fh:
             np.savez(fh, **data)
         with pytest.raises(InputError):
+            load_model(path)
+
+    @pytest.mark.parametrize("entry", ["dep", "dep/c1"])
+    def test_unknown_dependence_kind(self, bootstrap_model, tmp_path, entry):
+        path = tmp_path / "model.npz"
+        self.corrupt(bootstrap_model, path,
+                     edit=lambda meta, data: meta[entry].update(kind="vine"))
+        with pytest.raises(InputError, match="unknown dependence kind 'vine'"):
+            load_model(path)
+
+    @pytest.mark.parametrize("meta", [b"[1, 2]", b"3", b'"text"', b"null"])
+    def test_metadata_must_be_an_object(self, pipeline_run, tmp_path, meta):
+        path = tmp_path / "model.npz"
+        save_model(pipeline_run[1].model, path)
+        data = dict(np.load(path))
+        data["__meta__"] = np.frombuffer(meta, dtype=np.uint8)
+        with open(path, "wb") as fh:
+            np.savez(fh, **data)
+        with pytest.raises(InputError, match="metadata is not a JSON object"):
             load_model(path)
 
     @pytest.mark.parametrize("edit, message", [(nan_omega, "finite"),
@@ -1263,11 +1372,54 @@ class TestStoredOnce:
         assert mixture == ("qmap_mode" not in meta)
         assert not (mixture and any(key.startswith("qmap/") for key in keys))
 
+    def test_loader_reads_exactly_the_keys_written(self, every_model, tmp_path, monkeypatch):
+        import mtsgen.serialize as serialize
+
+        read = set()
+
+        class Spy(dict):
+            def __getitem__(self, key):
+                read.add(key)
+                return super().__getitem__(key)
+
+        unpack = serialize._unpack_model
+        monkeypatch.setattr(serialize, "_unpack_model",
+                            lambda arrays, meta: unpack(Spy(arrays), meta))
+        save_model(every_model[1], tmp_path / "model.npz")
+        with np.load(tmp_path / "model.npz") as data:
+            written = set(data.files)
+        load_model(tmp_path / "model.npz")
+        assert read | {"__meta__"} == written
+
     def test_file_with_dropped_entries_loads(self, every_model, small_dataset, tmp_path):
         cfg, model = every_model
         TestRoundTrip.assert_loads_with_old_entries(
             small_dataset, model, tmp_path / "model.npz",
             lambda meta, data: add_dropped_entries(cfg, meta, data))
+
+
+class _Independence(IndependenceCopula):
+    """A subclass, which a model file cannot tell from its parent."""
+
+
+def _mixture_of(component):
+    tables = [np.arange(1.0, 6.0)] * component.d
+    return BootstrapMixture(components=[component],
+                            component_quantiles=[QuantileMaps(tables=tables)])
+
+
+class TestSaveExactClass:
+    """A dependence model is saved only under the kind of its exact class."""
+
+    @pytest.mark.parametrize("dep, name", [
+        (_Independence(2), "_Independence"),
+        (GaussianCopulaSampler(equicorrelation(2, 0.5)), "GaussianCopulaSampler"),
+        (_mixture_of(_Independence(2)), "_Independence"),
+    ], ids=["subclass", "sampler", "mixture_of_subclass"])
+    def test_refused(self, tmp_path, dep, name):
+        with pytest.raises(InputError, match=f"cannot serialize dependence model {name}"):
+            save_model(model_of(dep), tmp_path / "model.npz")
+        assert not (tmp_path / "model.npz").exists()
 
 
 @pytest.fixture(scope="module")
