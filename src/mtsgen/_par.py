@@ -10,10 +10,10 @@ call, and a forked child has no state to reset.
 Work that draws random numbers splits in two: the caller makes every RNG
 call first, in the sequential order, and only a pure map of the numbers
 drawn (a dependence model's ``from_noise``, AMMD's kernel terms) fans out.
-`fan_out`'s tasks call only private helpers, never a public function or a
-``sample`` method, so that wrappers installed around those from outside
-see calls from the calling thread only.  What `fork_map`'s children call,
-no wrapper in the caller sees.
+The tasks call the package's public functions (``mmd``, ``nn_forward``,
+``pseudo_observations``, ``arma_garch_simulate``), so a wrapper installed
+around one of them sees calls from every task's thread.  What
+`fork_map`'s children call, no wrapper in the caller sees.
 """
 
 from __future__ import annotations

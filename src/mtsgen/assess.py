@@ -9,8 +9,8 @@ import numpy as np
 
 from . import _par
 from .dependence import DependenceModel
-from .errors import ConfigError, InputError, is_integer
-from .gmmn import KernelSpec, _mix_mean, _mmd
+from .errors import ConfigError, InputError, is_integer, is_real
+from .gmmn import KernelSpec, _mix_mean, mmd
 
 __all__ = [
     "AssessConfig",
@@ -53,7 +53,7 @@ def ammd(u_test, sampler: DependenceModel, cfg: AssessConfig,
     aa_term = _mix_mean(a, a, KERNEL_TST)
     vals = []
     for lo in range(0, cfg.n_rep, _REP_BLOCK):   # memory holds one block of draws
-        vals += _par.fan_out(lambda b: _mmd(u_test, b, KERNEL_TST, aa_term),
+        vals += _par.fan_out(lambda b: mmd(u_test, b, KERNEL_TST, aa_term=aa_term),
                              [sampler.sample(m, rng) for _ in range(min(_REP_BLOCK, cfg.n_rep - lo))])
     return float(np.mean(vals))
 
@@ -96,7 +96,7 @@ def vs_per_step(forecasts, x_test, r: float = 0.25) -> np.ndarray:
     so memory stays at one such block per worker and each step's score
     does not depend on the number of workers.
     """
-    if not 0.0 < r < math.inf:
+    if not is_real(r) or not 0.0 < r < math.inf:
         raise InputError(f"variogram order r={r!r} must be positive and finite")
     paths, x = _paths_and_values(forecasts, x_test)
     n_t, n_pth, d = paths.shape
@@ -133,6 +133,8 @@ def vear(s_actual, var_forecasts, alpha: float) -> float:
     An exceedance is a strict shortfall of the realized aggregate below the
     forecast quantile.
     """
+    if not is_real(alpha) or not 0.0 < alpha < 1.0:
+        raise InputError(f"alpha={alpha!r} must lie in (0, 1)")
     s = np.asarray(s_actual, dtype=float)
     v = np.asarray(var_forecasts, dtype=float)
     if s.shape != v.shape:

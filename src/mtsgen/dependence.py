@@ -65,11 +65,6 @@ def pseudo_observations(y) -> PseudoSample:
     Ties are broken by original row order (stable), a documented continuity
     assumption: the margins are assumed continuous, so ties are measure-zero.
     """
-    return PseudoSample(_ranks(y))
-
-
-def _ranks(y) -> np.ndarray:
-    """The integer column ranks of :func:`pseudo_observations`."""
     y = np.asarray(y, dtype=float)
     if y.ndim == 1:
         y = y[:, None]
@@ -82,7 +77,7 @@ def _ranks(y) -> np.ndarray:
     ranks = np.empty_like(order)
     rows = np.arange(1, n + 1)[:, None]
     np.put_along_axis(ranks, order, np.broadcast_to(rows, y.shape), axis=0)
-    return ranks
+    return PseudoSample(ranks)
 
 
 def _on_grid(ranks: np.ndarray, m: int, quantile_maps) -> np.ndarray:

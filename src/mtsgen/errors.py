@@ -1,4 +1,6 @@
-"""Shared exception types, and the integer rule that configs and models check."""
+"""Shared exception types, and the integer and real-number rules that inputs are checked by."""
+
+import numbers
 
 import numpy as np
 
@@ -25,3 +27,8 @@ def is_integer(v) -> bool:
     JSON `true` loads as a Python int, but it is no count.
     """
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def is_real(v) -> bool:
+    """Whether `v` is a real number (Python or NumPy, integers included) and not a bool."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)

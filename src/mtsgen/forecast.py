@@ -14,8 +14,8 @@ import numpy as np
 
 from . import _par
 from .dependence import DependenceModel
-from .errors import InputError, is_integer
-from .margins import LaggedState, _simulate, arma_garch_filter, scaled_t_quantile
+from .errors import InputError, is_integer, is_real
+from .margins import LaggedState, arma_garch_filter, arma_garch_simulate, scaled_t_quantile
 from .pca import PcaTransform, lift
 
 __all__ = [
@@ -83,6 +83,8 @@ class QuantileMaps:
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=float)
+        if u.ndim != 2 or u.shape[1] != self.d:
+            raise InputError(f"u must have shape (n, {self.d}), not {u.shape}")
         out = np.empty_like(u)
         for j in range(u.shape[1]):
             if self.mode == "scaled_t":
@@ -192,7 +194,7 @@ def _paths(model: MtsModel, x: np.ndarray, filters: list, origins, n_pth: int, h
         j, block = unit
         p = model.margins[j].params
         state = LaggedState.at(p, x[:, j], filters[j], origins[block, None])
-        values[block, ..., j] = _simulate(p, values[block, ..., j], state)
+        values[block, ..., j] = arma_garch_simulate(p, values[block, ..., j], state)
 
     _par.fan_out(run, [(j, block) for j in range(model.d) for block in blocks])
     return values
@@ -218,8 +220,8 @@ def var_forecast(aggregates, alpha: float) -> float:
     agg = np.sort(np.asarray(aggregates, dtype=float))
     if agg.ndim != 1 or agg.size == 0:
         raise InputError("the aggregate sample must be a nonempty 1-d array")
-    if not 0.0 < alpha < 1.0:
-        raise InputError("alpha must lie in (0, 1)")
+    if not is_real(alpha) or not 0.0 < alpha < 1.0:
+        raise InputError(f"alpha={alpha!r} must lie in (0, 1)")
     return float(empirical_quantile(agg, alpha))
 
 

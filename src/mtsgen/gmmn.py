@@ -19,8 +19,8 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from . import _par
-from .dependence import DependenceModel, _on_grid, _ranks
-from .errors import ConfigError, InputError, NumericalError, is_integer
+from .dependence import DependenceModel, _on_grid, pseudo_observations
+from .errors import ConfigError, InputError, NumericalError, is_integer, is_real
 
 __all__ = [
     "KernelSpec",
@@ -53,8 +53,8 @@ class KernelSpec:
     bandwidths: tuple = TRAIN_BANDWIDTHS
 
     def __post_init__(self):
-        if len(self.bandwidths) == 0 or any(s <= 0 for s in self.bandwidths):
-            raise ConfigError("bandwidths must be nonempty and positive")
+        if len(self.bandwidths) == 0 or any(not is_real(s) or not s > 0 for s in self.bandwidths):
+            raise ConfigError("bandwidths must be nonempty and positive real numbers")
 
     @classmethod
     def for_training(cls) -> "KernelSpec":
@@ -119,11 +119,6 @@ def mmd(a, b, spec: KernelSpec, *, aa_term: float | None = None) -> float:
     is the mean kernel value over all pairs of rows of a, so a caller that
     scores many samples against the same a computes it only once.
     """
-    return _mmd(a, b, spec, aa_term)
-
-
-def _mmd(a, b, spec: KernelSpec, aa_term: float | None) -> float:
-    """:func:`mmd` under a private name, for fan-out tasks."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
     if a.shape[0] < 1 or b.shape[0] < 1:
@@ -223,7 +218,7 @@ def glorot_init(layer_dims, rng: np.random.Generator, dropout_rate: float = 0.5)
     """Uniform(+-sqrt(6/(fan_in + fan_out))) weights, zero biases, unit BN scale."""
     if len(layer_dims) < 3:
         raise ConfigError("need at least one hidden layer")
-    if not 0.0 <= dropout_rate < 1.0:
+    if not is_real(dropout_rate) or not 0.0 <= dropout_rate < 1.0:
         raise ConfigError("dropout_rate must lie in [0, 1)")
     weights, biases = [], []
     for d_prev, d_cur in zip(layer_dims[:-1], layer_dims[1:]):
@@ -309,7 +304,8 @@ def nn_forward(model: GmmnModel, v, train: bool = False,
     """Map prior draws through the network.
 
     Training mode normalizes with batch statistics and applies inverted
-    dropout (mask drawn from `mask_rng`); inference mode uses running
+    dropout (mask drawn from `mask_rng`, a Generator or seed, which a
+    positive dropout rate requires); inference mode uses running
     statistics and no dropout.  Running statistics are only mutated when
     `update_running` is set.
     """
@@ -318,6 +314,8 @@ def nn_forward(model: GmmnModel, v, train: bool = False,
         raise InputError(f"input dimension {v.shape[1]} != prior dimension {model.d_in}")
     if train and v.shape[0] < 2:
         raise InputError("training mode needs a batch of at least 2 rows")
+    if train and model.dropout_rate > 0.0 and mask_rng is None:
+        raise InputError("training mode with dropout needs a mask_rng")
     if isinstance(mask_rng, (int, np.integer)):
         mask_rng = np.random.default_rng(mask_rng)
     out, _ = _forward(model, v, train, mask_rng, update_running, want_cache=False)
@@ -508,8 +506,8 @@ class TrainConfig:
             raise ConfigError("hidden_dims must be a nonempty list of positive integer sizes")
         if not is_integer(self.seed) or self.seed < 0:
             raise ConfigError(f"seed={self.seed!r} must be a nonnegative integer")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ConfigError(f"dropout_rate={self.dropout_rate} must lie in [0, 1)")
+        if not is_real(self.dropout_rate) or not 0.0 <= self.dropout_rate < 1.0:
+            raise ConfigError(f"dropout_rate={self.dropout_rate!r} must lie in [0, 1)")
 
 
 def train_gmmn(u_train, cfg: TrainConfig) -> GmmnModel:
@@ -607,8 +605,7 @@ class GmmnCopula(DependenceModel):
         """The net's outputs on each noise, ranked; one forward pass per noise,
         as a larger matrix product may round differently, fanned out over them."""
         def ranks(z):
-            return _ranks(_forward(self.model, z, train=False, mask_rng=None,
-                                   update_running=False, want_cache=False)[0])
+            return pseudo_observations(nn_forward(self.model, z)).ranks
 
         # the lookups, which may build the maps' grid table, run on this thread
         return [_on_grid(r, len(r), quantile_maps) for r in _par.fan_out(ranks, noises)]

@@ -62,6 +62,8 @@ def fit_pca(z) -> PcaTransform:
     n, d = z.shape
     if n < 2:
         raise InputError("need at least 2 rows to estimate a covariance")
+    if not np.all(np.isfinite(z)):
+        raise InputError("z contains non-finite entries")
     cov = np.cov(z, rowvar=False, ddof=1).reshape(d, d)
     lam, vec = np.linalg.eigh(cov)
     order = np.argsort(lam)[::-1]

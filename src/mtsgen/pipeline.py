@@ -14,7 +14,6 @@ import hashlib
 import json
 import logging
 import math
-import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -23,7 +22,7 @@ from . import _par, assess
 from .bootstrap import BootstrapMixture, bootstrap_fit
 from .dependence import (EmpiricalBetaCopula, EmpiricalCopula,
                          IndependenceCopula, pseudo_observations)
-from .errors import ConfigError, InputError, NumericalError, is_integer
+from .errors import ConfigError, InputError, NumericalError, is_integer, is_real
 from .forecast import MtsModel, QuantileMaps, _filters, _paths, rolling_var
 from .gmmn import GmmnCopula, TrainConfig, train_gmmn
 from .margins import fit_arma_garch, valid_orders
@@ -183,9 +182,6 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self):
-        def real(v):
-            return isinstance(v, numbers.Real) and not isinstance(v, bool)
-
         if self.dependence not in DEPENDENCE_KINDS:
             raise ConfigError(f"dependence must be one of {DEPENDENCE_KINDS}")
         if not valid_orders(self.orders):
@@ -201,7 +197,7 @@ class PipelineConfig:
         if not all(is_integer(h) for h in self.gmmn_hidden_dims):
             raise ConfigError("gmmn_hidden_dims must hold integers")
         for key in ("pca_threshold", "gmmn_dropout", "vs_order", "var_alpha"):
-            if not real(getattr(self, key)):
+            if not is_real(getattr(self, key)):
                 raise ConfigError(f"{key} must be a real number")
         # NumPy scalars as Python numbers, which the canonical JSON can hold
         for key in self.__dataclass_fields__:
@@ -210,7 +206,7 @@ class PipelineConfig:
                 object.__setattr__(self, key, tuple(int(h) for h in v))
             elif is_integer(v):
                 object.__setattr__(self, key, int(v))
-            elif real(v):
+            elif is_real(v):
                 object.__setattr__(self, key, float(v))
         if not 0.0 < self.pca_threshold <= 1.0:
             raise ConfigError(f"pca_threshold={self.pca_threshold} must lie in (0, 1]")
@@ -226,8 +222,7 @@ class PipelineConfig:
         if not 0.0 < self.var_alpha < 1.0:
             raise ConfigError(f"var_alpha={self.var_alpha} must lie in (0, 1)")
         self.assess_config()    # n_rep
-        if self.dependence == "gmmn":
-            self.train_config(self.seed)    # gmmn_* ranges
+        self.train_config(self.seed)    # gmmn_* ranges, checked for every dependence kind
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -152,6 +152,11 @@ class TestAmse:
         with pytest.raises(InputError):
             amse(np.zeros((2, 3, 2)), np.zeros((5, 2)))
 
+    @pytest.mark.parametrize("metric", [amse, avs])
+    def test_forecasts_must_be_3d(self, metric):
+        with pytest.raises(InputError, match=r"\(n_t, n_pth, d\)"):
+            metric(np.zeros((2, 3)), np.zeros((2, 3)))
+
     @pytest.mark.parametrize("shape", [(6, 40, 5), (3, 17, 1), (4, 1000, 30)])
     def test_matches_broadcast_formula(self, shape):
         rng = np.random.default_rng(22)
@@ -202,7 +207,7 @@ class TestAvs:
         assert avs(paths[:, :, perm], x[:, perm], 0.25) == pytest.approx(
             avs(paths, x, 0.25))
 
-    @pytest.mark.parametrize("r", [0.0, -1.0, np.inf, np.nan])
+    @pytest.mark.parametrize("r", [0.0, -1.0, np.inf, np.nan, "0.5", None])
     def test_order_must_be_positive_and_finite(self, r):
         # r = 0 scored 2.0, and r = -1 inf with a divide-by-zero warning
         paths = np.array([[[0.0, 0.0]]])
@@ -279,3 +284,8 @@ class TestVear:
     def test_length_mismatch_rejected(self):
         with pytest.raises(InputError):
             vear(np.ones(5), np.ones(4), 0.05)
+
+    @pytest.mark.parametrize("alpha", ["x", None, True, 0.0, 1.0, np.nan])
+    def test_alpha_must_be_a_level(self, alpha):
+        with pytest.raises(InputError, match=r"must lie in \(0, 1\)"):
+            vear([1.0], [1.0], alpha)

@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import stats
 
-from mtsgen import (EmpiricalBetaCopula, EmpiricalCopula, IndependenceCopula,
-                    InputError, PseudoSample, QuantileMaps, pseudo_observations)
-from mtsgen.datagen import GaussianCopulaSampler, equicorrelation
+from mtsgen import (ArmaGarchParams, EmpiricalBetaCopula, EmpiricalCopula,
+                    IndependenceCopula, InputError, PseudoSample, QuantileMaps,
+                    pseudo_observations)
+from mtsgen.datagen import GaussianCopulaSampler, equicorrelation, simulate_mts
 
 
 class TestPseudoObservations:
@@ -54,6 +55,11 @@ class TestPseudoObservations:
     def test_rejects_nonfinite(self):
         with pytest.raises(InputError):
             pseudo_observations(np.array([1.0, np.inf]))
+
+    @pytest.mark.parametrize("y", [np.empty(0), np.empty((0, 3))], ids=["1d", "2d"])
+    def test_rejects_no_rows(self, y):
+        with pytest.raises(InputError, match="at least one row"):
+            pseudo_observations(y)
 
     @settings(max_examples=50, deadline=None)
     @given(arrays(np.float64, (17, 2),
@@ -157,6 +163,18 @@ def test_common_contract(make):
 
 
 class TestGaussianCopulaSampler:
+    @pytest.mark.parametrize("corr", [np.eye(3)[:2], np.ones(3)], ids=["2x3", "1d"])
+    def test_corr_must_be_square(self, corr):
+        with pytest.raises(InputError, match="square matrix"):
+            GaussianCopulaSampler(corr)
+
+    def test_simulate_needs_one_copula_dimension_per_margin(self):
+        params = ArmaGarchParams(mu=0.0, phi=[0.2], gamma=[0.0], omega=0.05, alpha=[0.1],
+                                 beta=[0.85], nu=6.0)
+        with pytest.raises(InputError, match="copula dimension"):
+            simulate_mts([params] * 2, GaussianCopulaSampler(equicorrelation(3, 0.5)), 10,
+                          np.random.default_rng(0))
+
     def test_sample_is_the_cdf_of_correlated_normals(self):
         cop = GaussianCopulaSampler(equicorrelation(3, 0.4))
         z = np.random.default_rng(15).standard_normal((50, 3))

@@ -69,6 +69,15 @@ class TestQuantileMaps:
         with pytest.raises(InputError, match="either nus or tables"):
             QuantileMaps(**kwargs)
 
+    @pytest.mark.parametrize("maps", [QuantileMaps.scaled_t([6.0]),
+                                      QuantileMaps.empirical([[0.0], [1.0]])],
+                             ids=["scaled_t", "empirical"])
+    @pytest.mark.parametrize("u", [np.full((2, 2), 0.5), np.full(2, 0.5), np.full((2, 0), 0.5)],
+                             ids=["two_columns", "one_dim", "no_column"])
+    def test_u_must_have_one_column_per_map(self, maps, u):
+        with pytest.raises(InputError, match=r"shape \(n, 1\)"):
+            maps(u)
+
 
 class TestModelMaps:
     """A bootstrap mixture owns its inverse margins; other models take the model's."""
@@ -92,6 +101,13 @@ class TestModelMaps:
         with pytest.raises(InputError, match="needs them"):
             MtsModel(margins=margins, pca=PcaTransform.identity(1), dependence=dependence,
                      quantile_maps=None, tau=100)
+
+    def test_margins_must_match_the_pca_dimension(self):
+        margins = make_model([flat_params()] * 2).margins
+        with pytest.raises(InputError, match="2 margins but PCA dimension 3"):
+            MtsModel(margins=margins, pca=PcaTransform.identity(3),
+                     dependence=IndependenceCopula(3),
+                     quantile_maps=QuantileMaps.scaled_t([6.0] * 3), tau=100)
 
     def test_scaled_t_nu_must_be_the_margins(self):
         with pytest.raises(InputError, match="degrees of freedom"):
@@ -231,6 +247,11 @@ class TestVarForecast:
     def test_alpha_bounds(self):
         with pytest.raises(InputError):
             var_forecast(np.ones(10), 0.0)
+
+    @pytest.mark.parametrize("alpha", [None, "0.05", True, np.nan])
+    def test_alpha_must_be_a_real_level(self, alpha):
+        with pytest.raises(InputError, match=r"must lie in \(0, 1\)"):
+            var_forecast([1.0, 2.0], alpha)
 
     @pytest.mark.parametrize("sample", [[], np.empty(0), np.ones((4, 5))])
     def test_sample_must_be_nonempty_and_1d(self, sample):

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from mtsgen import (AdamState, InputError, KernelSpec, adam_step,
+from mtsgen import (AdamState, GmmnCopula, InputError, KernelSpec, adam_step,
                     kernel_mix, mmd, mmd_loss_and_grad, nn_forward,
                     pseudo_observations, sample_gmmn, train_gmmn)
 from mtsgen.datagen import GaussianCopulaSampler, equicorrelation
@@ -32,6 +32,11 @@ class TestKernelSpec:
             KernelSpec(())
         with pytest.raises(ConfigError):
             KernelSpec((0.5, -0.1))
+
+    @pytest.mark.parametrize("bandwidths", [("a",), (0.5, None), (True,), (float("nan"),)])
+    def test_rejects_non_real_bandwidths(self, bandwidths):
+        with pytest.raises(ConfigError, match="positive real numbers"):
+            KernelSpec(bandwidths)
 
 
 class TestKernelMix:
@@ -98,6 +103,10 @@ class TestMmd:
         with pytest.raises(InputError):
             mmd(np.empty((0, 2)), np.ones((3, 2)), KernelSpec.for_training())
 
+    def test_dimension_mismatch_rejected(self):
+        with pytest.raises(InputError, match="same dimension"):
+            mmd(np.ones((3, 2)), np.ones((3, 3)), KernelSpec.for_training())
+
 
 class TestForward:
     def test_zero_weights_give_half(self):
@@ -144,6 +153,27 @@ class TestForward:
         with pytest.raises(InputError):
             nn_forward(tiny_model(), np.ones((1, 2)), train=True, mask_rng=0)
 
+    def test_dropout_needs_a_mask_rng(self):
+        with pytest.raises(InputError, match="mask_rng"):
+            nn_forward(glorot_init((2, 4, 2), np.random.default_rng(0)), np.zeros((3, 2)),
+                       train=True)
+        # without dropout, no mask is drawn
+        assert nn_forward(tiny_model(dropout=0.0), np.zeros((3, 2)), train=True).shape == (3, 2)
+
+    def test_input_dimension_rejected(self):
+        with pytest.raises(InputError, match="prior dimension 2"):
+            nn_forward(tiny_model(), np.ones((4, 3)))
+        # the GMMN copula's draws refuse it the same way
+        with pytest.raises(InputError, match="prior dimension 2"):
+            GmmnCopula(tiny_model()).from_noise([np.ones((4, 2)), np.ones((4, 3))])
+
+    @pytest.mark.parametrize("dims, dropout, match", [
+        ((2, 2), 0.5, "hidden layer"), ((2, 4, 2), 1.0, r"\[0, 1\)"),
+        ((2, 4, 2), -0.1, r"\[0, 1\)"), ((2, 4, 2), "x", r"\[0, 1\)")])
+    def test_glorot_init_rejects(self, dims, dropout, match):
+        with pytest.raises(ConfigError, match=match):
+            glorot_init(dims, np.random.default_rng(0), dropout_rate=dropout)
+
     def test_glorot_bounds(self):
         model = tiny_model((3, 7, 2), seed=9)
         for w, (d_prev, d_cur) in zip(model.weights, [(3, 7), (7, 2)]):
@@ -184,6 +214,14 @@ class TestTheta:
                            bn_shift=model.bn_shift, bn_mean=model.bn_mean,
                            bn_var=model.bn_var)
 
+    def test_parameter_count_must_match_layer_dims(self):
+        model = tiny_model((2, 4, 2))
+        with pytest.raises(InputError, match="theta length"):
+            gmmn.GmmnModel(layer_dims=(2, 4, 2), weights=model.weights,
+                           biases=[*model.biases, np.zeros(3)], bn_scale=model.bn_scale,
+                           bn_shift=model.bn_shift, bn_mean=model.bn_mean,
+                           bn_var=model.bn_var)
+
     def test_loaded_model_has_saved_theta(self, trained_small, tmp_path):
         from mtsgen import (ArmaGarchParams, GmmnCopula, MarginalFitResult, MtsModel,
                             PcaTransform, QuantileMaps, load_model, save_model)
@@ -203,7 +241,8 @@ class TestTheta:
 class TestTrainConfig:
     @pytest.mark.parametrize("bad", [
         {"n_epo": 0}, {"n_bat": 1}, {"hidden_dims": ()}, {"hidden_dims": (4, 0)},
-        {"dropout_rate": 1.0}, {"dropout_rate": -0.1}])
+        {"dropout_rate": 1.0}, {"dropout_rate": -0.1}, {"dropout_rate": "x"},
+        {"dropout_rate": None}])
     def test_out_of_range_rejected(self, bad):
         with pytest.raises(ConfigError):
             TrainConfig(**bad)

@@ -386,6 +386,12 @@ class TestSimulateFailures:
         with pytest.raises(InputError):
             arma_garch_simulate(p, np.ones(3), bad)
 
+    @pytest.mark.parametrize("z", [np.float64(1.0), np.empty(0), np.empty((4, 0))],
+                             ids=["scalar", "no_step", "paths_without_steps"])
+    def test_z_needs_a_step(self, z):
+        with pytest.raises(InputError, match="at least one step"):
+            arma_garch_simulate(garch_params(), z)
+
     def test_lags_must_broadcast(self):
         p = garch_params()
         x = np.random.default_rng(1).standard_normal(50)
@@ -432,6 +438,13 @@ class TestFit:
     def test_series_must_be_1d(self, shape):
         with pytest.raises(InputError, match="1-d series"):
             fit_arma_garch(np.random.default_rng(7).standard_normal(shape))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_series_must_be_finite(self, bad):
+        x = np.random.default_rng(7).standard_normal(100)
+        x[40] = bad
+        with pytest.raises(InputError, match="non-finite"):
+            fit_arma_garch(x)
 
     @pytest.mark.parametrize("orders", [(1, 1, 1), (1, 1, 1, 1, 1), (1, -1, 1, 1),
                                         (1, 1.0, 1, 1), (1, True, 1, 1), 4, "1111"])

@@ -58,6 +58,21 @@ class TestFitPca:
         with pytest.raises(InputError):
             fit_pca(np.ones((1, 3)))
 
+    @pytest.mark.parametrize("z", [np.ones(5), np.ones((2, 3, 4))], ids=["1d", "3d"])
+    def test_z_must_be_2d(self, z):
+        with pytest.raises(InputError, match="2-d"):
+            fit_pca(z)
+
+    @pytest.mark.parametrize("bad", ["all_nan", "one_nan", "one_inf"])
+    def test_z_must_be_finite(self, bad):
+        z = np.random.default_rng(5).standard_normal((5, 2))
+        if bad == "all_nan":
+            z[:] = np.nan
+        else:
+            z[2, 1] = np.nan if bad == "one_nan" else np.inf
+        with pytest.raises(InputError, match="non-finite"):
+            fit_pca(z)
+
 
 class TestSelectK:
     def test_k_min_forces_three(self):

@@ -70,6 +70,12 @@ class TestLoadDataset:
         with pytest.raises(InputError, match="row 2, column 1"):
             load_dataset(p, transform="log_returns", tau=1)
 
+    def test_unknown_transform_rejected(self, tmp_path):
+        p = tmp_path / "u.csv"
+        write_csv(p, np.array([[1.0], [2.0], [3.0]]))
+        with pytest.raises(ConfigError, match="unknown transform 'returns'"):
+            load_dataset(p, transform="returns", tau=1)
+
     def test_non_numeric_cell_named(self, tmp_path):
         p = tmp_path / "nn.csv"
         p.write_text("t,a\n0,1.0\n1,oops\n2,2.0\n")
@@ -102,7 +108,8 @@ class TestLoadDataset:
         ("t,a\n0,1.0\n1,inf\n2,2.0\n", "non-finite value at row 3, column 2"),
         ("t,a\n0,1.0\n1,2.0\n2,nan\n", "non-finite value at row 4, column 2"),
         ("t,a\n", "need a header and at least two data rows"),
-    ], ids=["ragged_row", "inf_cell", "nan_cell", "header_only"])
+        ("t\n0\n1\n2\n", "need a time column and at least one value column"),
+    ], ids=["ragged_row", "inf_cell", "nan_cell", "header_only", "no_value_column"])
     def test_malformed_table_rejected(self, tmp_path, text, match):
         p = tmp_path / "bad.csv"
         p.write_text(text)
@@ -1168,7 +1175,10 @@ class TestConfigFailFast:
            {"orders": [1.5, 1, 1, 1]}, {"gmmn_hidden_dims": 5},
            {"pca_enabled": "no"}, {"fix_mu_zero": "false"}, {"n_pth": True},
            {"bootstrap_n_bt": True}, {"vs_order": True}, {"orders": [1, 1, True, 1]},
-           {"vs_order": float("nan")}, {"vs_order": float("inf")}]
+           {"vs_order": float("nan")}, {"vs_order": float("inf")},
+           # the gmmn_* keys enter config_hash, so they are checked for every kind
+           {"dependence": "empirical", "gmmn_n_epo": 0}, {"gmmn_dropout": 5.0},
+           {"dependence": "empirical_beta", "gmmn_hidden_dims": []}, {"gmmn_n_bat": 1}]
 
     @pytest.mark.parametrize("bad", BAD)
     def test_bad_value_raises_config_error(self, bad):
