@@ -48,9 +48,10 @@ def ammd(u_test, sampler: DependenceModel, cfg: AssessConfig,
     kernel terms then fan out.
     """
     u_test = np.asarray(u_test, dtype=float)
+    if u_test.ndim != 2 or len(u_test) == 0:
+        raise InputError("u_test must be a 2-d array with at least one row")
     m = u_test.shape[0]
-    a = np.atleast_2d(u_test)
-    aa_term = _mix_mean(a, a, KERNEL_TST)
+    aa_term = _mix_mean(u_test, u_test, KERNEL_TST)
     vals = []
     for lo in range(0, cfg.n_rep, _REP_BLOCK):   # memory holds one block of draws
         vals += _par.fan_out(lambda b: mmd(u_test, b, KERNEL_TST, aa_term=aa_term),

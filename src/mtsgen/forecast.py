@@ -61,8 +61,12 @@ class QuantileMaps:
         if (nus is None) == (tables is None):
             raise InputError("quantile maps take either nus or tables, not both or neither")
         self.mode = "scaled_t" if tables is None else "empirical"
-        self.nus = None if nus is None else np.asarray(nus, dtype=float)
-        self.tables = None if tables is None else [np.sort(np.asarray(t, dtype=float)) for t in tables]
+        try:
+            self.nus = None if nus is None else np.asarray(nus, dtype=float)
+            self.tables = (None if tables is None else
+                           [np.sort(np.asarray(t, dtype=float)) for t in tables])
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"quantile maps need real numbers: {exc}") from None
         if self.tables is not None and any(t.ndim != 1 or len(t) == 0 for t in self.tables):
             raise InputError("empirical quantile tables must be nonempty 1-d arrays")
         self._grid = None   # (n, table of shape (n, d)) of the last grid

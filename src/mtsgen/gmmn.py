@@ -53,8 +53,13 @@ class KernelSpec:
     bandwidths: tuple = TRAIN_BANDWIDTHS
 
     def __post_init__(self):
-        if len(self.bandwidths) == 0 or any(not is_real(s) or not s > 0 for s in self.bandwidths):
-            raise ConfigError("bandwidths must be nonempty and positive real numbers")
+        # 2 s^2 divides the squared distances and 1 / s^2 scales the gradient:
+        # in this range both are finite and nonzero
+        bws = self.bandwidths
+        if (not isinstance(bws, (tuple, list, np.ndarray)) or len(bws) == 0
+                or any(not is_real(s) or not 1e-150 <= s <= 1e150 for s in bws)):
+            raise ConfigError("bandwidths must be a nonempty sequence of positive real "
+                              "numbers in [1e-150, 1e150]")
 
     @classmethod
     def for_training(cls) -> "KernelSpec":
@@ -74,31 +79,59 @@ class KernelSpec:
 # as 0.0 directly.
 _EXP_ZERO_BELOW = -746.0
 
+# Kernel entries per block: a tile of the MMD step, or a block of rows of a
+# kernel mean.  A block's arrays stay in cache, and the step's memory does
+# not grow with the square of the sample size.
+_TILE = 2**16
 
-def _gauss(nd2: np.ndarray, s: float, out: np.ndarray) -> np.ndarray:
-    """exp(-d2 / (2 s^2)) into out, from the negated squared distances nd2.
 
+def _gauss(nd2: np.ndarray, s: float, out: np.ndarray, lo: float | None = None) -> np.ndarray:
+    """exp(-d2 / (2 s^2)) into the C-contiguous out, from the negated squared distances nd2.
+
+    `lo` is nd2.min(), the negated largest squared distance; a caller that
+    takes several bandwidths on one block passes it to compute it once.
     The result is bit for bit that of np.exp(-d2 / (2.0 * s * s)).
     """
-    np.divide(nd2, 2.0 * s * s, out=out)
-    if out.min() < _EXP_ZERO_BELOW:
-        keep = out >= _EXP_ZERO_BELOW
-        np.exp(out, out=out, where=keep)
-        np.logical_not(keep, out=keep)
-        out[keep] = 0.0
-    else:
-        np.exp(out, out=out)
+    if not out.flags.c_contiguous:
+        # the scatter below writes through a flat view of out
+        raise ValueError("out must be C-contiguous")
+    if lo is None:
+        lo = nd2.min()
+    two_s2 = 2.0 * s * s
+    np.divide(nd2, two_s2, out=out)
+    # rounding is monotone, so this is out.min(); a NaN takes the plain exp
+    if not lo / two_s2 < _EXP_ZERO_BELOW:
+        return np.exp(out, out=out)
+    # exp on the kept entries alone, gathered and scattered back
+    flat = out.reshape(-1)
+    at = np.flatnonzero(flat >= _EXP_ZERO_BELOW)
+    kept = flat[at]
+    np.exp(kept, out=kept)
+    flat[...] = 0.0
+    flat[at] = kept
     return out
 
 
 def _mix_mean(a: np.ndarray, b: np.ndarray, spec: KernelSpec) -> float:
-    """Mean of the kernel-mixture matrix between the rows of a and b."""
-    nd2, kern, mix = np.empty((3, len(a), len(b)))
-    cdist(a, b, "sqeuclidean", out=nd2)
-    np.negative(nd2, out=nd2)
-    mix[...] = 0.0
-    for s in spec.bandwidths:
-        mix += _gauss(nd2, s, kern)
+    """Mean of the kernel-mixture matrix between the rows of a and b.
+
+    The mixture is the one full matrix.  Distances and kernels are taken for
+    blocks of _TILE entries of its rows, and the first bandwidth's kernel is
+    the block's mixture, as 0.0 + k == k.
+    """
+    n, m = len(a), len(b)
+    rows = max(1, _TILE // max(1, m))
+    mix = np.empty((n, m))
+    nd2, kern = np.empty((2, min(rows, n), m))
+    first, *rest = spec.bandwidths
+    for i0 in range(0, n, rows):
+        r = min(rows, n - i0)
+        nd = cdist(a[i0:i0 + r], b, "sqeuclidean", out=nd2[:r])
+        np.negative(nd, out=nd)
+        lo = nd.min()
+        mix_r = _gauss(nd, first, mix[i0:i0 + r], lo)
+        for s in rest:
+            mix_r += _gauss(nd, s, kern[:r], lo)
     return float(mix.mean())
 
 
@@ -142,17 +175,19 @@ def _views(flat: np.ndarray, layer_dims) -> tuple:
     weight matrix (row-major), the bias and, for a hidden layer, its BN
     scale and shift.
     """
+    pairs = list(zip(layer_dims[:-1], layer_dims[1:]))
+    size = sum(d_cur * (d_prev + 1) for d_prev, d_cur in pairs) + 2 * sum(layer_dims[1:-1])
+    if flat.size != size:
+        raise InputError("theta length does not match model shape")
     weights, biases, bn_scale, bn_shift = [], [], [], []
     i = 0
-    for l, (d_prev, d_cur) in enumerate(zip(layer_dims[:-1], layer_dims[1:])):
+    for l, (d_prev, d_cur) in enumerate(pairs):
         weights.append(flat[i:i + d_cur * d_prev].reshape(d_cur, d_prev))
         i += d_cur * d_prev
         biases.append(flat[i:i + d_cur]); i += d_cur
         if l < len(layer_dims) - 2:
             bn_scale.append(flat[i:i + d_cur]); i += d_cur
             bn_shift.append(flat[i:i + d_cur]); i += d_cur
-    if i != flat.size:
-        raise InputError("theta length does not match model shape")
     return weights, biases, bn_scale, bn_shift
 
 
@@ -326,12 +361,6 @@ def nn_forward(model: GmmnModel, v, train: bool = False,
 # loss and gradient
 # ---------------------------------------------------------------------------
 
-# Kernel entries per tile of the MMD step.  A tile of b generated rows holds
-# b x max(n, m) kernel entries, so a task's arrays stay in cache and the
-# step's memory does not grow with the square of the sample size.
-_TILE = 2**16
-
-
 def _mmd_tile(u: np.ndarray, g: np.ndarray, i0: int, i1: int, spec: KernelSpec,
               grad: np.ndarray) -> np.ndarray:
     """Gradient rows i0:i1 into grad, and this tile's (2, n_bandwidths) kernel sums.
@@ -350,15 +379,16 @@ def _mmd_tile(u: np.ndarray, g: np.ndarray, i0: int, i1: int, spec: KernelSpec,
     kern = block[b * (m + n):]
     np.negative(nd2_vv, out=nd2_vv)
     np.negative(nd2_uv, out=nd2_uv)
+    lo_vv, lo_uv = nd2_vv.min(), nd2_uv.min()
     grad_b = grad[i0:i1]
     for j, s in enumerate(spec.bandwidths):
         inv = 1.0 / (s * s)
         # d/dg of the generated-vs-generated double sum
-        k_vv = _gauss(nd2_vv, s, kern[:b * m].reshape(b, m))
+        k_vv = _gauss(nd2_vv, s, kern[:b * m].reshape(b, m), lo_vv)
         sums[0, j] = k_vv.sum()
         grad_b -= (2.0 / (m * m)) * inv * (k_vv.sum(axis=1)[:, None] * g_b - k_vv @ g)
         # d/dg of the cross double sum (enters the loss with factor -2)
-        k_uv = _gauss(nd2_uv, s, kern[:n * b].reshape(n, b))
+        k_uv = _gauss(nd2_uv, s, kern[:n * b].reshape(n, b), lo_uv)
         sums[1, j] = k_uv.sum()
         grad_b += (2.0 / (n * m)) * inv * (k_uv.sum(axis=0)[:, None] * g_b - k_uv.T @ u)
     return sums

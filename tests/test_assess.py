@@ -66,6 +66,12 @@ class TestAmmd:
                             for _ in range(cfg.n_rep)])
         assert ammd(u, cop, cfg, np.random.default_rng(6)) == float(expected)
 
+    @pytest.mark.parametrize("u", [np.empty((0, 2)), np.full(2, 0.5), np.float64(0.5)],
+                             ids=["no_row", "one_dim", "scalar"])
+    def test_test_set_must_be_2d_and_nonempty(self, u):
+        with pytest.raises(InputError, match="at least one row"):
+            ammd(u, IndependenceCopula(2), AssessConfig(n_rep=2), np.random.default_rng(0))
+
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_independent_of_workers(self, workers, monkeypatch):
         from mtsgen.gmmn import mmd

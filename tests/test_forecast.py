@@ -69,6 +69,16 @@ class TestQuantileMaps:
         with pytest.raises(InputError, match="either nus or tables"):
             QuantileMaps(**kwargs)
 
+    @pytest.mark.parametrize("kwargs", [{"nus": ["x"]}, {"nus": [[5.0], [6.0, 7.0]]},
+                                        {"tables": [["x", 1.0]]}, {"tables": 5}],
+                             ids=["nu_text", "nus_ragged", "table_text", "tables_not_iterable"])
+    def test_values_must_be_real_numbers(self, kwargs):
+        with pytest.raises(InputError, match="real numbers"):
+            QuantileMaps(**kwargs)
+        if "nus" in kwargs:
+            with pytest.raises(InputError, match="real numbers"):
+                QuantileMaps.scaled_t(kwargs["nus"])
+
     @pytest.mark.parametrize("maps", [QuantileMaps.scaled_t([6.0]),
                                       QuantileMaps.empirical([[0.0], [1.0]])],
                              ids=["scaled_t", "empirical"])

@@ -38,6 +38,26 @@ class TestKernelSpec:
         with pytest.raises(ConfigError, match="positive real numbers"):
             KernelSpec(bandwidths)
 
+    @pytest.mark.parametrize("bandwidths", [5, 0.5, "0.5", None], ids=["int", "float", "str", "none"])
+    def test_rejects_a_non_sequence(self, bandwidths):
+        with pytest.raises(ConfigError, match="nonempty sequence"):
+            KernelSpec(bandwidths)
+
+    @pytest.mark.parametrize("bandwidths", [(1e-200,), (0.5, 1e-151), (2e150,), (10**400,),
+                                            (float("inf"),)],
+                             ids=["tiny", "tiny_second", "huge", "huge_int", "inf"])
+    def test_rejects_bandwidths_out_of_range(self, bandwidths):
+        with pytest.raises(ConfigError, match=r"in \[1e-150, 1e150\]"):
+            KernelSpec(bandwidths)
+
+    def test_range_ends_give_finite_statistics(self):
+        rng = np.random.default_rng(3)
+        u, g = rng.random((8, 2)), rng.random((9, 2))
+        spec = KernelSpec([1e-150, np.float64(1e150)])
+        assert np.isfinite(mmd(u, g, spec))
+        sq, grad = _mmd_grad_wrt_output(u, g, spec)
+        assert np.isfinite(sq) and np.isfinite(grad).all()
+
 
 class TestKernelMix:
     def test_equal_points(self):
@@ -219,6 +239,14 @@ class TestTheta:
         with pytest.raises(InputError, match="theta length"):
             gmmn.GmmnModel(layer_dims=(2, 4, 2), weights=model.weights,
                            biases=[*model.biases, np.zeros(3)], bn_scale=model.bn_scale,
+                           bn_shift=model.bn_shift, bn_mean=model.bn_mean,
+                           bn_var=model.bn_var)
+
+    def test_too_few_parameter_arrays_rejected(self):
+        model = tiny_model((2, 4, 2))
+        with pytest.raises(InputError, match="theta length"):
+            gmmn.GmmnModel(layer_dims=(2, 4, 2), weights=model.weights[:1],
+                           biases=model.biases[:1], bn_scale=model.bn_scale,
                            bn_shift=model.bn_shift, bn_mean=model.bn_mean,
                            bn_var=model.bn_var)
 
@@ -720,3 +748,29 @@ class TestTiledStep:
         finally:
             tracemalloc.stop()
         assert peak < 5 * 2 * gmmn._TILE * 8
+
+
+class TestKernelMean:
+    def test_holds_one_full_matrix(self):
+        import tracemalloc
+        tau = 2000
+        u = np.random.default_rng(66).random((tau, 5))
+        tracemalloc.start()
+        try:
+            _mix_mean(u, u, KernelSpec.for_training())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the mixture matrix, and blocks of _TILE entries for distances and kernels
+        assert peak < 1.5 * tau * tau * 8
+
+
+class TestGaussOut:
+    def test_rejects_a_non_contiguous_out(self):
+        rng = np.random.default_rng(67)
+        d2 = cdist(rng.random((40, 5)), rng.random((30, 5)), "sqeuclidean")
+        out = np.empty((30, 40)).T
+        # most entries underflow at s=0.01, where the kernel scatters through a flat view
+        with pytest.raises(ValueError, match="C-contiguous"):
+            _gauss(-d2, 0.01, out)
+        assert np.array_equal(_gauss(-d2, 0.01, np.empty_like(d2)), np.exp(-d2 / (2.0 * 0.01 * 0.01)))
