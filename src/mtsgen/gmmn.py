@@ -86,29 +86,29 @@ _TILE = 2**16
 
 
 def _gauss(nd2: np.ndarray, s: float, out: np.ndarray, lo: float | None = None) -> np.ndarray:
-    """exp(-d2 / (2 s^2)) into the C-contiguous out, from the negated squared distances nd2.
+    """exp(-d2 / (2 s^2)) into out, from the negated squared distances nd2.
 
     `lo` is nd2.min(), the negated largest squared distance; a caller that
     takes several bandwidths on one block passes it to compute it once.
     The result is bit for bit that of np.exp(-d2 / (2.0 * s * s)).
     """
-    if not out.flags.c_contiguous:
-        # the scatter below writes through a flat view of out
-        raise ValueError("out must be C-contiguous")
     if lo is None:
         lo = nd2.min()
     two_s2 = 2.0 * s * s
-    np.divide(nd2, two_s2, out=out)
-    # rounding is monotone, so this is out.min(); a NaN takes the plain exp
+    # rounding is monotone, so this is the least exponent; a NaN takes the plain exp
     if not lo / two_s2 < _EXP_ZERO_BELOW:
+        np.divide(nd2, two_s2, out=out)
         return np.exp(out, out=out)
-    # exp on the kept entries alone, gathered and scattered back
-    flat = out.reshape(-1)
-    at = np.flatnonzero(flat >= _EXP_ZERO_BELOW)
-    kept = flat[at]
+    # divide and exp on the kept entries alone, gathered and scattered back by
+    # their C-order flat indices, which take and put read in any layout of out.
+    # Choosing them on nd2 may differ from choosing on the exponent only for
+    # exponents within an ulp of -746, where exp gives 0.0 too.
+    at = np.flatnonzero(nd2 >= _EXP_ZERO_BELOW * two_s2)
+    kept = nd2.take(at)
+    np.divide(kept, two_s2, out=kept)
     np.exp(kept, out=kept)
-    flat[...] = 0.0
-    flat[at] = kept
+    out[...] = 0.0
+    out.put(at, kept)
     return out
 
 

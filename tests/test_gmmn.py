@@ -766,11 +766,25 @@ class TestKernelMean:
 
 
 class TestGaussOut:
-    def test_rejects_a_non_contiguous_out(self):
+    def test_non_contiguous_out(self):
         rng = np.random.default_rng(67)
         d2 = cdist(rng.random((40, 5)), rng.random((30, 5)), "sqeuclidean")
-        out = np.empty((30, 40)).T
-        # most entries underflow at s=0.01, where the kernel scatters through a flat view
-        with pytest.raises(ValueError, match="C-contiguous"):
-            _gauss(-d2, 0.01, out)
-        assert np.array_equal(_gauss(-d2, 0.01, np.empty_like(d2)), np.exp(-d2 / (2.0 * 0.01 * 0.01)))
+        want = np.exp(-d2 / (2.0 * 0.01 * 0.01))
+        # most entries underflow at s=0.01, where the kept entries are gathered and scattered
+        assert 0 < np.count_nonzero(want) < want.size // 2
+        for out in (np.empty((30, 40)).T, np.empty((40, 60))[:, ::2]):
+            assert not out.flags.c_contiguous
+            assert _gauss(-d2, 0.01, out) is out
+            assert np.array_equal(out, want)
+
+    @pytest.mark.parametrize("s", [0.001, 0.01, 0.27, 3.0])
+    def test_distances_within_ulps_of_the_bound(self, s):
+        # kept entries are chosen by nd2 >= -746 * 2 s^2, before the divide, so
+        # the choice may differ from one on the exponent by an ulp (at s=0.27
+        # the bound itself divides to just below -746); exp is 0.0 there
+        two_s2 = 2.0 * s * s
+        bound = -746.0 * two_s2
+        nd2 = np.append(bound + np.spacing(bound) * np.arange(-8, 9), -0.0)[None, :]
+        expo = nd2 / two_s2
+        assert not np.any(np.exp(expo[:, :-1]))
+        assert np.array_equal(_gauss(nd2, s, np.empty_like(nd2)), np.exp(expo))
