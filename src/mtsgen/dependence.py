@@ -28,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, is_integer
 
 __all__ = [
     "PseudoSample",
@@ -150,6 +150,8 @@ class IndependenceCopula(DependenceModel):
     """iid uniform coordinates; the simplest benchmark dependence model."""
 
     def __init__(self, d: int):
+        if not (is_integer(d) and d >= 1):
+            raise InputError(f"d={d!r} must be an integer of at least 1")
         self.d = int(d)
 
     def noise(self, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -51,10 +51,10 @@ class QuantileMaps:
     A draw on the rank grid k / (n + 1), k = 1..n (GMMN and empirical
     copula draws, in a bootstrap mixture too) comes in as integer ranks
     through :meth:`on_grid`, and is mapped by lookup in a table of ``self``
-    at each grid point, computed for the last grid size only and never
-    saved.  The table holds the quantiles of the same doubles
-    ``ranks / (n + 1.0)`` that ``self`` would get, and both kinds of map
-    are elementwise, so the lookup returns the same bytes as the call.
+    at each grid point, computed once per grid size and never saved.  The
+    table holds the quantiles of the same doubles ``ranks / (n + 1.0)``
+    that ``self`` would get, and both kinds of map are elementwise, so the
+    lookup returns the same bytes as the call.
     """
 
     def __init__(self, *, nus: np.ndarray | None = None, tables: list | None = None):
@@ -69,7 +69,7 @@ class QuantileMaps:
             raise InputError(f"quantile maps need real numbers: {exc}") from None
         if self.tables is not None and any(t.ndim != 1 or len(t) == 0 for t in self.tables):
             raise InputError("empirical quantile tables must be nonempty 1-d arrays")
-        self._grid = None   # (n, table of shape (n, d)) of the last grid
+        self._grids = {}   # grid size n -> table of shape (n, d)
 
     @classmethod
     def scaled_t(cls, nus) -> "QuantileMaps":
@@ -99,11 +99,11 @@ class QuantileMaps:
 
     def on_grid(self, ranks: np.ndarray, n: int) -> np.ndarray:
         """``self(ranks / (n + 1.0))`` for integer ranks in 1..n, bit for bit."""
-        grid = self._grid   # read once: another thread may replace it
-        if grid is None or grid[0] != n:
+        table = self._grids.get(n)
+        if table is None:
             u = np.arange(1, n + 1) / (n + 1.0)
-            self._grid = grid = (n, self(np.repeat(u[:, None], self.d, axis=1)))
-        return np.take_along_axis(grid[1], ranks - 1, axis=0)
+            table = self._grids.setdefault(n, self(np.repeat(u[:, None], self.d, axis=1)))
+        return np.take_along_axis(table, ranks - 1, axis=0)
 
 
 @dataclass

@@ -217,6 +217,14 @@ class GmmnModel:
     theta: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        dims = self.layer_dims
+        if not (isinstance(dims, (tuple, list, np.ndarray))
+                and all(is_integer(h) and h > 0 for h in dims)):
+            raise ConfigError("layer_dims must be a sequence of positive integer sizes")
+        if len(dims) < 3:
+            raise ConfigError("need at least one hidden layer")
+        if not is_real(self.dropout_rate) or not 0.0 <= self.dropout_rate < 1.0:
+            raise ConfigError("dropout_rate must lie in [0, 1)")
         given = (self.weights, self.biases, self.bn_scale, self.bn_shift)
         self.theta = np.empty(sum(np.size(a) for part in given for a in part))
         views = _views(self.theta, self.layer_dims)
@@ -251,10 +259,6 @@ class GmmnModel:
 
 def glorot_init(layer_dims, rng: np.random.Generator, dropout_rate: float = 0.5) -> GmmnModel:
     """Uniform(+-sqrt(6/(fan_in + fan_out))) weights, zero biases, unit BN scale."""
-    if len(layer_dims) < 3:
-        raise ConfigError("need at least one hidden layer")
-    if not is_real(dropout_rate) or not 0.0 <= dropout_rate < 1.0:
-        raise ConfigError("dropout_rate must lie in [0, 1)")
     weights, biases = [], []
     for d_prev, d_cur in zip(layer_dims[:-1], layer_dims[1:]):
         bound = np.sqrt(6.0 / (d_prev + d_cur))

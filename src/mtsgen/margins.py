@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy import optimize, signal, special, stats
 
-from .errors import InputError, NumericalError, is_integer
+from .errors import InputError, NumericalError, is_integer, is_real
 
 __all__ = [
     "ArmaGarchParams",
@@ -85,6 +85,9 @@ class ArmaGarchParams:
     nu: float
 
     def __post_init__(self):
+        for name in ("mu", "omega", "nu"):
+            if not is_real(getattr(self, name)):
+                raise InputError(f"{name} must be a real number")
         for name in ("phi", "gamma", "alpha", "beta"):
             object.__setattr__(self, name, np.atleast_1d(np.asarray(getattr(self, name), dtype=float)))
         for message, broken in _violations(self):
@@ -223,6 +226,12 @@ class MarginalFitResult:
     filter: FilterOutput
     loglik: float
     converged: bool
+
+    def __post_init__(self):
+        if not is_real(self.loglik):
+            raise InputError(f"loglik={self.loglik!r} must be a real number")
+        if not isinstance(self.converged, bool):
+            raise InputError(f"converged={self.converged!r} must be true or false")
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, NumericalError
+from .errors import InputError, NumericalError, is_integer
 
 __all__ = ["PcaTransform", "fit_pca", "select_k", "project", "lift"]
 
@@ -32,6 +32,8 @@ class PcaTransform:
     upsilon: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        if not is_integer(self.k):
+            raise InputError(f"PCA k={self.k!r} must be an integer")
         if not 1 <= self.k <= self.d:
             raise InputError(f"PCA k must be in [1, {self.d}], got {self.k}")
         self.upsilon = self.gamma[:, :self.k].copy()

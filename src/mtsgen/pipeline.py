@@ -189,16 +189,18 @@ class PipelineConfig:
         for key in ("fix_mu_zero", "pca_enabled"):
             if not isinstance(getattr(self, key), bool):
                 raise ConfigError(f"{key} must be true or false")
-        for key in ("n_pth", "n_rep", "pca_k_min", "bootstrap_n_bt", "gmmn_n_epo", "seed"):
+        for key in ("n_pth", "pca_k_min", "bootstrap_n_bt", "seed"):
             if not is_integer(getattr(self, key)):
                 raise ConfigError(f"{key} must be an integer")
-        if not (self.gmmn_n_bat is None or is_integer(self.gmmn_n_bat)):
-            raise ConfigError("gmmn_n_bat must be an integer or null")
-        if not all(is_integer(h) for h in self.gmmn_hidden_dims):
-            raise ConfigError("gmmn_hidden_dims must hold integers")
-        for key in ("pca_threshold", "gmmn_dropout", "vs_order", "var_alpha"):
+        for key in ("pca_threshold", "vs_order", "var_alpha"):
             if not is_real(getattr(self, key)):
                 raise ConfigError(f"{key} must be a real number")
+        for key in ("bootstrap_n_bt", "seed"):
+            if getattr(self, key) < 0:
+                raise ConfigError(f"{key}={getattr(self, key)} must be nonnegative")
+        # n_rep and the gmmn_* keys, checked for every dependence kind
+        self.assess_config()
+        self.train_config(self.seed)
         # NumPy scalars as Python numbers, which the canonical JSON can hold
         for key in self.__dataclass_fields__:
             v = getattr(self, key)
@@ -212,17 +214,12 @@ class PipelineConfig:
             raise ConfigError(f"pca_threshold={self.pca_threshold} must lie in (0, 1]")
         if self.pca_k_min < 1:
             raise ConfigError(f"pca_k_min={self.pca_k_min} must be at least 1")
-        for key in ("bootstrap_n_bt", "seed"):
-            if getattr(self, key) < 0:
-                raise ConfigError(f"{key}={getattr(self, key)} must be nonnegative")
         if self.n_pth < 1:
             raise ConfigError(f"n_pth={self.n_pth} must be at least 1")
         if not 0.0 < self.vs_order < math.inf:
             raise ConfigError(f"vs_order={self.vs_order} must be positive and finite")
         if not 0.0 < self.var_alpha < 1.0:
             raise ConfigError(f"var_alpha={self.var_alpha} must lie in (0, 1)")
-        self.assess_config()    # n_rep
-        self.train_config(self.seed)    # gmmn_* ranges, checked for every dependence kind
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -232,11 +229,7 @@ class PipelineConfig:
         unknown = set(d) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        try:
-            return cls(**d)
-        except TypeError as exc:
-            # a JSON value of the wrong type, such as "orders": 5
-            raise ConfigError(f"invalid config value: {exc}") from None
+        return cls(**d)
 
     def canonical_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))

@@ -145,6 +145,14 @@ class TestIndependenceCopula:
         b = IndependenceCopula(2).sample(50, np.random.default_rng(12))
         np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("d", [2.7, 2.0, True, "2", None, 0, -1])
+    def test_dimension_is_a_count(self, d):
+        with pytest.raises(InputError, match="must be an integer of at least 1"):
+            IndependenceCopula(d)
+
+    def test_numpy_integer_dimension(self):
+        assert IndependenceCopula(np.int64(3)).d == 3
+
 
 @pytest.mark.parametrize("make", [
     lambda ps: EmpiricalCopula(ps),

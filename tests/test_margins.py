@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, optimize, signal, special, stats
 
-from mtsgen import (ArmaGarchParams, InputError, LaggedState,
+from mtsgen import (ArmaGarchParams, InputError, LaggedState, MarginalFitResult,
                     arma_garch_filter, arma_garch_simulate, fit_arma_garch,
                     scaled_t_quantile)
 from mtsgen.errors import NumericalError
@@ -78,9 +78,28 @@ class TestParams:
         with pytest.raises(InputError, match="finite"):
             garch_params(**bad)
 
+    @pytest.mark.parametrize("bad", [{"mu": [1.0]}, {"mu": True}, {"omega": "0.1"},
+                                     {"nu": None}])
+    def test_scalars_are_real_numbers(self, bad):
+        with pytest.raises(InputError, match="must be a real number"):
+            garch_params(**bad)
+
     def test_unconditional_variance(self):
         p = garch_params(omega=0.1, alpha=[0.2], beta=[0.7])
         assert p.uncond_variance == pytest.approx(1.0)
+
+
+class TestFitResult:
+    @pytest.mark.parametrize("bad, message", [
+        ({"loglik": "abc"}, "loglik='abc' must be a real number"),
+        ({"loglik": None}, "loglik=None must be a real number"),
+        ({"loglik": True}, "loglik=True must be a real number"),
+        ({"converged": "yes"}, "converged='yes' must be true or false"),
+        ({"converged": 1}, "converged=1 must be true or false")])
+    def test_fields_typed(self, bad, message):
+        with pytest.raises(InputError, match=message):
+            MarginalFitResult(**{"params": garch_params(), "filter": None, "loglik": -1.5,
+                                 "converged": True, **bad})
 
 
 class TestFilter:

@@ -18,6 +18,17 @@ def sample_with_cov(cov, n=400, seed=0):
     return z @ np.linalg.cholesky(cov).T
 
 
+class TestTransform:
+    @pytest.mark.parametrize("k", [True, 2.0, "2", None])
+    def test_k_is_an_integer(self, k):
+        with pytest.raises(InputError, match=f"PCA k={k!r} must be an integer"):
+            PcaTransform(gamma=np.eye(3), lambdas=np.ones(3), k=k)
+
+    def test_numpy_integer_k(self):
+        pca = PcaTransform(gamma=np.eye(3), lambdas=np.ones(3), k=np.int64(2))
+        assert pca.upsilon.shape == (3, 2)
+
+
 class TestFitPca:
     def test_identity_covariance(self):
         z = sample_with_cov(np.eye(3))

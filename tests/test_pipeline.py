@@ -1165,6 +1165,20 @@ class TestUnwritableOut:
         assert str(out) in capsys.readouterr().err
 
 
+# every kind of JSON value: scalars, with small counts and rates among them, and
+# nested lists and objects of them
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-1, 4) | st.floats()
+    | st.floats(0.0, 1.0) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=8)
+# dicts of any subset of the config keys, each holding its default or any JSON value
+DEFAULTS = json.loads(PipelineConfig().canonical_json())
+CONFIG_DICTS = st.sets(st.sampled_from(sorted(DEFAULTS))).flatmap(
+    lambda keys: st.fixed_dictionaries({k: st.just(DEFAULTS[k]) | JSON_VALUES for k in keys}))
+
+
 class TestConfigFailFast:
     """Every config value is checked when the config is built, before any fit."""
 
@@ -1196,6 +1210,20 @@ class TestConfigFailFast:
     def test_bad_value_from_constructor(self, bad):
         with pytest.raises(ConfigError):
             PipelineConfig(**bad)
+
+    @pytest.mark.parametrize("dims", [5, None, True])
+    def test_hidden_dims_not_a_list(self, dims):
+        with pytest.raises(ConfigError, match="hidden_dims must be a nonempty list"):
+            PipelineConfig(gmmn_hidden_dims=dims)
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(CONFIG_DICTS)
+    def test_json_values_give_config_or_config_error(self, d):
+        try:
+            cfg = PipelineConfig.from_dict(d)
+        except ConfigError:
+            return
+        assert PipelineConfig.from_dict(json.loads(cfg.canonical_json())) == cfg
 
     @pytest.fixture
     def no_margin_fits(self, monkeypatch):
@@ -1450,6 +1478,19 @@ def model_files(small_dataset, tmp_path_factory):
     return files
 
 
+def meta_leaves(node):
+    """(container, key) of every value in parsed JSON metadata that is no object or list."""
+    for key, value in (node.items() if isinstance(node, dict) else enumerate(node)):
+        if isinstance(value, (dict, list)):
+            yield from meta_leaves(value)
+        else:
+            yield node, key
+
+
+JSON_LEAVES = st.one_of(st.text(max_size=3), st.none(), st.booleans(), st.floats(),
+                        st.lists(st.integers(-3, 9), max_size=3))
+
+
 class TestLoaderFuzz:
     @pytest.mark.filterwarnings("ignore::numpy.exceptions.ComplexWarning")
     def test_non_real_arrays_rejected(self, model_files):
@@ -1469,10 +1510,16 @@ class TestLoaderFuzz:
     @given(data=st.data())
     def test_only_typed_errors(self, model_files, small_dataset, data):
         arrays = dict(data.draw(st.sampled_from(model_files)))
-        how = data.draw(st.sampled_from(["drop_meta", "drop_array", "dtype", "truncate"]))
-        if how == "drop_meta":
+        how = data.draw(st.sampled_from(["drop_meta", "drop_array", "dtype", "truncate",
+                                         "meta_value"]))
+        if how in ("drop_meta", "meta_value"):
             meta = json.loads(bytes(arrays["__meta__"]).decode())
-            del meta[data.draw(st.sampled_from(sorted(meta)))]
+            if how == "drop_meta":
+                del meta[data.draw(st.sampled_from(sorted(meta)))]
+            else:
+                # one leaf becomes a JSON value of another type
+                node, key = data.draw(st.sampled_from(list(meta_leaves(meta))))
+                node[key] = data.draw(JSON_LEAVES.filter(lambda v: type(v) is not type(node[key])))
             arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
         elif how == "drop_array":
             del arrays[data.draw(st.sampled_from(sorted(arrays)))]
@@ -1536,6 +1583,51 @@ class TestBnStatistics:
             return
         assert code == 2
         assert err.startswith("error: ") and entry in err and "Traceback" not in err
+        assert not out.exists()
+
+
+def set_meta(entry, key, value):
+    """An edit of a model file's metadata: entry[key] becomes value, or value(entry[key])."""
+    def edit(meta):
+        node = meta
+        for k in entry:
+            node = node[k]
+        node[key] = value(node[key]) if callable(value) else value
+    return edit
+
+
+META_REFUSALS = {
+    **{f"dropout_{v}": (set_meta(["dep/net"], "dropout_rate", v), "dropout_rate must lie in [0, 1)")
+       for v in ("x", None, 1.0, 2.0)},
+    "no_hidden_layer": (set_meta(["dep/net"], "layer_dims", lambda dims: [dims[0], dims[-1]]),
+                        "need at least one hidden layer"),
+    "loglik_str": (set_meta(["margins", 0], "loglik", "abc"), "loglik='abc' must be a real number"),
+    "converged_str": (set_meta(["margins", 1], "converged", "yes"),
+                      "converged='yes' must be true or false"),
+}
+
+
+class TestMetaValueRefused:
+    """A GMMN file whose net or margin metadata breaks its class's rules exits 2 at load."""
+
+    @pytest.mark.parametrize("command", ["forecast", "assess"])
+    @pytest.mark.parametrize("case", list(META_REFUSALS))
+    def test_exit_code(self, gmmn_file, small_dataset, tmp_path, capsys, command, case):
+        from mtsgen.cli import main
+        edit, message = META_REFUSALS[case]
+        with np.load(gmmn_file / "m.npz") as data:
+            arrays = {k: data[k] for k in data.files}
+        meta = json.loads(bytes(arrays["__meta__"]).decode())
+        edit(meta)
+        arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        np.savez(tmp_path / "m.npz", **arrays)
+        out = tmp_path / "out"
+        code = main([command, "--data", str(gmmn_file / "x.csv"), "--seed", "1",
+                     "--tau", str(small_dataset.tau), "--n-pth", "20",
+                     "--model", str(tmp_path / "m.npz"), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"error: {message}\n"
         assert not out.exists()
 
 

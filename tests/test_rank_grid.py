@@ -100,17 +100,42 @@ class TestGridTable:
         grid = 25 if kind == "gmmn" else data.tau
         assert calls == [(grid,)] * data.d
 
-    def test_one_slot_cache(self, data):
-        # scaled-t maps without PCA, empirical maps with it: one table either way
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """(maps, row count) of every QuantileMaps call; a GMMN draws through on_grid alone."""
+        made = []
+
+        def counting(self, u):
+            made.append((self, len(u)))
+            return call(self, u)
+
+        call = QuantileMaps.__call__
+        monkeypatch.setattr(QuantileMaps, "__call__", counting)
+        return made
+
+    def test_one_build_per_size(self, data, builds):
+        # scaled-t maps without PCA, empirical maps with it
         for pca in (False, True):
             model = fit_mts(PipelineConfig(pca_enabled=pca, pca_k_min=1, seed=87,
                                            **KINDS["gmmn"]), data)
             dep, qm = model.dependence, model.quantile_maps
-            for n in (50, 80):
+            builds.clear()
+            for n in (50, 80, 50, 80):
                 dep.from_noise([dep.noise(n, np.random.default_rng(n))], qm)
-            n, table = qm._grid
-            assert n == 80 and table.shape == (80, qm.d)
-            assert np.array_equal(table, qm(np.arange(1, 81)[:, None] / 81.0 + np.zeros(qm.d)))
+            assert builds == [(qm, 50), (qm, 80)]
+            for n, table in qm._grids.items():
+                u = np.arange(1, n + 1)[:, None] / (n + 1.0) + np.zeros(qm.d)
+                assert np.array_equal(table, qm(u))
+
+    def test_bootstrap_builds_once_per_replicate_and_size(self, builds):
+        # the draw sizes of a mixture's replicates vary from origin to origin
+        from test_draw_pins import PINS, config, dataset
+        model = load_model(PINS / "gmmn-pca0-bt3.npz")
+        rolling_forecasts(model, dataset(), config("gmmn-pca0-bt3").n_pth,
+                          np.random.SeedSequence(config("gmmn-pca0-bt3").seed))
+        maps = model.dependence.component_quantiles
+        assert {m for m, _ in builds} == set(maps)
+        assert len(set(builds)) == len(builds) > len(maps)
 
 
     def test_concurrent_calls_equal_sequential(self):
