@@ -11,10 +11,10 @@ import logging
 from .assess import AssessConfig, ammd, amse, avs, vear
 from .bootstrap import BootstrapMixture, bootstrap_fit
 from .dependence import (EmpiricalBetaCopula, EmpiricalCopula,
-                         IndependenceCopula, PseudoSample,
+                         IndependenceCopula, PseudoSample, QuantileMaps,
                          pseudo_observations)
 from .errors import ConfigError, InputError, MtsgenError, NumericalError
-from .forecast import MtsModel, QuantileMaps, forecast_paths, var_forecast
+from .forecast import MtsModel, forecast_paths, var_forecast
 from .gmmn import (AdamState, GmmnCopula, GmmnModel, KernelSpec, TrainConfig,
                    adam_step, kernel_mix, mmd, mmd_loss_and_grad, nn_forward,
                    sample_gmmn, train_gmmn)

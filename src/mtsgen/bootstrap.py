@@ -12,9 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dependence import DependenceModel, pseudo_observations
+from .dependence import DependenceModel, QuantileMaps, pseudo_observations
 from .errors import InputError
-from .forecast import QuantileMaps
 
 __all__ = ["BootstrapMixture", "bootstrap_fit"]
 

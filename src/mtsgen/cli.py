@@ -203,7 +203,7 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (InputError, MtsgenError, OSError) as exc:
+    except (MtsgenError, OSError) as exc:
         # reads raise InputError, so an OSError is a failed write, which names its file
         print(f"error: {exc}", file=sys.stderr)
         return 2

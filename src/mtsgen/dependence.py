@@ -1,21 +1,25 @@
-"""Pseudo-observations and nonparametric/independence dependence samplers.
+"""Pseudo-observations, the dependence models, and the inverse margins their draws go through.
 
 Every dependence model draws the same way, in two phases: ``noise(n, rng)``
 makes every RNG call of n draws, in order, and the pure ``from_noise(noises,
 quantile_maps=None)`` maps a list of such noises to their draws, each an
 ``n x d`` matrix of values strictly inside (0, 1), or mapped through the
-inverse margins if `quantile_maps` are given.  ``sample(n, rng)`` is the
-two composed for one noise.  So the noises of many generators can be drawn
-one after another and mapped together, with the bits of one map per noise.
+inverse margins, a `QuantileMaps`, if `quantile_maps` are given.
+``sample(n, rng)`` is the two composed for one noise.  So the noises of many
+generators can be drawn one after another and mapped together, with the bits
+of one map per noise.
 
 Some draws lie on a rank grid: every value is k / (m + 1) for an integer
 rank k in 1..m.  The empirical copula resamples rows of its ranks
 (m = the sample size), and the GMMN copula re-ranks its n outputs (m = n).
-These models hand their integer ranks to
-``quantile_maps.on_grid(ranks, m)``, which maps each grid point once
-instead of once per draw.  ``on_grid`` returns the bytes
-``quantile_maps(ranks / (m + 1.0))`` would, so a draw through the maps
-equals ``quantile_maps`` of the same draw without them, bit for bit.
+These models hand their integer ranks to ``quantile_maps.on_grid(ranks,
+m)``, which looks each draw up in a table of the maps at every grid point,
+computed once per grid size and never saved.  One function, `_on_grid`,
+computes every grid value as ``ranks / (m + 1.0)``: for `PseudoSample.u`,
+for a draw without maps and for the table alike.  Both kinds of map are
+elementwise, so ``on_grid`` returns the bytes ``quantile_maps(ranks / (m +
+1.0))`` would, and a draw through the maps equals ``quantile_maps`` of the
+same draw without them, bit for bit.
 The empirical beta copula is the empirical copula with each picked rank
 drawn through a Beta law, off the grid; it and the other models map their
 draws through ``quantile_maps`` itself.
@@ -29,6 +33,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InputError, is_integer
+from .margins import scaled_t_quantile
 
 __all__ = [
     "PseudoSample",
@@ -37,6 +42,8 @@ __all__ = [
     "EmpiricalCopula",
     "EmpiricalBetaCopula",
     "IndependenceCopula",
+    "QuantileMaps",
+    "empirical_quantile",
 ]
 
 
@@ -56,7 +63,7 @@ class PseudoSample:
 
     @cached_property
     def u(self) -> np.ndarray:
-        return self.ranks / (self.n + 1.0)
+        return _on_grid(self.ranks, self.n, None)
 
 
 def pseudo_observations(y) -> PseudoSample:
@@ -78,6 +85,78 @@ def pseudo_observations(y) -> PseudoSample:
     rows = np.arange(1, n + 1)[:, None]
     np.put_along_axis(ranks, order, np.broadcast_to(rows, y.shape), axis=0)
     return PseudoSample(ranks)
+
+
+def empirical_quantile(sorted_values: np.ndarray, p) -> np.ndarray:
+    """Lower empirical quantile: the order statistic at index ceil(p * n).
+
+    `sorted_values` must be ascending.  The lower convention is conservative
+    for small levels in a risk context and exactly testable.
+    """
+    p = np.asarray(p, dtype=float)
+    n = len(sorted_values)
+    idx = np.clip(np.ceil(p * n).astype(int) - 1, 0, n - 1)
+    return sorted_values[idx]
+
+
+class QuantileMaps:
+    """Componentwise inverse margins for the dependence sample.
+
+    Their kind, ``mode``, follows from the one argument given: ``nus``
+    gives the scaled-t quantile of each fitted margin (used when no
+    dimension reduction is in play), ``tables`` the empirical quantiles of
+    the training components (of the model or of one bootstrap replicate).
+    Draws on the rank grid, in a bootstrap mixture too, come in as integer
+    ranks through :meth:`on_grid` (see the module docstring).
+    """
+
+    def __init__(self, *, nus: np.ndarray | None = None, tables: list | None = None):
+        if (nus is None) == (tables is None):
+            raise InputError("quantile maps take either nus or tables, not both or neither")
+        self.mode = "scaled_t" if tables is None else "empirical"
+        try:
+            self.nus = None if nus is None else np.asarray(nus, dtype=float)
+            self.tables = (None if tables is None else
+                           [np.sort(np.asarray(t, dtype=float)) for t in tables])
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"quantile maps need real numbers: {exc}") from None
+        if self.tables is not None and any(t.ndim != 1 or len(t) == 0 for t in self.tables):
+            raise InputError("empirical quantile tables must be nonempty 1-d arrays")
+        self._grids = {}   # grid size n -> table of shape (n, d)
+
+    @classmethod
+    def scaled_t(cls, nus) -> "QuantileMaps":
+        return cls(nus=nus)
+
+    @classmethod
+    def empirical(cls, y_columns) -> "QuantileMaps":
+        """Tables from the columns of a training component matrix."""
+        y = np.asarray(y_columns, dtype=float)
+        return cls(tables=[y[:, j] for j in range(y.shape[1])])
+
+    @property
+    def d(self) -> int:
+        return len(self.nus) if self.mode == "scaled_t" else len(self.tables)
+
+    def __call__(self, u: np.ndarray) -> np.ndarray:
+        u = np.asarray(u, dtype=float)
+        if u.ndim != 2 or u.shape[1] != self.d:
+            raise InputError(f"u must have shape (n, {self.d}), not {u.shape}")
+        out = np.empty_like(u)
+        for j in range(u.shape[1]):
+            if self.mode == "scaled_t":
+                out[:, j] = scaled_t_quantile(u[:, j], self.nus[j])
+            else:
+                out[:, j] = empirical_quantile(self.tables[j], u[:, j])
+        return out
+
+    def on_grid(self, ranks: np.ndarray, n: int) -> np.ndarray:
+        """``self(ranks / (n + 1.0))`` for integer ranks in 1..n, bit for bit."""
+        table = self._grids.get(n)
+        if table is None:
+            u = _on_grid(np.arange(1, n + 1), n, None)
+            table = self._grids.setdefault(n, self(np.repeat(u[:, None], self.d, axis=1)))
+        return np.take_along_axis(table, ranks - 1, axis=0)
 
 
 def _on_grid(ranks: np.ndarray, m: int, quantile_maps) -> np.ndarray:

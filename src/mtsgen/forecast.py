@@ -13,97 +13,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _par
-from .dependence import DependenceModel
+from .bootstrap import BootstrapMixture
+from .dependence import DependenceModel, QuantileMaps, empirical_quantile
 from .errors import InputError, is_integer, is_real
-from .margins import LaggedState, arma_garch_filter, arma_garch_simulate, scaled_t_quantile
+from .margins import LaggedState, arma_garch_filter, arma_garch_simulate
 from .pca import PcaTransform, lift
 
 __all__ = [
-    "QuantileMaps",
-    "empirical_quantile",
     "MtsModel",
     "forecast_paths",
     "var_forecast",
     "rolling_var",
 ]
-
-
-def empirical_quantile(sorted_values: np.ndarray, p) -> np.ndarray:
-    """Lower empirical quantile: the order statistic at index ceil(p * n).
-
-    `sorted_values` must be ascending.  The lower convention is conservative
-    for small levels in a risk context and exactly testable.
-    """
-    p = np.asarray(p, dtype=float)
-    n = len(sorted_values)
-    idx = np.clip(np.ceil(p * n).astype(int) - 1, 0, n - 1)
-    return sorted_values[idx]
-
-
-class QuantileMaps:
-    """Componentwise inverse margins for the dependence sample.
-
-    Their kind, ``mode``, follows from the one argument given: ``nus``
-    gives the scaled-t quantile of each fitted margin (used when no
-    dimension reduction is in play), ``tables`` the empirical quantiles of
-    the training components (of the model or of one bootstrap replicate).
-
-    A draw on the rank grid k / (n + 1), k = 1..n (GMMN and empirical
-    copula draws, in a bootstrap mixture too) comes in as integer ranks
-    through :meth:`on_grid`, and is mapped by lookup in a table of ``self``
-    at each grid point, computed once per grid size and never saved.  The
-    table holds the quantiles of the same doubles ``ranks / (n + 1.0)``
-    that ``self`` would get, and both kinds of map are elementwise, so the
-    lookup returns the same bytes as the call.
-    """
-
-    def __init__(self, *, nus: np.ndarray | None = None, tables: list | None = None):
-        if (nus is None) == (tables is None):
-            raise InputError("quantile maps take either nus or tables, not both or neither")
-        self.mode = "scaled_t" if tables is None else "empirical"
-        try:
-            self.nus = None if nus is None else np.asarray(nus, dtype=float)
-            self.tables = (None if tables is None else
-                           [np.sort(np.asarray(t, dtype=float)) for t in tables])
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"quantile maps need real numbers: {exc}") from None
-        if self.tables is not None and any(t.ndim != 1 or len(t) == 0 for t in self.tables):
-            raise InputError("empirical quantile tables must be nonempty 1-d arrays")
-        self._grids = {}   # grid size n -> table of shape (n, d)
-
-    @classmethod
-    def scaled_t(cls, nus) -> "QuantileMaps":
-        return cls(nus=nus)
-
-    @classmethod
-    def empirical(cls, y_columns) -> "QuantileMaps":
-        """Tables from the columns of a training component matrix."""
-        y = np.asarray(y_columns, dtype=float)
-        return cls(tables=[y[:, j] for j in range(y.shape[1])])
-
-    @property
-    def d(self) -> int:
-        return len(self.nus) if self.mode == "scaled_t" else len(self.tables)
-
-    def __call__(self, u: np.ndarray) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        if u.ndim != 2 or u.shape[1] != self.d:
-            raise InputError(f"u must have shape (n, {self.d}), not {u.shape}")
-        out = np.empty_like(u)
-        for j in range(u.shape[1]):
-            if self.mode == "scaled_t":
-                out[:, j] = scaled_t_quantile(u[:, j], self.nus[j])
-            else:
-                out[:, j] = empirical_quantile(self.tables[j], u[:, j])
-        return out
-
-    def on_grid(self, ranks: np.ndarray, n: int) -> np.ndarray:
-        """``self(ranks / (n + 1.0))`` for integer ranks in 1..n, bit for bit."""
-        table = self._grids.get(n)
-        if table is None:
-            u = np.arange(1, n + 1) / (n + 1.0)
-            table = self._grids.setdefault(n, self(np.repeat(u[:, None], self.d, axis=1)))
-        return np.take_along_axis(table, ranks - 1, axis=0)
 
 
 @dataclass
@@ -121,8 +42,6 @@ class MtsModel:
     tau: int
 
     def __post_init__(self):
-        from .bootstrap import BootstrapMixture   # bootstrap imports QuantileMaps from here
-
         if not is_integer(self.tau) or self.tau < 1:
             raise InputError(f"tau={self.tau!r} must be a positive integer")
         qm = self.quantile_maps

@@ -168,6 +168,15 @@ def mmd(a, b, spec: KernelSpec, *, aa_term: float | None = None) -> float:
 # network model
 # ---------------------------------------------------------------------------
 
+def _check_layer_dims(dims) -> None:
+    """The net's shape rule: input, one or more hidden layers and output, each a positive size."""
+    if not (isinstance(dims, (tuple, list, np.ndarray))
+            and all(is_integer(h) and h > 0 for h in dims)):
+        raise ConfigError("layer_dims must be a sequence of positive integer sizes")
+    if len(dims) < 3:
+        raise ConfigError("need at least one hidden layer")
+
+
 def _views(flat: np.ndarray, layer_dims) -> tuple:
     """Weights, biases, BN scales and BN shifts as lists of views into flat.
 
@@ -217,12 +226,7 @@ class GmmnModel:
     theta: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        dims = self.layer_dims
-        if not (isinstance(dims, (tuple, list, np.ndarray))
-                and all(is_integer(h) and h > 0 for h in dims)):
-            raise ConfigError("layer_dims must be a sequence of positive integer sizes")
-        if len(dims) < 3:
-            raise ConfigError("need at least one hidden layer")
+        _check_layer_dims(self.layer_dims)
         if not is_real(self.dropout_rate) or not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError("dropout_rate must lie in [0, 1)")
         given = (self.weights, self.biases, self.bn_scale, self.bn_shift)
@@ -259,6 +263,7 @@ class GmmnModel:
 
 def glorot_init(layer_dims, rng: np.random.Generator, dropout_rate: float = 0.5) -> GmmnModel:
     """Uniform(+-sqrt(6/(fan_in + fan_out))) weights, zero biases, unit BN scale."""
+    _check_layer_dims(layer_dims)
     weights, biases = [], []
     for d_prev, d_cur in zip(layer_dims[:-1], layer_dims[1:]):
         bound = np.sqrt(6.0 / (d_prev + d_cur))

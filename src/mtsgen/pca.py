@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, NumericalError, is_integer
+from .errors import ConfigError, InputError, NumericalError, is_integer, is_real
 
 __all__ = ["PcaTransform", "fit_pca", "select_k", "project", "lift"]
 
@@ -82,8 +82,17 @@ def fit_pca(z) -> PcaTransform:
     return PcaTransform(gamma=vec, lambdas=lam, k=d)
 
 
+def _check_selection(threshold, k_min) -> None:
+    """select_k's settings: `threshold` a real share in (0, 1], `k_min` an integer of at least 1."""
+    if not is_real(threshold) or not 0.0 < threshold <= 1.0:
+        raise ConfigError(f"threshold={threshold!r} must be a real number in (0, 1]")
+    if not is_integer(k_min) or k_min < 1:
+        raise ConfigError(f"k_min={k_min!r} must be an integer of at least 1")
+
+
 def select_k(lambdas, threshold: float = 0.95, k_min: int = 3) -> int:
     """Smallest k >= min(k_min, d) whose leading eigenvalues explain `threshold` of the variance."""
+    _check_selection(threshold, k_min)
     lam = np.asarray(lambdas, dtype=float)
     d = len(lam)
     if np.any(np.diff(lam) > 1e-12) or np.any(lam < 0):

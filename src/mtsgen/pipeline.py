@@ -21,12 +21,12 @@ import numpy as np
 from . import _par, assess
 from .bootstrap import BootstrapMixture, bootstrap_fit
 from .dependence import (EmpiricalBetaCopula, EmpiricalCopula,
-                         IndependenceCopula, pseudo_observations)
+                         IndependenceCopula, QuantileMaps, pseudo_observations)
 from .errors import ConfigError, InputError, NumericalError, is_integer, is_real
-from .forecast import MtsModel, QuantileMaps, _filters, _paths, rolling_var
+from .forecast import MtsModel, _filters, _paths, rolling_var
 from .gmmn import GmmnCopula, TrainConfig, train_gmmn
 from .margins import fit_arma_garch, valid_orders
-from .pca import PcaTransform, fit_pca, project, select_k
+from .pca import PcaTransform, _check_selection, fit_pca, project, select_k
 
 __all__ = [
     "Dataset",
@@ -189,18 +189,19 @@ class PipelineConfig:
         for key in ("fix_mu_zero", "pca_enabled"):
             if not isinstance(getattr(self, key), bool):
                 raise ConfigError(f"{key} must be true or false")
-        for key in ("n_pth", "pca_k_min", "bootstrap_n_bt", "seed"):
+        for key in ("n_pth", "bootstrap_n_bt", "seed"):
             if not is_integer(getattr(self, key)):
                 raise ConfigError(f"{key} must be an integer")
-        for key in ("pca_threshold", "vs_order", "var_alpha"):
+        for key in ("vs_order", "var_alpha"):
             if not is_real(getattr(self, key)):
                 raise ConfigError(f"{key} must be a real number")
         for key in ("bootstrap_n_bt", "seed"):
             if getattr(self, key) < 0:
                 raise ConfigError(f"{key}={getattr(self, key)} must be nonnegative")
-        # n_rep and the gmmn_* keys, checked for every dependence kind
+        # n_rep, the gmmn_* and the pca_* keys, checked for every dependence kind
         self.assess_config()
         self.train_config(self.seed)
+        _check_selection(self.pca_threshold, self.pca_k_min)
         # NumPy scalars as Python numbers, which the canonical JSON can hold
         for key in self.__dataclass_fields__:
             v = getattr(self, key)
@@ -210,10 +211,6 @@ class PipelineConfig:
                 object.__setattr__(self, key, int(v))
             elif is_real(v):
                 object.__setattr__(self, key, float(v))
-        if not 0.0 < self.pca_threshold <= 1.0:
-            raise ConfigError(f"pca_threshold={self.pca_threshold} must lie in (0, 1]")
-        if self.pca_k_min < 1:
-            raise ConfigError(f"pca_k_min={self.pca_k_min} must be at least 1")
         if self.n_pth < 1:
             raise ConfigError(f"n_pth={self.n_pth} must be at least 1")
         if not 0.0 < self.vs_order < math.inf:

@@ -17,9 +17,9 @@ import numpy as np
 
 from .bootstrap import BootstrapMixture
 from .dependence import (EmpiricalBetaCopula, EmpiricalCopula,
-                         IndependenceCopula, PseudoSample)
+                         IndependenceCopula, PseudoSample, QuantileMaps)
 from .errors import InputError
-from .forecast import MtsModel, QuantileMaps
+from .forecast import MtsModel
 from .gmmn import GmmnCopula, GmmnModel
 from .margins import ArmaGarchParams, MarginalFitResult
 from .pca import PcaTransform

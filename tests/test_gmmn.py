@@ -189,7 +189,9 @@ class TestForward:
 
     @pytest.mark.parametrize("dims, dropout, match", [
         ((2, 2), 0.5, "hidden layer"), ((2, 4, 2), 1.0, r"\[0, 1\)"),
-        ((2, 4, 2), -0.1, r"\[0, 1\)"), ((2, 4, 2), "x", r"\[0, 1\)")])
+        ((2, 4, 2), -0.1, r"\[0, 1\)"), ((2, 4, 2), "x", r"\[0, 1\)"),
+        *[(dims, 0.5, "^layer_dims must be a sequence of positive integer sizes$")
+          for dims in [(0, 0, 0), (2, -3, 2), (2, 2.5, 2), (2, True, 2)]]])
     def test_glorot_init_rejects(self, dims, dropout, match):
         with pytest.raises(ConfigError, match=match):
             glorot_init(dims, np.random.default_rng(0), dropout_rate=dropout)

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from mtsgen import InputError, PcaTransform, fit_pca, lift, project, select_k
+from mtsgen import (ConfigError, InputError, PcaTransform, PipelineConfig, fit_pca, lift,
+                    project, select_k)
 from mtsgen.errors import NumericalError
 
 
@@ -112,6 +113,26 @@ class TestSelectK:
     def test_unsorted_rejected(self):
         with pytest.raises(InputError):
             select_k([1.0, 2.0])
+
+    @pytest.mark.parametrize("threshold, k_min, match", [
+        (0.5, 0, "k_min=0 must be an integer of at least 1"),
+        (0.5, -1, "k_min"), (0.5, 2.5, "k_min"), (0.5, True, "k_min"), (0.5, "3", "k_min"),
+        (float("nan"), 1, "threshold"), (0.0, 1, "threshold"), (1.5, 1, "threshold"),
+        (None, 1, "threshold"), (True, 1, "threshold")])
+    def test_impossible_settings_rejected(self, threshold, k_min, match):
+        # a k below 1 is one that PcaTransform refuses
+        with pytest.raises(ConfigError, match=match):
+            select_k([1.0, 0.5], threshold, k_min=k_min)
+
+    @pytest.mark.parametrize("bad", [{"pca_k_min": 2.5}, {"pca_threshold": float("nan")},
+                                     {"pca_k_min": 0}, {"pca_threshold": "x"}])
+    def test_config_checks_by_the_same_rule(self, bad):
+        with pytest.raises(ConfigError) as config_error:
+            PipelineConfig(**bad)
+        settings = {"threshold": bad.get("pca_threshold", 0.95), "k_min": bad.get("pca_k_min", 3)}
+        with pytest.raises(ConfigError) as select_error:
+            select_k([1.0], **settings)
+        assert str(config_error.value) == str(select_error.value)
 
 
 class TestProjectLift:

@@ -9,7 +9,7 @@ import pytest
 from mtsgen import (ArmaGarchParams, EmpiricalBetaCopula, EmpiricalCopula,
                     InputError, PipelineConfig, PseudoSample, QuantileMaps,
                     forecast_paths, load_model, save_model)
-from mtsgen import forecast as forecast_module
+from mtsgen import dependence as dependence_module
 from mtsgen.datagen import GaussianCopulaSampler, equicorrelation, simulate_mts
 from mtsgen.pipeline import Dataset, fit_mts, rolling_forecasts
 
@@ -87,8 +87,8 @@ class TestGridTable:
             counted.append(np.shape(p))
             return quantile(p, nu)
 
-        quantile = forecast_module.scaled_t_quantile
-        monkeypatch.setattr(forecast_module, "scaled_t_quantile", counting)
+        quantile = dependence_module.scaled_t_quantile
+        monkeypatch.setattr(dependence_module, "scaled_t_quantile", counting)
         return counted
 
     @pytest.mark.parametrize("kind", sorted(KINDS))
