@@ -8,7 +8,7 @@ datasets with a controlled dependence structure.
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .dependence import DependenceModel
 from .errors import InputError
@@ -41,8 +41,11 @@ class GaussianCopulaSampler(DependenceModel):
         return rng.standard_normal((n, self.d))
 
     def from_noise(self, noises: list, quantile_maps=None) -> list:
-        """Per noise, as a matrix product over more rows may round differently."""
-        return [self._map(stats.norm.cdf(z @ self._chol.T), quantile_maps) for z in noises]
+        """Per noise, as a matrix product over more rows may round differently.
+
+        ``special.ndtr`` is ``scipy.stats.norm.cdf`` bit for bit, without importing scipy.stats.
+        """
+        return [self._map(special.ndtr(z @ self._chol.T), quantile_maps) for z in noises]
 
 
 def simulate_mts(margin_params: list, copula: DependenceModel, n: int,

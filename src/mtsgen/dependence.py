@@ -33,7 +33,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InputError, is_integer
-from .margins import scaled_t_quantile
+from .margins import scaled_t_quantile, valid_nu
 
 __all__ = [
     "PseudoSample",
@@ -120,6 +120,9 @@ class QuantileMaps:
                            [np.sort(np.asarray(t, dtype=float)) for t in tables])
         except (TypeError, ValueError) as exc:
             raise InputError(f"quantile maps need real numbers: {exc}") from None
+        if self.nus is not None and (self.nus.ndim != 1
+                                     or not all(valid_nu(v) for v in self.nus.tolist())):
+            raise InputError("scaled-t quantile maps need a 1-d array of real, finite nus > 2")
         if self.tables is not None and any(t.ndim != 1 or len(t) == 0 for t in self.tables):
             raise InputError("empirical quantile tables must be nonempty 1-d arrays")
         self._grids = {}   # grid size n -> table of shape (n, d)

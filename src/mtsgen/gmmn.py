@@ -139,6 +139,8 @@ def kernel_mix(u, v, spec: KernelSpec) -> float:
     """K(u, v) = sum_i exp(-||u - v||^2 / (2 sigma_i^2))."""
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
+    if u.shape != v.shape:
+        raise InputError(f"points of shapes {u.shape} and {v.shape} differ")
     d2 = float(np.sum((u - v) ** 2))
     return float(sum(np.exp(-d2 / (2.0 * s * s)) for s in spec.bandwidths))
 

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import optimize, signal, special, stats
+from scipy import optimize, special
+from scipy.linalg import lapack
 
 from .errors import InputError, NumericalError, is_integer, is_real
 
@@ -42,30 +43,51 @@ __all__ = [
 # scaled-t distribution: Z = T / sqrt(nu / (nu - 2)), T ~ t_nu, so Var(Z) = 1
 # ---------------------------------------------------------------------------
 
-def _t_scale(nu: float) -> float:
-    if nu <= 2.0:
-        raise InputError(f"scaled-t requires nu > 2, got {nu}")
+def valid_nu(nu) -> bool:
+    """Whether `nu` is a real, finite number above 2, the degrees of freedom of a scaled t."""
+    return is_real(nu) and math.isfinite(nu) and nu > 2.0
+
+
+def _t_scale(nu) -> float:
+    if not valid_nu(nu):
+        raise InputError(f"scaled-t requires a real, finite nu > 2, got {nu!r}")
     return math.sqrt(nu / (nu - 2.0))
 
 
+def _reals(a, what: str) -> np.ndarray:
+    a = np.asarray(a)
+    if a.dtype.kind not in "iuf":
+        raise InputError(f"{what} must be real numbers, not of dtype {a.dtype}")
+    return a.astype(float, copy=False)
+
+
+# The three functions below are scipy.stats.t's ppf, cdf and logpdf (loc 0,
+# scale 1) written with scipy.special, bit for bit, without the cost of
+# importing scipy.stats; only the sign of an exact zero may differ.
+
 def scaled_t_quantile(p, nu: float):
     """Quantile of the unit-variance scaled t distribution."""
-    p = np.asarray(p, dtype=float)
-    if np.any(p <= 0.0) or np.any(p >= 1.0):
+    c = _t_scale(nu)
+    p = _reals(p, "quantile levels")
+    if not np.all((p > 0.0) & (p < 1.0)):   # NaN fails too
         raise InputError("quantile level must lie strictly in (0, 1)")
-    q = stats.t.ppf(p, df=nu) / _t_scale(nu)
+    q = special.stdtrit(nu, p) / c
     return float(q) if q.ndim == 0 else q
 
 
 def scaled_t_cdf(z, nu: float):
     """CDF of the unit-variance scaled t distribution."""
-    return stats.t.cdf(np.asarray(z, dtype=float) * _t_scale(nu), df=nu)
+    c = _t_scale(nu)
+    return special.stdtr(nu, _reals(z, "z") * c)
 
 
 def scaled_t_logpdf(z, nu: float):
     """Log-density of the unit-variance scaled t distribution."""
     c = _t_scale(nu)
-    return stats.t.logpdf(np.asarray(z, dtype=float) * c, df=nu) + math.log(c)
+    x = _reals(z, "z") * c
+    df = np.asarray(nu, dtype=float)
+    return (np.log(special.poch(0.5 * df, 0.5)) - 0.5 * (np.log(df) + np.log(np.pi))
+            - (df + 1) / 2 * np.log1p(x * x / df)) + math.log(c)
 
 
 # ---------------------------------------------------------------------------
@@ -241,19 +263,43 @@ class MarginalFitResult:
 def _lfilter_rows(tail: np.ndarray, u: np.ndarray, zi: np.ndarray | None = None) -> np.ndarray:
     """``lfilter([1], [1, *tail[i]], u[i], zi=zi[i])`` for every row i.
 
-    One lfilter call per distinct row of `tail`: the perturbed points of a
-    finite-difference gradient share most of their coefficients.
+    One solve per distinct row of `tail`: the perturbed points of a
+    finite-difference gradient share most of their coefficients.  A one-lag
+    recursion y_n = u_n - c y_{n-1} with |c| <= 1 is the forward elimination
+    of LAPACK's tridiagonal solver dgtsv with dl = c, d = 1 and du = 0, which
+    never pivots for such c.  It rounds c y_{n-1} and then the difference,
+    as lfilter's transposed direct form does, and its back substitution
+    subtracts 0 * y and divides by 1, which leaves every finite nonzero value
+    as it is; only the sign of an exact zero may differ from lfilter's.  A
+    non-finite step turns every step before it into NaN there (0 * inf), so
+    such rows take lfilter.
     """
     groups: dict[bytes, list[int]] = {}
     for i, row in enumerate(tail):
         groups.setdefault(row.tobytes(), []).append(i)
     out = np.empty_like(u)
+    n = u.shape[1]
     for idx in map(np.array, groups.values()):
-        den = np.concatenate([[1.0], tail[idx][0]])
+        c = tail[idx[0]]
+        if len(c) == 1 and abs(c[0]) <= 1.0:   # NaN fails the test
+            y = u[idx]
+            if zi is not None:
+                y[:, 0] += zi[idx, 0]
+            if n > 1:   # dgtsv needs two steps; one step is its own output
+                y = lapack.dgtsv(np.full(n - 1, c[0]), np.ones(n), np.zeros(n - 1), y.T,
+                                 overwrite_dl=True, overwrite_d=True, overwrite_du=True,
+                                 overwrite_b=True)[3].T
+            if np.isfinite(y[:, 0]).all():
+                out[idx] = y
+                continue
+        # scipy.signal, with the scipy.stats it imports, takes about half a
+        # second to import; only these recursions need it
+        from scipy.signal import lfilter
+        den = np.concatenate([[1.0], c])
         if zi is None:
-            out[idx] = signal.lfilter([1.0], den, u[idx])
+            out[idx] = lfilter([1.0], den, u[idx])
         else:
-            out[idx] = signal.lfilter([1.0], den, u[idx], zi=zi[idx])[0]
+            out[idx] = lfilter([1.0], den, u[idx], zi=zi[idx])[0]
     return out
 
 

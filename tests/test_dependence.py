@@ -189,6 +189,15 @@ class TestGaussianCopulaSampler:
         want = stats.norm.cdf(z @ np.linalg.cholesky(equicorrelation(3, 0.4)).T)
         assert np.array_equal(cop.sample(50, np.random.default_rng(15)), want)
 
+    def test_normal_cdf_is_scipy_stats_bit_for_bit(self):
+        # identity correlation: the noise passes the matrix product unchanged
+        cop = GaussianCopulaSampler(np.eye(2))
+        z = np.concatenate([stats.norm.ppf(np.linspace(0.001, 0.999, 999)),
+                            [0.0, -0.0, 1e-300, -8.0, 8.0, -40.0, 40.0]])
+        noise = np.stack([z, -z], axis=1)
+        got, want = cop.from_noise([noise])[0], stats.norm.cdf(noise)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
     def test_each_noise_maps_as_its_own_sample(self):
         cop = GaussianCopulaSampler(equicorrelation(2, -0.3))
         qmaps = QuantileMaps.scaled_t([5.0, 6.0])

@@ -79,6 +79,13 @@ class TestQuantileMaps:
             with pytest.raises(InputError, match="real numbers"):
                 QuantileMaps.scaled_t(kwargs["nus"])
 
+    @pytest.mark.parametrize("nus", [[np.nan], [1.5], [np.inf], [6.0, 2.0], [[6.0]], 6.0],
+                             ids=["nan", "below_2", "inf", "one_at_2", "two_dim", "scalar"])
+    def test_nus_follow_the_scaled_t_rule(self, nus):
+        # refused at construction, not at the first draw
+        with pytest.raises(InputError, match="finite nus > 2"):
+            QuantileMaps.scaled_t(nus)
+
     @pytest.mark.parametrize("maps", [QuantileMaps.scaled_t([6.0]),
                                       QuantileMaps.empirical([[0.0], [1.0]])],
                              ids=["scaled_t", "empirical"])

@@ -80,6 +80,14 @@ class TestKernelMix:
             assert kernel_mix(u, v, spec) == kernel_mix(v, u, spec)
 
 
+    @pytest.mark.parametrize("u, v", [([1.0, 2.0], [1.0]), ([1.0], [1.0, 2.0]),
+                                      ([[1.0, 2.0]], [1.0, 2.0])],
+                             ids=["longer_first", "longer_second", "two_dim_first"])
+    def test_points_must_match_in_shape(self, u, v):
+        with pytest.raises(InputError, match="differ"):
+            kernel_mix(u, v, KernelSpec())
+
+
 class TestMmd:
     def test_identical_samples_zero(self):
         spec = KernelSpec.for_assessment()

@@ -12,8 +12,8 @@ from mtsgen import (ArmaGarchParams, InputError, LaggedState, MarginalFitResult,
                     arma_garch_filter, arma_garch_simulate, fit_arma_garch,
                     scaled_t_quantile)
 from mtsgen.errors import NumericalError
-from mtsgen.margins import (_loglik, _neg_loglik, _Transform, _value_and_gradient,
-                            scaled_t_cdf, scaled_t_logpdf)
+from mtsgen.margins import (_lfilter_rows, _loglik, _neg_loglik, _Transform,
+                            _value_and_gradient, scaled_t_cdf, scaled_t_logpdf)
 
 
 def garch_params(**kw):
@@ -54,6 +54,138 @@ class TestScaledT:
             scaled_t_quantile(0.0, 5.0)
         with pytest.raises(InputError):
             scaled_t_quantile(1.0, 5.0)
+
+    @pytest.mark.parametrize("call", [
+        lambda: scaled_t_quantile(math.nan, 5.0),
+        lambda: scaled_t_quantile(0.3, math.nan),
+        lambda: scaled_t_quantile(0.3, math.inf),
+        lambda: scaled_t_quantile(0.3, "5"),
+        lambda: scaled_t_quantile("x", 5.0),
+        lambda: scaled_t_quantile(["0.3"], 5.0),
+        lambda: scaled_t_quantile(0.3, True),
+        lambda: scaled_t_cdf(0.3, math.nan),
+        lambda: scaled_t_cdf(0.3, 2.0),
+        lambda: scaled_t_logpdf(0.3, math.inf),
+        lambda: scaled_t_logpdf(0.3, np.array([5.0, 6.0])),
+        lambda: scaled_t_cdf("x", 5.0),
+        lambda: scaled_t_logpdf([None], 5.0),
+    ], ids=["level_nan", "nu_nan", "nu_inf", "nu_text", "level_text", "level_list_of_text",
+            "nu_bool", "cdf_nu_nan", "cdf_nu_2", "logpdf_nu_inf", "logpdf_nu_array",
+            "cdf_text", "logpdf_object"])
+    def test_one_rule_for_nu_and_levels(self, call):
+        with pytest.raises(InputError):
+            call()
+
+
+# levels on both sides of and at the median, down to the tails
+LEVELS = np.concatenate([[1e-300, 1e-12, 1e-6], np.linspace(0.001, 0.999, 999),
+                         [0.5, 1 - 1e-12, np.nextafter(1.0, 0.0)]])
+NUS = [2.0 + 1e-9, 2.5, 3.0, 4, 5.0, 6.3, 10.0, 30.0, 1e3, 1e8]
+
+
+def same_bits(got, want):
+    """Equal values, and equal bits wherever the value is not zero.
+
+    The scipy.special forms can differ from scipy.stats and scipy.signal in
+    the sign of an exact zero (say after an input of -0.0); -0.0 == 0.0 holds.
+    """
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    nonzero = want != 0.0
+    return (got.shape == want.shape and np.array_equal(got, want, equal_nan=True)
+            and np.array_equal(got[nonzero].view(np.int64), want[nonzero].view(np.int64)))
+
+
+class TestSpecialOracles:
+    """The scaled-t functions are scipy.stats.t's, bit for bit."""
+
+    @pytest.mark.parametrize("nu", NUS)
+    def test_quantile(self, nu):
+        c = math.sqrt(nu / (nu - 2.0))
+        assert same_bits(scaled_t_quantile(LEVELS, nu), stats.t.ppf(LEVELS, df=nu) / c)
+        for p in (0.5, 0.025):
+            got = scaled_t_quantile(p, nu)
+            assert type(got) is float and same_bits(got, stats.t.ppf(p, df=nu) / c)
+
+    @pytest.mark.parametrize("nu", NUS)
+    def test_cdf_and_logpdf(self, nu):
+        c = math.sqrt(nu / (nu - 2.0))
+        z = np.concatenate([stats.t.ppf(LEVELS, df=nu) / c, [0.0, -0.0, 1e-300, 1e100, -1e120,
+                                                              math.inf, -math.inf, math.nan]])
+        assert same_bits(scaled_t_cdf(z, nu), stats.t.cdf(z * c, df=nu))
+        assert same_bits(scaled_t_logpdf(z, nu), stats.t.logpdf(z * c, df=nu) + math.log(c))
+        for v in (0.0, 1.7):
+            assert same_bits(scaled_t_cdf(v, nu), stats.t.cdf(v * c, df=nu))
+            assert same_bits(scaled_t_logpdf(v, nu), stats.t.logpdf(v * c, df=nu) + math.log(c))
+
+
+def lfilter_rows(tail, u, zi=None):
+    """The contract of _lfilter_rows, one lfilter call per row."""
+    rows = []
+    for i in range(len(u)):
+        den = np.concatenate([[1.0], tail[i]])
+        rows.append(signal.lfilter([1.0], den, u[i]) if zi is None
+                    else signal.lfilter([1.0], den, u[i], zi=zi[i])[0])
+    return np.array(rows).reshape(u.shape)
+
+
+ONE_LAG = [0.0, 0.5, -0.5, 1.0, -1.0, 1 - 2**-52, -(1 - 2**-52)]
+
+
+class TestLinearRecursion:
+    """_lfilter_rows against scipy.signal.lfilter, its contract and reference."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 700])
+    @pytest.mark.parametrize("with_zi", [False, True], ids=["no_zi", "zi"])
+    def test_one_lag_solver_is_lfilter(self, n, with_zi):
+        rng = np.random.default_rng(n)
+        # each coefficient on three rows of its own and in a shared batch
+        tail = np.repeat(ONE_LAG, 3)[:, None]
+        u = rng.standard_normal((len(tail), n)) * rng.choice([1e-200, 1.0, 1e200], (len(tail), 1))
+        zi = rng.standard_normal((len(tail), 1)) if with_zi else None
+        want = lfilter_rows(tail, u, zi)
+        assert same_bits(_lfilter_rows(tail, u, zi), want)
+        for i in range(len(tail)):
+            one = _lfilter_rows(tail[i:i + 1], u[i:i + 1], None if zi is None else zi[i:i + 1])
+            assert same_bits(one, want[i:i + 1])
+
+    def test_one_lag_random_coefficients(self):
+        rng = np.random.default_rng(11)
+        tail = rng.uniform(-1.0, 1.0, (40, 1))
+        u, zi = rng.standard_normal((40, 300)), rng.standard_normal((40, 1))
+        for z in (None, zi):
+            assert same_bits(_lfilter_rows(tail, u, z), lfilter_rows(tail, u, z))
+
+    @pytest.mark.parametrize("tail", [[[1.5], [-1.0 - 2**-52], [math.nan], [0.5]],
+                                      [[0.3, -0.2], [0.3, -0.2], [-0.9, 0.05], [0.0, 0.0]]],
+                             ids=["beyond_unit", "two_lags"])
+    @pytest.mark.parametrize("with_zi", [False, True], ids=["no_zi", "zi"])
+    def test_other_recursions_take_lfilter(self, tail, with_zi):
+        tail = np.array(tail)
+        rng = np.random.default_rng(12)
+        u = rng.standard_normal((len(tail), 60))
+        zi = rng.standard_normal(tail.shape) if with_zi else None
+        got, want = _lfilter_rows(tail, u, zi), lfilter_rows(tail, u, zi)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, 1e308])
+    def test_non_finite_steps_are_lfilter_s(self, bad):
+        # a non-finite step leaves the steps before it finite, as lfilter does
+        tail = np.array([[0.5], [-1.0], [0.0], [-0.9]])
+        u = np.random.default_rng(13).standard_normal((4, 50))
+        u[:, 20] = bad
+        u[:, 21] = 1e308
+        zi = np.full((4, 1), 0.25)
+        for z in (None, zi):
+            assert same_bits(_lfilter_rows(tail, u, z), lfilter_rows(tail, u, z))
+
+    def test_zero_sign_is_the_one_difference(self):
+        # lfilter adds its zero state to the first input, so -0.0 comes out as 0.0
+        u = np.array([[-0.0, 1.0]])
+        got, want = _lfilter_rows(np.array([[0.5]]), u), lfilter_rows(np.array([[0.5]]), u)
+        assert np.array_equal(got, want) and same_bits(got, want)
+        assert np.signbit(got[0, 0]) and not np.signbit(want[0, 0])
 
 
 class TestParams:
